@@ -72,11 +72,3 @@ def _dedupe(points, tol=1e-13):
     if len(keep) > 1 and np.abs(keep[0] - keep[-1]).max() <= tol * scale:
         keep.pop()
     return np.asarray(keep)
-
-
-def polygon_area(poly):
-    poly = np.asarray(poly, dtype=float)
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))

@@ -15,8 +15,10 @@ values; vector fields map to (n, dim).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import quadrature
@@ -70,6 +72,16 @@ class GradientDiscretisation:
         v = mesh.vertices[mesh.cells]  # (n_c, dim+1, dim)
         A = np.concatenate([np.ones(v.shape[:2] + (1,)), v], axis=2)
         self._bary_coeff = np.linalg.inv(A)  # (n_c, dim+1, dim+1)
+
+    @cached_property
+    def eigenbasis(self):
+        """Generalized eigenpairs of (mass, stiffness), computed on first use
+        and kept: ``(lam, Y, YM)`` with ``Y^T K Y = I``, ``Y^T M Y = diag(lam)``
+        (``lam`` clipped at 0) and ``YM = Y^T M``, which maps DOF vectors to
+        their eigen-coordinates."""
+        M = self.mass.toarray()
+        lam, Y = sla.eigh(M, self.stiffness.toarray())
+        return np.maximum(lam, 0.0), Y, Y.T @ M
 
     # -- reconstruction -------------------------------------------------------
 

@@ -87,10 +87,6 @@ class Trajectory:
     per_step_newton_iters: np.ndarray
     increments: np.ndarray = None
 
-    def interval_values(self):
-        """Quadrature-point values of Pi u on the N time intervals."""
-        return np.array([self.sgd.gd.reconstruct(self.u[n + 1]) for n in range(self.sgd.n_steps)])
-
 
 def _cell_local_gradients(gd):
     """Per-cell gradient stencils: DOF indices (padded with 0, coefficient 0)

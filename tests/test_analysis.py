@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy import integrate
 from scipy.optimize import minimize
 
-from sgdm import build_gd, build_uniform_interval
+from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation
 from sgdm.analysis import (
     DualNormSolver,
+    EnsembleAccumulator,
     TimePath,
     RunningStat,
     continuous_translate,
     coupled_increments,
+    dual_increment_estimator,
     dual_norm,
     energy_estimators,
     fractional_norm,
@@ -29,7 +32,7 @@ from sgdm.flux import linear_diffusion, p_laplace
 from sgdm.noise import make_noise
 from sgdm.scheme import SpaceTimeGD, run_trajectory
 
-from conftest import sin_pi, zero_field
+from conftest import sin_pi, sin_product, zero_field
 
 
 def brute_force_translate(path, rho):
@@ -193,6 +196,98 @@ class TestDualNorm:
             assert got <= best + 1e-6
 
 
+def reference_dual_batch(gd, W):
+    """The p = 2 dual-norm search as it was before the batched rewrite: its
+    own eigh(M, K), 181 one-mu grid evaluations, then 60 golden-section steps
+    that re-evaluate both interior points."""
+    M, K = gd.mass.toarray(), gd.stiffness.toarray()
+    lam, Y = sla.eigh(M, K)
+    lam = np.maximum(lam, 0.0)
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    m = len(W)
+    e2 = (W @ (Y.T @ M).T) ** 2
+
+    def values_at(mu):
+        r = 1.0 / (lam[None, :] + mu[:, None])
+        num = np.sum(e2 * r, axis=1)
+        pi2 = np.sum(e2 * lam[None, :] * r * r, axis=1)
+        gr2 = np.sum(e2 * r * r, axis=1)
+        den = np.sqrt(np.maximum(pi2, 0.0)) + np.sqrt(np.maximum(gr2, 0.0))
+        return num / np.maximum(den, 1e-300)
+
+    grid = np.logspace(-9.0, 9.0, 181)
+    vals = np.column_stack([values_at(np.full(m, mu)) for mu in grid])
+    best = vals.max(axis=1)
+    arg = vals.argmax(axis=1)
+    a = np.log(grid[np.maximum(arg - 1, 0)])
+    b = np.log(grid[np.minimum(arg + 1, len(grid) - 1)])
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = values_at(np.exp(c)), values_at(np.exp(d))
+    for _ in range(60):
+        go_right = fc < fd
+        a = np.where(go_right, c, a)
+        b = np.where(go_right, b, d)
+        c = b - invphi * (b - a)
+        d = a + invphi * (b - a)
+        fc, fd = values_at(np.exp(c)), values_at(np.exp(d))
+        best = np.maximum(best, np.maximum(fc, fd))
+    return best
+
+
+def p3_trajectory(gd, n_steps=16):
+    sgd = SpaceTimeGD(gd, T=0.25, n_steps=n_steps)
+    noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
+    u0 = sin_product if gd.dim == 2 else sin_pi
+    return next(iter_trajectories(sgd, p_laplace(3.0), noise, u0, 17, 1))
+
+
+class TestDualNormSearch:
+    """The batched grid + golden-section search against the old per-lag one."""
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [build_uniform_interval(32, 0.0, 1.0), build_uniform_triangulation(4, 4)],
+        ids=["interval_p1", "square_p1"],
+    )
+    def test_matches_per_lag_reference(self, mesh):
+        gd = build_gd(mesh, "p1")
+        traj = p3_trajectory(gd)
+        N = traj.sgd.n_steps
+        acc = EnsembleAccumulator(traj.sgd, 3.0, dual_ells=(1, 2, 4, 8), dual_r=4)
+        got = acc.summarize(traj)["dual"]
+        assert set(got) == {1, 2, 4, 8}
+        rows_all, ref_all = [], []
+        for ell in (1, 2, 4, 8):
+            idx = np.arange(1, N - ell + 1)
+            rows = traj.u[idx + ell] - traj.u[idx]
+            ref = reference_dual_batch(gd, rows)
+            assert np.all(ref > 0.0)
+            assert abs(got[ell] - np.mean(ref**4)) <= 1e-13 * np.mean(ref**4)
+            rows_all.append(rows)
+            ref_all.append(ref)
+        new = DualNormSolver(gd, 2.0).batch(np.concatenate(rows_all))
+        np.testing.assert_allclose(new, np.concatenate(ref_all), rtol=1e-13, atol=0.0)
+
+    def test_zero_row_in_batch(self):
+        gd = build_gd(build_uniform_interval(32, 0.0, 1.0), "p1")
+        rows = np.diff(p3_trajectory(gd).u[1:], axis=0)
+        solver = DualNormSolver(gd, 2.0)
+        alone = solver.batch(rows)
+        mixed = solver.batch(np.insert(rows, 3, 0.0, axis=0))
+        assert mixed[3] == 0.0
+        np.testing.assert_allclose(np.delete(mixed, 3), alone, rtol=1e-15, atol=0.0)
+
+    def test_eigenbasis_cached_per_discretisation(self):
+        gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
+        lam, Y, YM = gd.eigenbasis
+        assert gd.eigenbasis[1] is Y
+        np.testing.assert_allclose(Y.T @ gd.stiffness.toarray() @ Y, np.eye(gd.n_dofs), atol=1e-12)
+        np.testing.assert_allclose(YM @ Y, np.diag(lam), atol=1e-12)
+        assert DualNormSolver(gd, 2.0).Y is Y
+
+
 @pytest.fixture(scope="module")
 def small_ensemble():
     gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
@@ -254,22 +349,33 @@ class TestEstimators:
 
     def test_dual_exponent_must_be_power_of_two(self, small_ensemble):
         sgd, flux, noise, trajs = small_ensemble
-        from sgdm.analysis import dual_increment_estimator
-
         with pytest.raises(ValueError):
             dual_increment_estimator(trajs, (1, 2), r=3)
         table = dual_increment_estimator(trajs, (1, 2), r=2)
         assert set(table) == {(1, 2), (2, 2)}
 
     def test_dual_increments_of_constant_path_zero(self):
-        from sgdm.analysis import dual_increment_estimator
-
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
         trajs = list(iter_trajectories(sgd, linear_diffusion(), noise, zero_field, 0, 2))
         table = dual_increment_estimator(trajs, (1, 2), r=2)
         assert all(v.mean == 0.0 for v in table.values())
+
+    def test_dual_table_is_p2_dual_norm_for_p3(self):
+        gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
+        sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
+        noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
+        trajs = list(iter_trajectories(sgd, p_laplace(3.0), noise, sin_pi, 23, 4))
+        table = dual_increment_estimator(trajs, (1, 2), r=2)
+        solver = DualNormSolver(gd, 2.0)
+        for ell in (1, 2):
+            per_sample = [
+                np.mean([solver.value(t.u[n + ell] - t.u[n]) ** 2 for n in range(1, 9 - ell)])
+                for t in trajs
+            ]
+            want = np.mean(per_sample)
+            assert abs(table[(ell, 2)].mean - want) <= 1e-12 * want
 
     def test_martingale_zero_noise(self):
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
