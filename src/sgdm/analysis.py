@@ -545,7 +545,8 @@ class EnsembleAccumulator:
 
 def iter_trajectories(sgd, flux_model, noise, u0, master_seed, n_samples, cfg=None, start=0):
     """Generate trajectories for consecutive sample indices, reusing one
-    stepper (factorizations, dense operators) across the whole ensemble."""
+    stepper (gradient stencils, sparsity pattern and slot map, and the
+    factorised operator of a linear flux) across the whole ensemble."""
     from .scheme import Stepper
 
     u0_vec = sgd.gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)

@@ -9,8 +9,8 @@ Built-in kinds:
 * ``custom``:                user-supplied callables.
 
 For p < 2 the p-Laplace Jacobian is singular at y = 0; Newton solvers use
-the smoothed flux (eps^2 + |y|^2)^((p-2)/2) y controlled by
-``newton_epsilon``.
+the Jacobian of the smoothed flux (eps^2 + |y|^2)^((p-2)/2) y controlled by
+``newton_epsilon``, while residuals use the flux itself.
 """
 
 from dataclasses import dataclass, field
@@ -99,16 +99,6 @@ def eval_flux(model, x, y):
         r = np.linalg.norm(y, axis=1)
         return ((1.0 + r) ** (model.p - 2.0))[:, None] * y
     return np.asarray(model.fn(x, y), dtype=float).reshape(y.shape)
-
-
-def eval_flux_smoothed(model, x, y, eps):
-    """The eps-smoothed p-Laplace flux used inside Newton; other kinds are
-    already smooth and returned unchanged."""
-    if model.kind == P_LAPLACE and eps > 0.0:
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        r2 = np.sum(y**2, axis=1)
-        return ((eps**2 + r2) ** ((model.p - 2.0) / 2.0))[:, None] * y
-    return eval_flux(model, x, y)
 
 
 def eval_flux_jacobian(model, x, y):

@@ -319,33 +319,7 @@ def indicator_T(gd, xi, p=2.0, n_restarts=5, n_iter=80, seed=0):
 
     rng = np.random.default_rng(seed)
     starts = [vec] + [rng.standard_normal(gd.n_dofs) for _ in range(n_restarts)]
-    best = 0.0
-    for v in starts:
-        v = v / np.linalg.norm(v)
-        cur = ratio(v)
-        best = max(best, cur)
-        step = 1.0
-        for _ in range(n_iter):
-            d = grad_log_ratio(v)
-            d -= v * (d @ v)  # keep on the unit sphere (scale invariance)
-            nd = np.linalg.norm(d)
-            if nd < 1e-12:
-                break
-            improved = False
-            while step > 1e-12:
-                v_try = v + step * d / nd
-                v_try /= np.linalg.norm(v_try)
-                r_try = ratio(v_try)
-                if r_try > cur:
-                    v, cur = v_try, r_try
-                    improved = True
-                    step = min(step * 2.0, 1.0)
-                    break
-                step *= 0.5
-            if not improved:
-                break
-            best = max(best, cur)
-    return float(best)
+    return float(max(_ascend_ratio(v, ratio, grad_log_ratio, n_iter)[0] for v in starts))
 
 
 # -- coercivity ----------------------------------------------------------------

@@ -9,16 +9,21 @@ with the noise term explicit in the previous iterate. The nonlinear solver
 is damped Newton with the smoothed flux Jacobian, falling back to the
 frozen-coefficient (Kacanov) iteration; time steps are uniform and a step
 that fails both strategies aborts the trajectory with diagnostics.
+
+All three system matrices (Newton Jacobian, Kacanov matrix, linear
+operator) are filled by one routine from per-cell gradient stencils and
+per-cell blocks; the number of unknowns picks only the storage (dense or
+sparse) and the solver (LAPACK or SuperLU).
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .flux import CUSTOM, LINEAR_DIFFUSION, P_LAPLACE, REGULARIZED_P_LAPLACE, eval_flux, eval_flux_jacobian
+from .flux import LINEAR_DIFFUSION, P_LAPLACE, REGULARIZED_P_LAPLACE, eval_flux, eval_flux_jacobian
 from .noise import NoiseIncrement, RngStream, sample_increment
 
 
@@ -89,33 +94,42 @@ class Trajectory:
 
 
 def _cell_local_gradients(gd):
-    """Per-cell gradient stencils: DOF indices (padded with 0, coefficient 0)
-    and coefficients so that component d of the cell-c gradient is
-    sum_k coef[c, d, k] v[idx[c, k]]."""
-    G = gd.G.tocsr()
+    """Per-cell gradient stencils ``(idx, coef)``: component d of the gradient
+    on cell c is ``sum_k coef[c, d, k] v[idx[c, k]]``.
+
+    A cell's DOFs are listed in increasing order. A cell with fewer DOFs than
+    the widest one repeats its first DOF (or DOF 0 if it has none) with
+    coefficient 0, so padding only ever adds zeros to diagonal-block entries
+    that the mass matrix already has."""
+    G = gd.G.tocoo()
     n_c, d = gd.mesh.n_cells, gd.dim
-    cols = [
-        np.unique(G.indices[G.indptr[c * d] : G.indptr[(c + 1) * d]]) for c in range(n_c)
-    ]
-    kmax = max((len(x) for x in cols), default=1)
-    idx = np.zeros((n_c, kmax), dtype=int)
-    coef = np.zeros((n_c, d, kmax))
-    for c in range(n_c):
-        idx[c, : len(cols[c])] = cols[c]
-        for k in range(d):
-            row = G.getrow(c * d + k)
-            for j, col in enumerate(cols[c]):
-                pos = np.nonzero(row.indices == col)[0]
-                if len(pos):
-                    coef[c, k, j] = row.data[pos[0]]
+    n = max(gd.n_dofs, 1)
+    cell, comp = np.divmod(G.row.astype(np.int64), d)
+    pairs, pair_of = np.unique(cell * n + G.col, return_inverse=True)
+    pair_cell = pairs // n
+    counts = np.bincount(pair_cell, minlength=n_c)
+    slot = np.arange(len(pairs)) - (np.cumsum(counts) - counts)[pair_cell]
+    idx = np.zeros((n_c, counts.max(initial=0)), dtype=int)
+    idx[pair_cell, slot] = pairs % n
+    idx = np.where(np.arange(idx.shape[1]) < counts[:, None], idx, idx[:, :1])
+    coef = np.zeros((n_c, d, idx.shape[1]))
+    coef[cell, comp, slot[pair_of]] = G.data
     return idx, coef
 
 
 class Stepper:
     """Assembles and solves one implicit step; reused along a trajectory.
 
-    Systems with few unknowns run on dense precomputed operators (the sparse
-    machinery costs more than the arithmetic at that scale)."""
+    Every system the step solves has the form ``M + dt sum_c C_c^T B_c C_c``
+    with the per-cell gradient stencils C_c; the Newton Jacobian, the
+    frozen-coefficient matrix and the linear operator differ only in the
+    per-cell blocks B_c. ``_system`` fills all of them by one ``bincount``
+    into a sparsity pattern and slot map built once here. The number of
+    unknowns decides only storage and solver: up to ``_DENSE_LIMIT`` unknowns
+    the filled systems and the constant operators (reconstruction, its
+    weighted transpose, mass) are dense arrays solved by LAPACK, since the
+    sparse machinery costs more than the arithmetic at that scale; above it
+    they are sparse and the systems are solved by SuperLU."""
 
     _DENSE_LIMIT = 220
 
@@ -127,84 +141,85 @@ class Stepper:
         self.cfg = cfg or SolverConfig()
         self.dt = sgd.dt
         gd = self.gd
+        n = gd.n_dofs
         self.E = noise.basis.values(gd.quad_x)
-        self._meas_rep = np.repeat(gd.mesh.cell_measures, gd.dim)
-        self._dense = gd.n_dofs <= self._DENSE_LIMIT
-        if self._dense:
-            self._Pd = gd.P.toarray()
-            self._PTw = self._Pd.T * gd.quad_w
-            self._Md = gd.mass.toarray()
-            self._Gd = gd.G.toarray().reshape(gd.mesh.n_cells, gd.dim, gd.n_dofs)
-            self._cell_dofs, self._cell_coef = _cell_local_gradients(gd)
+        self._dense = n <= self._DENSE_LIMIT
+        # constant operators are stored like the filled systems: dense arrays
+        # spare small systems the per-call overhead of sparse products
+        store = (lambda A: A.toarray()) if self._dense else sp.csr_matrix
+        self._P = store(gd.P)
+        self._PTw = store(gd.P.T @ sp.diags(gd.quad_w))
+        self._M = store(gd.mass)
+        self._cell_dofs, self._cell_coef = _cell_local_gradients(gd)
+        # (n_cells, n_quad): sums quadrature-weighted point values per cell
+        self._cell_sum = sp.csr_matrix(
+            (gd.quad_w, (gd.quad_cell, np.arange(len(gd.quad_w)))),
+            shape=(gd.mesh.n_cells, len(gd.quad_w)),
+        )
+        # column-major keys col*n + row: sorted, they are in CSC order
+        dofs = self._cell_dofs
+        block_keys = (dofs[:, None, :] * n + dofs[:, :, None]).ravel()
+        mass = gd.mass.tocoo()
+        mass_keys = mass.col.astype(np.int64) * n + mass.row
+        self._pattern, slot_of = np.unique(
+            np.concatenate([block_keys, mass_keys]), return_inverse=True
+        )
+        self._slots = slot_of[: len(block_keys)]
+        self._mass_vals = np.bincount(
+            slot_of[len(block_keys) :], weights=mass.data, minlength=len(self._pattern)
+        )
+        self._indptr = np.searchsorted(self._pattern, np.arange(n + 1) * n)
         self._linear_solve = None
-        self._Ad = None
         if flux_model.is_linear:
-            A = (gd.mass + self.dt * gd.stiffness).tocsc()
+            self._A_lin = self._system(gd.mesh.cell_measures[:, None, None] * np.eye(gd.dim))
             if self._dense:
-                self._Ad = A.toarray()
-                Ainv = np.linalg.inv(self._Ad)
+                Ainv = np.linalg.inv(self._A_lin)
                 self._linear_solve = lambda b: Ainv @ b
             else:
-                lu = spla.splu(A)
-                self._linear_solve = lu.solve
+                self._linear_solve = spla.splu(self._A_lin).solve
+
+    def _system(self, blocks):
+        """``M + dt sum_c C_c^T blocks[c] C_c``, dense or CSC by size."""
+        C = self._cell_coef
+        local = np.einsum("cdk,cde,cel->ckl", C, blocks, C)
+        vals = self._mass_vals + self.dt * np.bincount(
+            self._slots, weights=local.ravel(), minlength=len(self._pattern)
+        )
+        n = self.gd.n_dofs
+        if self._dense:
+            A = np.zeros(n * n)
+            A[self._pattern] = vals
+            return A.reshape(n, n).T
+        return sp.csc_matrix((vals, self._pattern % n, self._indptr), shape=(n, n))
+
+    def _gradients(self, u):
+        return np.einsum("cdk,ck->cd", self._cell_coef, u[self._cell_dofs])
 
     def noise_values(self, u_n, inc):
         """f0(Pi u_n) * sum_k c_k e_k at the quadrature points."""
-        u_q = self._Pd @ u_n if self._dense else self.gd.P @ u_n
-        return self.noise.f0(u_q) * (self.E @ inc.coeffs)
+        return self.noise.f0(self._P @ u_n) * (self.E @ inc.coeffs)
 
     def _flux_vector(self, u):
         gd = self.gd
-        if self._dense:
-            u_q = self._Pd @ u
-            g = np.einsum("cdn,n->cd", self._Gd, u)
-        else:
-            u_q = gd.P @ u
-            g = (gd.G @ u).reshape(gd.mesh.n_cells, gd.dim)
-        a_q = eval_flux(self.flux, u_q, g[gd.quad_cell])
-        t = np.empty((gd.mesh.n_cells, gd.dim))
-        for k in range(gd.dim):
-            t[:, k] = np.bincount(
-                gd.quad_cell, weights=gd.quad_w * a_q[:, k], minlength=gd.mesh.n_cells
-            )
-        if self._dense:
-            return np.einsum("cdn,cd->n", self._Gd, t)
-        return gd.G.T @ t.ravel()
+        a_q = eval_flux(self.flux, self._P @ u, self._gradients(u)[gd.quad_cell])
+        local = np.einsum("cdk,cd->ck", self._cell_coef, self._cell_sum @ a_q)
+        return np.bincount(self._cell_dofs.ravel(), weights=local.ravel(), minlength=gd.n_dofs)
 
     def residual(self, u, u_n, b_noise):
-        mass_term = self._Md @ (u - u_n) if self._dense else self.gd.mass @ (u - u_n)
-        return mass_term + self.dt * self._flux_vector(u) - b_noise
+        return self._M @ (u - u_n) + self.dt * self._flux_vector(u) - b_noise
 
     def _jacobian(self, u):
         gd = self.gd
-        if self._dense:
-            u_q = self._Pd @ u
-            g = np.einsum("cdn,n->cd", self._Gd, u)
-        else:
-            u_q = gd.P @ u
-            g = (gd.G @ u).reshape(gd.mesh.n_cells, gd.dim)
-        J_q = eval_flux_jacobian(self.flux, u_q, g[gd.quad_cell])
-        blocks = np.zeros((gd.mesh.n_cells, gd.dim, gd.dim))
-        np.add.at(blocks, gd.quad_cell, gd.quad_w[:, None, None] * J_q)
-        if self._dense:
-            # scatter small per-cell blocks instead of a full dense contraction
-            local = np.einsum("cdk,cde,cel->ckl", self._cell_coef, blocks, self._cell_coef)
-            J = self._Md.copy()
-            idx = self._cell_dofs
-            np.add.at(J, (idx[:, :, None], idx[:, None, :]), self.dt * local)
-            return J
-        B = sp.bsr_matrix(
-            (blocks, np.arange(gd.mesh.n_cells), np.arange(gd.mesh.n_cells + 1)),
-            shape=(gd.mesh.n_cells * gd.dim,) * 2,
-        )
-        return (gd.mass + self.dt * (gd.G.T @ B @ gd.G)).tocsc()
+        J_q = eval_flux_jacobian(self.flux, self._P @ u, self._gradients(u)[gd.quad_cell])
+        blocks = self._cell_sum @ J_q.reshape(len(J_q), -1)
+        return self._system(blocks.reshape(-1, gd.dim, gd.dim))
 
     def _solve(self, A, b):
         return np.linalg.solve(A, b) if self._dense else spla.spsolve(A, b)
 
     def _kacanov_weights(self, u):
         gd = self.gd
-        g = (gd.G @ u).reshape(gd.mesh.n_cells, gd.dim)
+        g = self._gradients(u)
         r = np.linalg.norm(g, axis=1)
         p = self.flux.p
         if self.flux.kind == P_LAPLACE:
@@ -227,21 +242,12 @@ class Stepper:
         gd = self.gd
         cfg = self.cfg
         z = self.noise_values(u_n, inc)
-        if self._dense:
-            b_noise = self._PTw @ z
-            mass_u = self._Md @ u_n
-        else:
-            b_noise = gd.P.T @ (gd.quad_w * z)
-            mass_u = gd.mass @ u_n
+        b_noise = self._PTw @ z
+        rhs = self._M @ u_n + b_noise
 
         if self._linear_solve is not None:
-            rhs = mass_u + b_noise
             u = self._linear_solve(rhs)
-            if self._Ad is not None:
-                res = np.linalg.norm(self._Ad @ u - rhs)
-            else:
-                res = np.linalg.norm(self.residual(u, u_n, b_noise))
-            return u, res, 1, z
+            return u, np.linalg.norm(self._A_lin @ u - rhs), 1, z
 
         u = u_n.copy()
         R = self.residual(u, u_n, b_noise)
@@ -271,24 +277,12 @@ class Stepper:
         if nr <= cfg.newton_tol:
             return u, nr, iters, z
 
-        # frozen-coefficient (Kacanov) fallback
-        rhs = mass_u + b_noise
+        # frozen-coefficient (Kacanov) fallback: isotropic blocks meas * w * I
+        eye = np.eye(gd.dim)
         for _ in range(cfg.max_fixed_point):
             iters += 1
-            w = self._kacanov_weights(u)
-            if self._dense:
-                A = self._Md + self.dt * np.einsum(
-                    "cdn,c,cdm->nm", self._Gd, gd.mesh.cell_measures * w, self._Gd
-                )
-            else:
-                A = (
-                    gd.mass
-                    + self.dt
-                    * gd.G.T
-                    @ sp.diags(np.repeat(gd.mesh.cell_measures * w, gd.dim))
-                    @ gd.G
-                ).tocsc()
-            u = self._solve(A, rhs)
+            w = gd.mesh.cell_measures * self._kacanov_weights(u)
+            u = self._solve(self._system(w[:, None, None] * eye), rhs)
             nr = np.linalg.norm(self.residual(u, u_n, b_noise))
             if nr < best_nr:
                 best_u, best_nr = u, nr

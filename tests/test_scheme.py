@@ -4,14 +4,16 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from sgdm import build_gd, build_uniform_interval
-from sgdm.flux import custom_flux, linear_diffusion, p_laplace
+from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation
+from sgdm.flux import custom_flux, eval_flux_jacobian, linear_diffusion, p_laplace
 from sgdm.noise import NoiseIncrement, RngStream, make_noise, sample_increment
 from sgdm.scheme import (
     SolverConfig,
     SpaceTimeGD,
     StepFailure,
+    Stepper,
     energy_identity_residual,
     run_trajectory,
     save_trajectory,
@@ -56,8 +58,6 @@ class TestSolveStep:
         u1, res, _ = solve_step(sgd, flux, noise, u_n, inc)
         assert res <= 1e-10
         # identity from testing the step equation with u^{n+1}
-        from sgdm.scheme import Stepper
-
         stepper = Stepper(sgd, flux, noise)
         lhs = (
             0.5 * gd.l2_inner(u1, u1)
@@ -231,3 +231,136 @@ class TestTrajectory:
         step, dof, value = lines[1 + sgd.gd.n_dofs].split(",")
         assert (int(step), int(dof)) == (1, 0)
         assert float(value) == traj.u[1, 0]
+
+
+def _reference_jacobian(stepper, u):
+    """The Newton Jacobian as a sparse product, M + dt G^T B G with B the
+    block-diagonal matrix of quadrature-summed flux Jacobians."""
+    gd = stepper.gd
+    g = (gd.G @ u).reshape(gd.mesh.n_cells, gd.dim)
+    J_q = eval_flux_jacobian(stepper.flux, gd.P @ u, g[gd.quad_cell])
+    blocks = np.zeros((gd.mesh.n_cells, gd.dim, gd.dim))
+    np.add.at(blocks, gd.quad_cell, gd.quad_w[:, None, None] * J_q)
+    B = sp.bsr_matrix(
+        (blocks, np.arange(gd.mesh.n_cells), np.arange(gd.mesh.n_cells + 1)),
+        shape=(gd.mesh.n_cells * gd.dim,) * 2,
+    )
+    return (gd.mass + stepper.dt * (gd.G.T @ B @ gd.G)).toarray()
+
+
+def _array(A):
+    return A.toarray() if sp.issparse(A) else np.asarray(A)
+
+
+MESHES = {
+    "1d": lambda: build_uniform_interval(12, 0.0, 1.0),
+    "2d": lambda: build_uniform_triangulation(4, 3),
+}
+# a limit no system reaches stores every system sparse; a huge one, dense
+STORAGES = {"dense": 10**9, "sparse": -1}
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(m, k) for m in MESHES for k in ("p1", "p1_lumped", "cr")],
+    ids=lambda mk: f"{mk[0]}-{mk[1]}",
+)
+def assembly_case(request):
+    mesh_name, kind = request.param
+    gd = build_gd(MESHES[mesh_name](), kind)
+    # a short step: at p=3 the frozen-coefficient iteration contracts only
+    # while the mass term dominates (at dt=0.025 it stalls on the 1D mesh)
+    sgd = SpaceTimeGD(gd, T=0.004, n_steps=4)
+    noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
+    rng = np.random.default_rng(41)
+    u = 0.5 * rng.standard_normal(gd.n_dofs)
+    inc = NoiseIncrement(0.3 * rng.standard_normal(4), sgd.dt)
+    return sgd, noise, u, inc
+
+
+def _nonsymmetric_flux():
+    """a(y) = (I + S) y with S skew-symmetric: in 2D its Jacobian is not
+    symmetric, so an assembly that transposes a block shows."""
+
+    def matrix(d):
+        return np.eye(d) + np.triu(np.ones((d, d)), 1) - np.tril(np.ones((d, d)), -1)
+
+    return custom_flux(
+        2.0,
+        lambda x, y: y @ matrix(y.shape[1]).T,
+        lambda x, y: np.broadcast_to(matrix(y.shape[1]), (len(y),) + (y.shape[1],) * 2),
+    )
+
+
+JACOBIAN_FLUXES = {"p3": lambda: p_laplace(3.0), "nonsymmetric": _nonsymmetric_flux}
+
+
+def _stepper(monkeypatch, case, storage, flux, cfg=None):
+    sgd, noise, _, _ = case
+    monkeypatch.setattr(Stepper, "_DENSE_LIMIT", STORAGES[storage])
+    stepper = Stepper(sgd, flux, noise, cfg)
+    assert stepper._dense == (storage == "dense")
+    return stepper
+
+
+@pytest.mark.parametrize("storage", list(STORAGES))
+class TestAssembly:
+    @pytest.mark.parametrize("flux", list(JACOBIAN_FLUXES))
+    def test_jacobian_matches_sparse_product(self, monkeypatch, assembly_case, storage, flux):
+        stepper = _stepper(monkeypatch, assembly_case, storage, JACOBIAN_FLUXES[flux]())
+        u = assembly_case[2]
+        J = _array(stepper._jacobian(u))
+        ref = _reference_jacobian(stepper, u)
+        assert np.abs(J - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("flux", list(JACOBIAN_FLUXES))
+    def test_jacobian_matches_residual_difference(self, monkeypatch, assembly_case, storage, flux):
+        stepper = _stepper(monkeypatch, assembly_case, storage, JACOBIAN_FLUXES[flux]())
+        u = assembly_case[2]
+        n, h = len(u), 1e-5
+        b = np.zeros(n)
+        fd = np.column_stack(
+            [
+                (stepper.residual(u + h * e, u, b) - stepper.residual(u - h * e, u, b)) / (2 * h)
+                for e in np.eye(n)
+            ]
+        )
+        J = _array(stepper._jacobian(u))
+        assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
+
+    def test_isotropic_blocks_match_weighted_stiffness(self, monkeypatch, assembly_case, storage):
+        # the Kacanov matrix: blocks meas * w * I with the frozen p=3 weights
+        stepper = _stepper(monkeypatch, assembly_case, storage, p_laplace(3.0))
+        gd, u = stepper.gd, assembly_case[2]
+        w = gd.mesh.cell_measures * stepper._kacanov_weights(u)
+        ref = (gd.mass + stepper.dt * gd.G.T @ sp.diags(np.repeat(w, gd.dim)) @ gd.G).toarray()
+        A = _array(stepper._system(w[:, None, None] * np.eye(gd.dim)))
+        assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
+        # the linear operator: w = 1
+        linear = _stepper(monkeypatch, assembly_case, storage, linear_diffusion())
+        ref = (gd.mass + linear.dt * gd.stiffness).toarray()
+        assert np.abs(_array(linear._A_lin) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_kacanov_fallback_converges_to_newton_step(self, monkeypatch, assembly_case, storage):
+        _, _, u, inc = assembly_case
+        newton = _stepper(monkeypatch, assembly_case, storage, p_laplace(3.0))
+        kacanov = _stepper(
+            monkeypatch, assembly_case, storage, p_laplace(3.0), SolverConfig(max_newton=0)
+        )
+        u_newton, res_newton, _, _ = newton.step(u, inc)
+        u_kacanov, res_kacanov, iters, _ = kacanov.step(u, inc)
+        assert res_newton <= 1e-10 and res_kacanov <= 1e-10
+        assert iters >= 1
+        np.testing.assert_allclose(u_kacanov, u_newton, rtol=0, atol=1e-8 * np.abs(u_newton).max())
+
+
+def test_dense_and_sparse_storage_same_step(monkeypatch, assembly_case):
+    _, _, u, inc = assembly_case
+    out = {}
+    for storage in STORAGES:
+        for flux in (p_laplace(3.0), linear_diffusion()):
+            stepper = _stepper(monkeypatch, assembly_case, storage, flux)
+            out[storage, flux.kind] = stepper.step(u, inc)[0]
+    for kind in (p_laplace(3.0).kind, linear_diffusion().kind):
+        dense, sparse = out["dense", kind], out["sparse", kind]
+        assert np.abs(dense - sparse).max() <= 1e-12 * np.abs(dense).max()
