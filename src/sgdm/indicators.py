@@ -45,14 +45,6 @@ def _max_gen_eig(A, B):
     return vals[0], vecs[:, 0]
 
 
-def _grad_rows_at_quad(gd):
-    """Sparse maps DOFs -> gradient component values at quadrature points."""
-    if not hasattr(gd, "_Gq"):
-        d = gd.dim
-        gd._Gq = [gd.G[gd.quad_cell * d + k] for k in range(d)]
-    return gd._Gq
-
-
 def _damp(w_new, w_old):
     # geometric mean: 0.5 damping on the reweighting, robust for power weights
     return np.sqrt(w_new * w_old)
@@ -112,7 +104,8 @@ def interpolate_best(gd, phi, grad_phi, p=2.0, phat=None, max_iter=IRLS_MAX_ITER
     if best_val <= 1e-13 * scale:  # target is exactly representable
         return BestFit(w, best_val, True, 1)
 
-    Gq = _grad_rows_at_quad(gd)
+    # maps DOFs -> gradient component k at the quadrature points
+    Gq = [gd.G[gd.quad_cell * gd.dim + k] for k in range(gd.dim)]
     eps2 = (1e-9 * scale) ** 2
     om1 = np.ones(len(gd.quad_w))
     om2 = np.ones(len(gd.quad_w))

@@ -6,6 +6,7 @@ parse errors can point at the offending line.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,16 +75,26 @@ class Mesh:
         mask[self.boundary_vertices] = False
         return np.nonzero(mask)[0]
 
+    @cached_property
+    def edge_table(self):
+        """The edges of a 2D mesh, enumerated once: ``(edges, counts,
+        cell_edges)`` with the sorted vertex pairs in lexicographic order, the
+        number of cells sharing each edge, and the (n_cells, 3) index of the
+        edge opposite each local vertex of every cell."""
+        if self.dim != 2:
+            raise MeshError("edges are only defined for 2D meshes")
+        c = self.cells
+        local = np.sort(np.stack([c[:, [1, 2]], c[:, [2, 0]], c[:, [0, 1]]], axis=1), axis=2)
+        keys, cell_edges, counts = np.unique(
+            local[..., 0] * self.n_vertices + local[..., 1], return_inverse=True, return_counts=True
+        )
+        edges = np.column_stack(np.divmod(keys, self.n_vertices))
+        return edges, counts, cell_edges.reshape(self.n_cells, 3)
+
     def edges(self):
         """All edges as sorted vertex pairs with their cell multiplicity (2D)."""
-        if self.dim != 2:
-            raise MeshError("edges() only defined for 2D meshes")
-        pairs = {}
-        for cell in self.cells:
-            for a, b in ((cell[0], cell[1]), (cell[1], cell[2]), (cell[2], cell[0])):
-                key = (min(a, b), max(a, b))
-                pairs[key] = pairs.get(key, 0) + 1
-        return pairs
+        edges, counts, _ = self.edge_table
+        return dict(zip(map(tuple, edges.tolist()), counts.tolist()))
 
     def validate(self):
         """Check structural invariants; raise MeshError on failure."""

@@ -93,35 +93,12 @@ class Trajectory:
     increments: np.ndarray = None
 
 
-def _cell_local_gradients(gd):
-    """Per-cell gradient stencils ``(idx, coef)``: component d of the gradient
-    on cell c is ``sum_k coef[c, d, k] v[idx[c, k]]``.
-
-    A cell's DOFs are listed in increasing order. A cell with fewer DOFs than
-    the widest one repeats its first DOF (or DOF 0 if it has none) with
-    coefficient 0, so padding only ever adds zeros to diagonal-block entries
-    that the mass matrix already has."""
-    G = gd.G.tocoo()
-    n_c, d = gd.mesh.n_cells, gd.dim
-    n = max(gd.n_dofs, 1)
-    cell, comp = np.divmod(G.row.astype(np.int64), d)
-    pairs, pair_of = np.unique(cell * n + G.col, return_inverse=True)
-    pair_cell = pairs // n
-    counts = np.bincount(pair_cell, minlength=n_c)
-    slot = np.arange(len(pairs)) - (np.cumsum(counts) - counts)[pair_cell]
-    idx = np.zeros((n_c, counts.max(initial=0)), dtype=int)
-    idx[pair_cell, slot] = pairs % n
-    idx = np.where(np.arange(idx.shape[1]) < counts[:, None], idx, idx[:, :1])
-    coef = np.zeros((n_c, d, idx.shape[1]))
-    coef[cell, comp, slot[pair_of]] = G.data
-    return idx, coef
-
-
 class Stepper:
     """Assembles and solves one implicit step; reused along a trajectory.
 
     Every system the step solves has the form ``M + dt sum_c C_c^T B_c C_c``
-    with the per-cell gradient stencils C_c; the Newton Jacobian, the
+    with the per-cell gradient stencils C_c, read from the space's local
+    basis (``cell_dofs``, ``local_gradients``); the Newton Jacobian, the
     frozen-coefficient matrix and the linear operator differ only in the
     per-cell blocks B_c. ``_system`` fills all of them by one ``bincount``
     into a sparsity pattern and slot map built once here. The number of
@@ -150,7 +127,15 @@ class Stepper:
         self._P = store(gd.P)
         self._PTw = store(gd.P.T @ sp.diags(gd.quad_w))
         self._M = store(gd.mass)
-        self._cell_dofs, self._cell_coef = _cell_local_gradients(gd)
+        # per-cell gradient stencils: component d of the gradient on cell c is
+        # sum_k coef[c, d, k] u[dofs[c, k]]; an eliminated basis function is
+        # padded with a DOF of its cell (or DOF 0) and coefficient 0, so the
+        # padding only adds zeros inside blocks the pattern already has
+        ok = gd.cell_dofs >= 0
+        pad = np.maximum(gd.cell_dofs.max(axis=1, keepdims=True), 0)
+        width = gd.dim + 1 if n else 0  # a space without DOFs has empty stencils
+        self._cell_dofs = np.where(ok, gd.cell_dofs, pad)[:, :width]
+        self._cell_coef = (gd.local_gradients * ok[:, None, :])[:, :, :width]
         # (n_cells, n_quad): sums quadrature-weighted point values per cell
         self._cell_sum = sp.csr_matrix(
             (gd.quad_w, (gd.quad_cell, np.arange(len(gd.quad_w)))),

@@ -97,6 +97,53 @@ class TestReconstruction:
             gd_interval_16.reconstruct(np.zeros(3))
 
 
+LOCAL_BASIS_MESHES = {
+    "interval": lambda: build_uniform_interval(6, 0.0, 1.0),
+    "rectangle": lambda: build_uniform_triangulation(3, 2, ((0.0, 0.0), (1.5, 1.0))),
+    "refined": lambda: refine(build_uniform_triangulation(2, 2)),
+}
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(m, k) for m in LOCAL_BASIS_MESHES for k in ("p1", "p1_lumped", "cr")],
+    ids=lambda mk: f"{mk[0]}-{mk[1]}",
+)
+def local_basis_gd(request):
+    mesh_name, kind = request.param
+    return build_gd(LOCAL_BASIS_MESHES[mesh_name](), kind)
+
+
+class TestLocalBasis:
+    def test_reconstruction_matrix_at_quadrature_is_P(self, local_basis_gd):
+        gd = local_basis_gd
+        E = gd.reconstruction_matrix(gd.quad_x)
+        assert E.shape == gd.P.shape
+        assert np.abs((E - gd.P).toarray()).max(initial=0.0) <= 1e-13
+
+    def test_pieces_match_P_on_their_quadrature_points(self, local_basis_gd):
+        # the quadrature points come in equal consecutive runs, one per piece:
+        # a cell's points (p1, cr) or a dual sub-region's points (p1_lumped)
+        gd = local_basis_gd
+        v = np.random.default_rng(2).standard_normal(gd.n_dofs)
+        Pv = gd.P @ v
+        # a lumped cell splits into 2 half-intervals or 6 sub-triangles
+        per_cell = {1: 2, 2: 6}[gd.dim] if gd.kind == "p1_lumped" else 1
+        assert len(gd.pieces) == per_cell * gd.mesh.n_cells
+        x = np.split(gd.quad_x, len(gd.pieces))
+        for pc, xq, ref in zip(gd.pieces, x, np.split(Pv, len(gd.pieces))):
+            vals = (pc.const[None, :] + xq @ pc.lin.T) @ v[pc.dofs]
+            np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-13)
+
+    def test_gradients_are_the_local_basis_gradients(self, local_basis_gd):
+        gd = local_basis_gd
+        v = np.random.default_rng(4).standard_normal(gd.n_dofs)
+        ok = gd.cell_dofs >= 0
+        vals = np.where(ok, v[np.maximum(gd.cell_dofs, 0)], 0.0)
+        expected = np.einsum("cdi,ci->cd", gd.local_gradients, vals)
+        np.testing.assert_allclose(gd.reconstruct_gradient(v), expected, rtol=0, atol=1e-12)
+
+
 class TestInterpolation:
     def test_zero_function(self, gd_interval_16):
         np.testing.assert_array_equal(

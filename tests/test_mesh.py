@@ -141,3 +141,31 @@ class TestValidation:
         bad = Mesh(2, verts, cells, np.array([0, 1, 2]), np.zeros((0, 2), dtype=int))
         with pytest.raises(MeshError):
             bad.validate()
+
+
+class TestEdgeTable:
+    def test_matches_cell_loop(self):
+        m = refine(build_uniform_triangulation(3, 2, [[0.0, 0.0], [1.5, 1.0]]))
+        loop = {}
+        for cell in m.cells.tolist():
+            for a, b in ((cell[0], cell[1]), (cell[1], cell[2]), (cell[2], cell[0])):
+                key = (min(a, b), max(a, b))
+                loop[key] = loop.get(key, 0) + 1
+        assert m.edges() == loop
+        edges, counts, cell_edges = m.edge_table
+        assert list(map(tuple, edges.tolist())) == sorted(loop)
+        # local edge i is the one opposite local vertex i
+        for c, cell in enumerate(m.cells.tolist()):
+            for i in range(3):
+                assert sorted(edges[cell_edges[c, i]].tolist()) == sorted(cell[:i] + cell[i + 1 :])
+
+    def test_edge_in_three_cells_rejected(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+        cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        bad = Mesh(2, verts, cells, np.arange(5), np.zeros((0, 2), dtype=int))
+        with pytest.raises(MeshError, match=r"edge \(0, 1\) shared by more than two cells"):
+            bad.validate()
+
+    def test_interval_has_no_edge_table(self):
+        with pytest.raises(MeshError, match="2D"):
+            build_uniform_interval(2, 0.0, 1.0).edges()

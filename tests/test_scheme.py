@@ -233,6 +233,17 @@ class TestTrajectory:
         assert float(value) == traj.u[1, 0]
 
 
+@pytest.mark.parametrize("flux", [p_laplace(3.0), linear_diffusion()], ids=["p3", "linear"])
+@pytest.mark.parametrize("kind", ["p1", "cr"])
+def test_space_without_dofs_runs(kind, flux):
+    # one cell: both basis functions are eliminated by the Dirichlet condition
+    gd = build_gd(build_uniform_interval(1, 0.0, 1.0), kind)
+    sgd = SpaceTimeGD(gd, T=0.1, n_steps=3)
+    noise = make_noise(gd.mesh.bounding_box, 2, f0="tanh")
+    traj = run_trajectory(sgd, flux, noise, sin_pi, master_seed=5, sample_index=0)
+    assert traj.u.shape == (sgd.n_steps + 1, 0)
+
+
 def _reference_jacobian(stepper, u):
     """The Newton Jacobian as a sparse product, M + dt G^T B G with B the
     block-diagonal matrix of quadrature-summed flux Jacobians."""
