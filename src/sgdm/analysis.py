@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .scheme import run_trajectory
 
@@ -290,6 +289,8 @@ class DualNormSolver:
         return self._value_general(w)
 
     def _value_general(self, w, n_iter=40):
+        from .indicators import _ascend_ratio, _grad_power
+
         gd = self.gd
         c = gd.mass @ w
 
@@ -302,6 +303,7 @@ class DualNormSolver:
         mu0 = self._MU_GRID[self._grid_values(e2)[0].argmax()]
         phi = self.Y @ ((self.Y.T @ c) / (self.lam + mu0))
         best = ratio(phi)
+        M = gd.mass.toarray()
         for _ in range(n_iter):
             s = gd.lp_norm(phi, 2.0)
             t = gd.grad_lp_norm(phi, self.p)
@@ -311,9 +313,7 @@ class DualNormSolver:
             mag = np.linalg.norm(g, axis=1)
             eps = 1e-14 * max(mag.max(), 1e-300)
             wcell = gd.mesh.cell_measures * (mag + eps) ** (self.p - 2.0)
-            H = gd.mass.toarray() / s + (
-                gd.G.T @ sp.diags(np.repeat(wcell, gd.dim)) @ gd.G
-            ).toarray() * t ** (1.0 - self.p)
+            H = M / s + gd.gradient_form(wcell).toarray() * t ** (1.0 - self.p)
             phi_new = np.linalg.solve(H + 1e-300 * np.eye(len(c)), c)
             move = np.linalg.norm(phi_new - phi) / max(np.linalg.norm(phi_new), 1e-300)
             phi = phi_new
@@ -324,16 +324,10 @@ class DualNormSolver:
         # gradient-ascent polish on the ratio itself
         def grad_log_ratio(v):
             s = gd.lp_norm(v, 2.0)
-            t = gd.grad_lp_norm(v, self.p)
-            g = (gd.G @ v).reshape(gd.mesh.n_cells, gd.dim)
-            mag = np.linalg.norm(g, axis=1)
-            wcell = gd.mesh.cell_measures * mag ** (self.p - 2.0)
-            dden = (gd.mass @ v) / max(s, 1e-300) + gd.G.T @ (
-                np.repeat(wcell, gd.dim) * g.ravel()
-            ) * max(t, 1e-300) ** (1.0 - self.p)
+            t_p, gden = _grad_power(gd, v, self.p)
+            t = t_p ** (1.0 / self.p)
+            dden = (gd.mass @ v) / max(s, 1e-300) + gden * max(t, 1e-300) ** (1.0 - self.p)
             return c / (c @ v) - dden / max(s + t, 1e-300)
-
-        from .indicators import _ascend_ratio
 
         val, _ = _ascend_ratio(
             phi if c @ phi > 0 else -phi,
@@ -545,7 +539,7 @@ class EnsembleAccumulator:
 
 def iter_trajectories(sgd, flux_model, noise, u0, master_seed, n_samples, cfg=None, start=0):
     """Generate trajectories for consecutive sample indices, reusing one
-    stepper (gradient stencils, sparsity pattern and slot map, and the
+    stepper (its stored operators, the mass in the form's slots, and the
     factorised operator of a linear flux) across the whole ensemble."""
     from .scheme import Stepper
 
@@ -604,20 +598,26 @@ def run_ensemble(sgd, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=
     return acc.report()
 
 
+def _reduce(trajs, p=None, **acc_kwargs):
+    """Reduce trajectories in order with one EnsembleAccumulator; ``p``
+    defaults to the first trajectory's flux exponent."""
+    trajs = list(trajs)
+    if len(trajs) == 0:
+        raise ValueError("need at least one trajectory")
+    acc = EnsembleAccumulator(trajs[0].sgd, p or trajs[0].flux.p, **acc_kwargs)
+    for t in trajs:
+        acc.add(t)
+    return acc.report()
+
+
 def energy_estimators(trajs, p, moment_qs=(1, 2, 3)):
     """Plug-in Monte Carlo means with standard errors of the energy-type
     pathwise quantities (max L^2 norm, gradient p-power, increment sum,
     higher moments)."""
-    trajs = list(trajs)
-    if len(trajs) == 0:
-        raise ValueError("need at least one trajectory")
-    acc = EnsembleAccumulator(
-        trajs[0].sgd, p, moment_qs=moment_qs, translate_ells=(), dual_ells=(),
+    return _reduce(
+        trajs, p, moment_qs=moment_qs, translate_ells=(), dual_ells=(),
         with_dual=False, with_martingale=False,
     )
-    for t in trajs:
-        acc.add(t)
-    return acc.report()
 
 
 def time_translate_estimator(trajs, ells):
@@ -627,40 +627,26 @@ def time_translate_estimator(trajs, ells):
     for ell in ells:
         if not 1 <= ell <= N - 1:
             raise ValueError(f"lag {ell} outside 1..{N - 1}")
-    acc = EnsembleAccumulator(
-        trajs[0].sgd, trajs[0].flux.p, translate_ells=ells, dual_ells=(),
-        with_dual=False, with_martingale=False,
-    )
-    for t in trajs:
-        acc.add(t)
-    return acc.report().translate_table
+    return _reduce(
+        trajs, translate_ells=ells, dual_ells=(), with_dual=False, with_martingale=False
+    ).translate_table
 
 
 def dual_increment_estimator(trajs, ells, r=2, p=None):
     """Monte Carlo table (ell, r) -> E[ |Pi u^(n+ell) - Pi u^(n)|_*^r ]
     (averaged over n); r must be a power of two. |.|_* is the p = 2 dual
     norm for every ``p``, which only sets the report's other exponents."""
-    trajs = list(trajs)
-    acc = EnsembleAccumulator(
-        trajs[0].sgd, p or trajs[0].flux.p, translate_ells=(), dual_ells=ells,
-        dual_r=r, with_martingale=False,
-    )
-    for t in trajs:
-        acc.add(t)
-    return acc.report().dual_increment_table
+    return _reduce(
+        trajs, p, translate_ells=(), dual_ells=ells, dual_r=r, with_martingale=False
+    ).dual_increment_table
 
 
 def martingale_stats(trajs, beta=0.25, r=2):
     """Fractional-norm and sup statistics of the accumulated noise sums plus
     the zero-mean increment check."""
-    trajs = list(trajs)
-    acc = EnsembleAccumulator(
-        trajs[0].sgd, trajs[0].flux.p, translate_ells=(), dual_ells=(),
-        beta=beta, martingale_r=r, with_dual=False,
+    return _reduce(
+        trajs, translate_ells=(), dual_ells=(), beta=beta, martingale_r=r, with_dual=False
     )
-    for t in trajs:
-        acc.add(t)
-    return acc.report()
 
 
 # -- oracles and convergence studies ---------------------------------------------

@@ -47,14 +47,6 @@ class FluxModel:
             raise ValueError("c1 and c2 must be positive")
 
     @property
-    def p_conjugate(self):
-        return self.p / (self.p - 1.0)
-
-    @property
-    def p_hat(self):
-        return max(2.0, self.p_conjugate)
-
-    @property
     def is_linear(self):
         return self.kind == LINEAR_DIFFUSION or (self.kind == P_LAPLACE and self.p == 2.0)
 

@@ -16,8 +16,9 @@ homogeneous Dirichlet condition removes the boundary DOFs (marked -1).
                    vertex i; broken linear reconstruction (coincides with
                    ``p1`` in 1D).
 
-The reconstruction matrix ``P``, the gradient matrix ``G``, the affine pieces
-and the stepper's per-cell stencils are all built from that description.
+``P``, ``G``, the affine pieces and the per-cell gradient stencils C_c are
+all built from that description, and every form ``sum_c C_c^T B_c C_c`` with
+per-cell blocks B_c is filled by one routine, ``form_values``.
 
 Scalar fields are callables mapping an (n, dim) coordinate array to (n,)
 values; vector fields map to (n, dim).
@@ -61,7 +62,9 @@ class GradientDiscretisation:
     ``local_gradients`` (n_cells, dim, dim+1) holds their constant gradients.
     ``P`` maps DOF vectors to function values at the quadrature points,
     ``G`` maps DOF vectors to the per-cell constant gradients (row layout
-    cell-major: row ``c*dim + k`` is component k on cell c).
+    cell-major: row ``c*dim + k`` is component k on cell c). ``stencils``
+    gives them cell by cell; ``gradient_form`` fills ``sum_c C_c^T B_c C_c``
+    into a pattern and slot map kept per space (the stiffness: B_c = meas I).
     """
 
     def __init__(self, mesh, kind, cell_dofs, alpha, beta, dof_positions):
@@ -107,9 +110,67 @@ class GradientDiscretisation:
             ]
         mass = (self.P.T @ sp.diags(self.quad_w) @ self.P).tocsc()
         self.mass = 0.5 * (mass + mass.T)
-        meas = np.repeat(mesh.cell_measures, d)
-        stiff = (self.G.T @ sp.diags(meas) @ self.G).tocsc()
+        stiff = self.gradient_form(mesh.cell_measures)
         self.stiffness = 0.5 * (stiff + stiff.T)
+
+    # -- weighted gradient forms: sum_c C_c^T B_c C_c ---------------------------
+
+    @cached_property
+    def stencils(self):
+        """Per-cell gradient stencils ``(dofs, coef)``: gradient component k
+        on cell c is ``sum_i coef[c, k, i] v[dofs[c, i]]``. An eliminated
+        basis function is padded with a DOF of its cell (or DOF 0) and
+        coefficient 0; a space without DOFs has stencils of width 0."""
+        ok = self.cell_dofs >= 0
+        pad = np.maximum(self.cell_dofs.max(axis=1, keepdims=True), 0)
+        width = self.dim + 1 if self.n_dofs else 0
+        dofs = np.where(ok, self.cell_dofs, pad)[:, :width]
+        return dofs, (self.local_gradients * ok[:, None, :])[:, :, :width]
+
+    @cached_property
+    def _form_layout(self):
+        """The sorted column-major keys ``col * n + row`` of all stencil
+        blocks (CSC order), each block entry's slot, and the CSC indptr."""
+        dofs, _ = self.stencils
+        n = self.n_dofs
+        keys = (dofs[:, None, :] * n + dofs[:, :, None]).ravel()
+        pattern, slots = np.unique(keys, return_inverse=True)
+        return pattern, slots, np.searchsorted(pattern, np.arange(n + 1) * n)
+
+    def form_values(self, blocks):
+        """Slot values of ``sum_c C_c^T blocks[c] C_c``: blocks are
+        (n_cells, dim, dim), or (n_cells,) weights w for the blocks w * I."""
+        if np.ndim(blocks) == 1:
+            blocks = blocks[:, None, None] * np.eye(self.dim)
+        _, coef = self.stencils
+        pattern, slots, _ = self._form_layout
+        local = np.einsum("cdk,cde,cel->ckl", coef, blocks, coef)
+        return np.bincount(slots, weights=local.ravel(), minlength=len(pattern))
+
+    def form_values_of(self, A):
+        """Slot values of a sparse matrix whose pattern lies inside the form
+        pattern, such as the mass matrix."""
+        pattern = self._form_layout[0]
+        A = A.tocoo()
+        keys = A.col.astype(np.int64) * self.n_dofs + A.row
+        slots = np.searchsorted(pattern, keys)
+        if not np.array_equal(pattern.take(slots, mode="clip"), keys):
+            raise ValueError("matrix pattern is not inside the gradient-form pattern")
+        return np.bincount(slots, weights=A.data, minlength=len(pattern))
+
+    def form_matrix(self, values, dense=False):
+        """The (n_dofs, n_dofs) matrix with these slot values, CSC or dense."""
+        pattern, _, indptr = self._form_layout
+        n = self.n_dofs
+        if dense:
+            A = np.zeros(n * n)
+            A[pattern] = values
+            return A.reshape(n, n).T
+        return sp.csc_matrix((values, pattern % n, indptr), shape=(n, n))
+
+    def gradient_form(self, blocks):
+        """``sum_c C_c^T blocks[c] C_c`` as a CSC matrix (see form_values)."""
+        return self.form_matrix(self.form_values(blocks))
 
     @cached_property
     def eigenbasis(self):
@@ -270,48 +331,37 @@ def _simplex_quadrature(mesh):
 def _dual_quadrature(mesh):
     """Quadrature subordinate to the barycentric dual cells: each cell is
     subdivided so that every quadrature point lies inside one dual region.
-    Regions and points name their owner by its local vertex index."""
-    pts, wts, cells, owners, polys = [], [], [], [], []
+    Regions and points name their owner by its local vertex index. In 2D
+    the six sub-triangles (vertex, edge midpoint, centroid) of a positively
+    oriented cell are counter-clockwise."""
     if mesh.dim == 1:
-        for c, (x0, x1) in enumerate(mesh.vertices[mesh.cells, 0]):
-            m = 0.5 * (x0 + x1)
-            for a, b, owner in ((x0, m, 0), (m, x1, 1)):
-                x, w = quadrature.interval_rule(a, b)
-                pts.append(x[:, None])
-                wts.append(w)
-                cells.append(np.full(len(w), c))
-                owners.append(np.full(len(w), owner))
-                polys.append((np.array([[a], [b]]), c, owner))
+        x0, x1 = mesh.vertices[mesh.cells, 0].T
+        m = 0.5 * (x0 + x1)
+        a, b = np.column_stack([x0, m]), np.column_stack([m, x1])  # (n, 2): the two halves
+        pts = (a[..., None] + (b - a)[..., None] * quadrature.INTERVAL_NODES)[..., None]
+        wts = (b - a)[..., None] * quadrature.INTERVAL_WEIGHTS
+        subs = np.stack([a, b], axis=-1)[..., None]  # (n, 2, 2, 1) endpoints
+        owner = np.array([0, 1])
     else:
-        for c, V in enumerate(mesh.vertices[mesh.cells]):
-            mids = 0.5 * (V + np.roll(V, -1, axis=0))  # m01, m12, m20
-            cen = V.mean(axis=0)
-            subs = [
-                (np.array([V[0], mids[0], cen]), 0),
-                (np.array([V[0], cen, mids[2]]), 0),
-                (np.array([V[1], mids[1], cen]), 1),
-                (np.array([V[1], cen, mids[0]]), 1),
-                (np.array([V[2], mids[2], cen]), 2),
-                (np.array([V[2], cen, mids[1]]), 2),
-            ]
-            for tri, owner in subs:
-                x, w = quadrature.triangle_rule(tri)
-                pts.append(x)
-                wts.append(w)
-                cells.append(np.full(len(w), c))
-                owners.append(np.full(len(w), owner))
-                polys.append((_ccw(tri), c, owner))
+        V = mesh.vertices[mesh.cells]
+        mids = 0.5 * (V + np.roll(V, -1, axis=1))  # m01, m12, m20
+        cen = V.mean(axis=1)
+        # points 0-2 the vertices, 3-5 the midpoints m01, m12, m20, 6 the centroid
+        nodes = np.concatenate([V, mids, cen[:, None, :]], axis=1)
+        subs = nodes[:, [[0, 3, 6], [0, 6, 5], [1, 4, 6], [1, 6, 3], [2, 5, 6], [2, 6, 4]]]
+        pts = quadrature.TRIANGLE_BARY @ subs  # (n, 6, n_q, 2)
+        e1, e2 = subs[:, :, 1] - subs[:, :, 0], subs[:, :, 2] - subs[:, :, 0]
+        area = 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e2[..., 0] * e1[..., 1])
+        wts = area[..., None] * quadrature.TRIANGLE_WEIGHTS
+        owner = np.array([0, 0, 1, 1, 2, 2])
+    n_cells, n_sub, n_q = wts.shape
+    cells = np.repeat(np.arange(n_cells), n_sub)
+    sub_owner = np.tile(owner, n_cells)
+    regions = list(zip(subs.reshape(-1, *subs.shape[2:]), cells.tolist(), sub_owner.tolist()))
     return (
-        np.vstack(pts),
-        np.concatenate(wts),
-        np.concatenate(cells),
-        np.concatenate(owners),
-        polys,
+        pts.reshape(-1, mesh.dim),
+        wts.ravel(),
+        np.repeat(cells, n_q),
+        np.repeat(sub_owner, n_q),
+        regions,
     )
-
-
-def _ccw(poly):
-    x, y = poly[:, 0], poly[:, 1]
-    if 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) < 0:
-        return poly[::-1]
-    return poly

@@ -50,6 +50,22 @@ def _damp(w_new, w_old):
     return np.sqrt(w_new * w_old)
 
 
+def _grad_power(gd, v, p):
+    """``(||grad v||_p^p, its gradient / p)``; the latter is
+    ``G^T (meas |g|^(p-2) g)`` with g the per-cell gradients."""
+    g = (gd.G @ v).reshape(gd.mesh.n_cells, gd.dim)
+    mag = np.linalg.norm(g, axis=1)
+    wcell = gd.mesh.cell_measures * mag ** (p - 2.0)
+    return np.sum(gd.mesh.cell_measures * mag**p), gd.G.T @ (np.repeat(wcell, gd.dim) * g.ravel())
+
+
+def _value_power(gd, v, p):
+    """``(||Pi v||_p^p, its gradient / p)``; the latter is
+    ``P^T (w |Pi v|^(p-2) Pi v)`` with w the quadrature weights."""
+    pv = gd.P @ v
+    return np.sum(gd.quad_w * np.abs(pv) ** p), gd.P.T @ (gd.quad_w * np.abs(pv) ** (p - 2) * pv)
+
+
 # -- consistency: best interpolation ------------------------------------------
 
 
@@ -72,14 +88,13 @@ def _fit_objective(gd, w, phi_q, gphi_q, p, phat):
     return float(func + grad)
 
 
-def _cellwise_vector_integral(gd, values):
-    """Per-cell integral of a vector field sampled at quadrature points,
+def _cellwise_vector_integral(gd, values, weights):
+    """Per-cell weighted sum of a vector field sampled at quadrature points,
     flattened cell-major to match the gradient operator rows."""
-    n_cells, d = gd.mesh.n_cells, gd.dim
-    out = np.empty(n_cells * d)
-    for k in range(d):
-        out[k::d] = np.bincount(gd.quad_cell, weights=gd.quad_w * values[:, k], minlength=n_cells)
-    return out
+    n = gd.mesh.n_cells
+    return np.column_stack(
+        [np.bincount(gd.quad_cell, weights * values[:, k], n) for k in range(gd.dim)]
+    ).ravel()
 
 
 def interpolate_best(gd, phi, grad_phi, p=2.0, phat=None, max_iter=IRLS_MAX_ITER, rtol=IRLS_RTOL):
@@ -96,7 +111,7 @@ def interpolate_best(gd, phi, grad_phi, p=2.0, phat=None, max_iter=IRLS_MAX_ITER
     gphi_q = np.asarray(grad_phi(gd.quad_x), dtype=float).reshape(-1, gd.dim)
 
     A0 = (gd.mass + gd.stiffness).tocsc()
-    b0 = gd.P.T @ (gd.quad_w * phi_q) + gd.G.T @ _cellwise_vector_integral(gd, gphi_q)
+    b0 = gd.P.T @ (gd.quad_w * phi_q) + gd.G.T @ _cellwise_vector_integral(gd, gphi_q, gd.quad_w)
     w = _solve_spd(A0, b0)
     best_val = _fit_objective(gd, w, phi_q, gphi_q, p, phat)
     best_w = w
@@ -104,8 +119,6 @@ def interpolate_best(gd, phi, grad_phi, p=2.0, phat=None, max_iter=IRLS_MAX_ITER
     if best_val <= 1e-13 * scale:  # target is exactly representable
         return BestFit(w, best_val, True, 1)
 
-    # maps DOFs -> gradient component k at the quadrature points
-    Gq = [gd.G[gd.quad_cell * gd.dim + k] for k in range(gd.dim)]
     eps2 = (1e-9 * scale) ** 2
     om1 = np.ones(len(gd.quad_w))
     om2 = np.ones(len(gd.quad_w))
@@ -126,11 +139,12 @@ def interpolate_best(gd, phi, grad_phi, p=2.0, phat=None, max_iter=IRLS_MAX_ITER
         om2 = _damp((np.sum(r2**2, axis=1) + eps2) ** ((p - 2.0) / 2.0), om2)
         s1 = np.sqrt(s1 * u_norm ** (phat - 1.0))
         s2 = np.sqrt(s2 * v_norm ** (p - 1.0))
-        A = gd.P.T @ sp.diags(gd.quad_w * om1 / s1) @ gd.P
+        # the gradient is constant per cell, so its weights sum per cell
+        wq = gd.quad_w * om2 / s2
+        wcell = np.bincount(gd.quad_cell, weights=wq, minlength=gd.mesh.n_cells)
+        A = gd.P.T @ sp.diags(gd.quad_w * om1 / s1) @ gd.P + gd.gradient_form(wcell)
         b = gd.P.T @ (gd.quad_w * om1 * phi_q / s1)
-        for k in range(gd.dim):
-            A = A + Gq[k].T @ sp.diags(gd.quad_w * om2 / s2) @ Gq[k]
-            b = b + Gq[k].T @ (gd.quad_w * om2 * gphi_q[:, k] / s2)
+        b = b + gd.G.T @ _cellwise_vector_integral(gd, gphi_q, wq)
         w_new = _solve_spd(A.tocsc(), b)
         val = _fit_objective(gd, w_new, phi_q, gphi_q, p, phat)
         if val < best_val:
@@ -158,7 +172,7 @@ def indicator_W(gd, phi, div_phi, p=2.0, max_iter=IRLS_MAX_ITER, rtol=IRLS_RTOL)
         raise ValueError("indicator_W undefined for a zero-dimensional DOF space")
     phi_q = np.asarray(phi(gd.quad_x), dtype=float).reshape(-1, gd.dim)
     div_q = np.asarray(div_phi(gd.quad_x), dtype=float)
-    c = gd.G.T @ _cellwise_vector_integral(gd, phi_q) + gd.P.T @ (gd.quad_w * div_q)
+    c = gd.G.T @ _cellwise_vector_integral(gd, phi_q, gd.quad_w) + gd.P.T @ (gd.quad_w * div_q)
     if np.linalg.norm(c) == 0.0:
         return 0.0
 
@@ -176,8 +190,7 @@ def indicator_W(gd, phi, div_phi, p=2.0, max_iter=IRLS_MAX_ITER, rtol=IRLS_RTOL)
         mag2 = np.sum(g**2, axis=1)
         eps2 = 1e-16 * max(mag2.max(), 1e-300)
         om = _damp((mag2 + eps2) ** ((p - 2.0) / 2.0), om)
-        B = (gd.G.T @ sp.diags(np.repeat(meas * om, gd.dim)) @ gd.G).tocsc()
-        y = _solve_spd(B, c)
+        y = _solve_spd(gd.gradient_form(meas * om), c)
         v_new = y / (c @ y)
         ratio = abs(c @ v_new) / gd.grad_lp_norm(v_new, p)
         move = np.linalg.norm(v_new - v) / max(1.0, np.linalg.norm(v_new))
@@ -295,19 +308,14 @@ def indicator_T(gd, xi, p=2.0, n_restarts=5, n_iter=80, seed=0):
         s, u = S @ v, U @ v
         r = s - u
         num_p = _translate_numerator_p(gd, S, U, w_a, v, p)
-        pv = gd.P @ v
         gnum = (
             S.T @ (w_a * np.abs(r) ** (p - 2) * r)
             - U.T @ (w_a * np.abs(r) ** (p - 2) * r)
             - S.T @ (w_a * np.abs(s) ** (p - 2) * s)
             - U.T @ (w_a * np.abs(u) ** (p - 2) * u)
-            + 2.0 * gd.P.T @ (gd.quad_w * np.abs(pv) ** (p - 2) * pv)
+            + 2.0 * _value_power(gd, v, p)[1]
         )
-        g = (gd.G @ v).reshape(gd.mesh.n_cells, gd.dim)
-        mag = np.linalg.norm(g, axis=1)
-        den_p = np.sum(gd.mesh.cell_measures * mag**p)
-        wcell = gd.mesh.cell_measures * mag ** (p - 2)
-        gden = gd.G.T @ (np.repeat(wcell, gd.dim) * g.ravel())
+        den_p, gden = _grad_power(gd, v, p)
         return gnum / max(num_p, 1e-300) - gden / max(den_p, 1e-300)
 
     rng = np.random.default_rng(seed)
@@ -361,14 +369,8 @@ def poincare_constant(gd, p=2.0, max_iter=30, rtol=IRLS_RTOL, n_restarts=6, seed
         return gd.lp_norm(v, p) / den if den > 0 else 0.0
 
     def grad_log_ratio(v):
-        pv = gd.P @ v
-        num_p = np.sum(gd.quad_w * np.abs(pv) ** p)
-        gnum = gd.P.T @ (gd.quad_w * np.abs(pv) ** (p - 2) * pv)
-        g = (gd.G @ v).reshape(gd.mesh.n_cells, gd.dim)
-        mag = np.linalg.norm(g, axis=1)
-        den_p = np.sum(gd.mesh.cell_measures * mag**p)
-        wcell = gd.mesh.cell_measures * mag ** (p - 2.0)
-        gden = gd.G.T @ (np.repeat(wcell, gd.dim) * g.ravel())
+        num_p, gnum = _value_power(gd, v, p)
+        den_p, gden = _grad_power(gd, v, p)
         return gnum / max(num_p, 1e-300) - gden / max(den_p, 1e-300)
 
     meas = gd.mesh.cell_measures
@@ -383,8 +385,8 @@ def poincare_constant(gd, p=2.0, max_iter=30, rtol=IRLS_RTOL, n_restarts=6, seed
         om1 = (pv**2 + eps2) ** ((p - 2.0) / 2.0)
         om2 = (mag2 + eps2) ** ((p - 2.0) / 2.0)
         A = gd.P.T @ sp.diags(gd.quad_w * om1) @ gd.P
-        B = gd.G.T @ sp.diags(np.repeat(meas * om2, gd.dim)) @ gd.G
-        _, v_new = _max_gen_eig(A.tocsc(), B.tocsc() + 1e-300 * sp.eye(gd.n_dofs))
+        B = gd.gradient_form(meas * om2)
+        _, v_new = _max_gen_eig(A.tocsc(), B + 1e-300 * sp.eye(gd.n_dofs))
         move = min(np.linalg.norm(v_new - v), np.linalg.norm(v_new + v))
         v = v_new
         if move <= rtol * np.linalg.norm(v):

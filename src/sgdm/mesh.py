@@ -53,9 +53,6 @@ class Mesh:
     def bounding_box(self):
         return np.vstack([self.vertices.min(axis=0), self.vertices.max(axis=0)])
 
-    def cell_vertices(self, c):
-        return self.vertices[self.cells[c]]
-
     def cell_diameters(self):
         v = self.vertices[self.cells]  # (n_cells, dim+1, dim)
         if self.dim == 1:

@@ -11,9 +11,10 @@ frozen-coefficient (Kacanov) iteration; time steps are uniform and a step
 that fails both strategies aborts the trajectory with diagnostics.
 
 All three system matrices (Newton Jacobian, Kacanov matrix, linear
-operator) are filled by one routine from per-cell gradient stencils and
-per-cell blocks; the number of unknowns picks only the storage (dense or
-sparse) and the solver (LAPACK or SuperLU).
+operator) are the mass plus ``dt`` times a weighted gradient form, filled by
+the discretisation's one routine from per-cell blocks; the number of
+unknowns picks only the storage (dense or sparse) and the solver (LAPACK or
+SuperLU).
 """
 
 import json
@@ -97,16 +98,16 @@ class Stepper:
     """Assembles and solves one implicit step; reused along a trajectory.
 
     Every system the step solves has the form ``M + dt sum_c C_c^T B_c C_c``
-    with the per-cell gradient stencils C_c, read from the space's local
-    basis (``cell_dofs``, ``local_gradients``); the Newton Jacobian, the
-    frozen-coefficient matrix and the linear operator differ only in the
-    per-cell blocks B_c. ``_system`` fills all of them by one ``bincount``
-    into a sparsity pattern and slot map built once here. The number of
-    unknowns decides only storage and solver: up to ``_DENSE_LIMIT`` unknowns
-    the filled systems and the constant operators (reconstruction, its
-    weighted transpose, mass) are dense arrays solved by LAPACK, since the
-    sparse machinery costs more than the arithmetic at that scale; above it
-    they are sparse and the systems are solved by SuperLU."""
+    with the per-cell gradient stencils C_c of the discretisation
+    (``gd.stencils``); the Newton Jacobian, the frozen-coefficient matrix and
+    the linear operator differ only in the per-cell blocks B_c. ``_system``
+    adds the mass, mapped into the form's slots once here, to ``dt`` times
+    the discretisation's fill ``gd.form_values``. The number of unknowns
+    decides only storage and solver: up to ``_DENSE_LIMIT`` unknowns the
+    filled systems and the constant operators (reconstruction, its weighted
+    transpose, mass) are dense arrays solved by LAPACK, since the sparse
+    machinery costs more than the arithmetic at that scale; above it they
+    are sparse and the systems are solved by SuperLU."""
 
     _DENSE_LIMIT = 220
 
@@ -118,45 +119,24 @@ class Stepper:
         self.cfg = cfg or SolverConfig()
         self.dt = sgd.dt
         gd = self.gd
-        n = gd.n_dofs
         self.E = noise.basis.values(gd.quad_x)
-        self._dense = n <= self._DENSE_LIMIT
+        self._dense = gd.n_dofs <= self._DENSE_LIMIT
         # constant operators are stored like the filled systems: dense arrays
         # spare small systems the per-call overhead of sparse products
         store = (lambda A: A.toarray()) if self._dense else sp.csr_matrix
         self._P = store(gd.P)
         self._PTw = store(gd.P.T @ sp.diags(gd.quad_w))
         self._M = store(gd.mass)
-        # per-cell gradient stencils: component d of the gradient on cell c is
-        # sum_k coef[c, d, k] u[dofs[c, k]]; an eliminated basis function is
-        # padded with a DOF of its cell (or DOF 0) and coefficient 0, so the
-        # padding only adds zeros inside blocks the pattern already has
-        ok = gd.cell_dofs >= 0
-        pad = np.maximum(gd.cell_dofs.max(axis=1, keepdims=True), 0)
-        width = gd.dim + 1 if n else 0  # a space without DOFs has empty stencils
-        self._cell_dofs = np.where(ok, gd.cell_dofs, pad)[:, :width]
-        self._cell_coef = (gd.local_gradients * ok[:, None, :])[:, :, :width]
+        self._cell_dofs, self._cell_coef = gd.stencils
         # (n_cells, n_quad): sums quadrature-weighted point values per cell
         self._cell_sum = sp.csr_matrix(
             (gd.quad_w, (gd.quad_cell, np.arange(len(gd.quad_w)))),
             shape=(gd.mesh.n_cells, len(gd.quad_w)),
         )
-        # column-major keys col*n + row: sorted, they are in CSC order
-        dofs = self._cell_dofs
-        block_keys = (dofs[:, None, :] * n + dofs[:, :, None]).ravel()
-        mass = gd.mass.tocoo()
-        mass_keys = mass.col.astype(np.int64) * n + mass.row
-        self._pattern, slot_of = np.unique(
-            np.concatenate([block_keys, mass_keys]), return_inverse=True
-        )
-        self._slots = slot_of[: len(block_keys)]
-        self._mass_vals = np.bincount(
-            slot_of[len(block_keys) :], weights=mass.data, minlength=len(self._pattern)
-        )
-        self._indptr = np.searchsorted(self._pattern, np.arange(n + 1) * n)
+        self._mass_vals = gd.form_values_of(gd.mass)
         self._linear_solve = None
         if flux_model.is_linear:
-            self._A_lin = self._system(gd.mesh.cell_measures[:, None, None] * np.eye(gd.dim))
+            self._A_lin = self._system(gd.mesh.cell_measures)
             if self._dense:
                 Ainv = np.linalg.inv(self._A_lin)
                 self._linear_solve = lambda b: Ainv @ b
@@ -164,18 +144,10 @@ class Stepper:
                 self._linear_solve = spla.splu(self._A_lin).solve
 
     def _system(self, blocks):
-        """``M + dt sum_c C_c^T blocks[c] C_c``, dense or CSC by size."""
-        C = self._cell_coef
-        local = np.einsum("cdk,cde,cel->ckl", C, blocks, C)
-        vals = self._mass_vals + self.dt * np.bincount(
-            self._slots, weights=local.ravel(), minlength=len(self._pattern)
-        )
-        n = self.gd.n_dofs
-        if self._dense:
-            A = np.zeros(n * n)
-            A[self._pattern] = vals
-            return A.reshape(n, n).T
-        return sp.csc_matrix((vals, self._pattern % n, self._indptr), shape=(n, n))
+        """``M + dt sum_c C_c^T blocks[c] C_c``, dense or CSC by size; blocks
+        as in ``gd.form_values``."""
+        gd = self.gd
+        return gd.form_matrix(self._mass_vals + self.dt * gd.form_values(blocks), self._dense)
 
     def _gradients(self, u):
         return np.einsum("cdk,ck->cd", self._cell_coef, u[self._cell_dofs])
@@ -263,11 +235,9 @@ class Stepper:
             return u, nr, iters, z
 
         # frozen-coefficient (Kacanov) fallback: isotropic blocks meas * w * I
-        eye = np.eye(gd.dim)
         for _ in range(cfg.max_fixed_point):
             iters += 1
-            w = gd.mesh.cell_measures * self._kacanov_weights(u)
-            u = self._solve(self._system(w[:, None, None] * eye), rhs)
+            u = self._solve(self._system(gd.mesh.cell_measures * self._kacanov_weights(u)), rhs)
             nr = np.linalg.norm(self.residual(u, u_n, b_noise))
             if nr < best_nr:
                 best_u, best_nr = u, nr

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation, refine
+from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation, quadrature, refine
+from sgdm.gd import _dual_quadrature
 
 from conftest import grad_sin_pi, sin_pi
 
@@ -142,6 +144,102 @@ class TestLocalBasis:
         vals = np.where(ok, v[np.maximum(gd.cell_dofs, 0)], 0.0)
         expected = np.einsum("cdi,ci->cd", gd.local_gradients, vals)
         np.testing.assert_allclose(gd.reconstruct_gradient(v), expected, rtol=0, atol=1e-12)
+
+
+class TestGradientForm:
+    """``gradient_form`` against the sparse triple product it replaced."""
+
+    def test_isotropic_blocks_match_triple_product(self, local_basis_gd):
+        gd = local_basis_gd
+        w = np.random.default_rng(6).uniform(0.5, 2.0, gd.mesh.n_cells)
+        ref = gd.G.T @ sp.diags(np.repeat(w, gd.dim)) @ gd.G
+        got = gd.gradient_form(w)
+        assert got.format == "csc"
+        scale = max(np.abs(ref).max(), 1e-300)
+        assert np.abs((got - ref).toarray()).max(initial=0.0) <= 1e-13 * scale
+
+    def test_full_nonsymmetric_blocks_match_triple_product(self, local_basis_gd):
+        gd = local_basis_gd
+        B = np.random.default_rng(8).standard_normal((gd.mesh.n_cells, gd.dim, gd.dim))
+        ref = gd.G.T @ sp.block_diag(list(B)) @ gd.G
+        got = gd.gradient_form(B)
+        scale = max(np.abs(ref).max(), 1e-300)
+        assert np.abs((got - ref).toarray()).max(initial=0.0) <= 1e-13 * scale
+
+    def test_dense_storage_holds_the_same_matrix(self, local_basis_gd):
+        gd = local_basis_gd
+        vals = gd.form_values(gd.mesh.cell_measures)
+        np.testing.assert_array_equal(gd.form_matrix(vals, dense=True), gd.form_matrix(vals).toarray())
+
+    def test_mass_pattern_inside_form_pattern(self, local_basis_gd):
+        # the stepper adds the mass into the form's slots
+        gd = local_basis_gd
+        mass = gd.form_matrix(gd.form_values_of(gd.mass))
+        assert np.abs((mass - gd.mass).toarray()).max(initial=0.0) == 0.0
+
+    def test_matrix_outside_pattern_rejected(self):
+        gd = build_gd(build_uniform_interval(6, 0.0, 1.0), "p1")
+        far = sp.coo_matrix(([1.0], ([0], [gd.n_dofs - 1])), shape=(gd.n_dofs,) * 2)
+        with pytest.raises(ValueError, match="pattern"):
+            gd.form_values_of(far)
+
+
+def _dual_quadrature_loop(mesh):
+    """The cell-by-cell construction of the lumped quadrature, kept as the
+    reference for the vectorised one."""
+    pts, wts, cells, owners, polys = [], [], [], [], []
+    if mesh.dim == 1:
+        for c, (x0, x1) in enumerate(mesh.vertices[mesh.cells, 0]):
+            m = 0.5 * (x0 + x1)
+            for a, b, owner in ((x0, m, 0), (m, x1, 1)):
+                x, w = quadrature.interval_rule(a, b)
+                pts.append(x[:, None])
+                wts.append(w)
+                cells.append(np.full(len(w), c))
+                owners.append(np.full(len(w), owner))
+                polys.append((np.array([[a], [b]]), c, owner))
+    else:
+        for c, V in enumerate(mesh.vertices[mesh.cells]):
+            mids = 0.5 * (V + np.roll(V, -1, axis=0))  # m01, m12, m20
+            cen = V.mean(axis=0)
+            subs = [
+                (np.array([V[0], mids[0], cen]), 0),
+                (np.array([V[0], cen, mids[2]]), 0),
+                (np.array([V[1], mids[1], cen]), 1),
+                (np.array([V[1], cen, mids[0]]), 1),
+                (np.array([V[2], mids[2], cen]), 2),
+                (np.array([V[2], cen, mids[1]]), 2),
+            ]
+            for tri, owner in subs:
+                x, w = quadrature.triangle_rule(tri)
+                pts.append(x)
+                wts.append(w)
+                cells.append(np.full(len(w), c))
+                owners.append(np.full(len(w), owner))
+                x, y = tri[:, 0], tri[:, 1]
+                if np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)) < 0:
+                    tri = tri[::-1]
+                polys.append((tri, c, owner))
+    return np.vstack(pts), np.concatenate(wts), np.concatenate(cells), np.concatenate(owners), polys
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        build_uniform_interval(7, -1.0, 2.0),
+        build_uniform_triangulation(4, 3, ((0.0, -1.0), (2.0, 0.5))),
+        refine(build_uniform_triangulation(3, 5, ((0.0, -1.0), (2.0, 0.5)))),
+    ],
+    ids=["interval", "rectangle", "refined"],
+)
+def test_lumped_quadrature_matches_cell_loop(mesh):
+    got, ref = _dual_quadrature(mesh), _dual_quadrature_loop(mesh)
+    for a, b in zip(got[:4], ref[:4]):
+        np.testing.assert_array_equal(a, b)
+    assert len(got[4]) == len(ref[4])
+    for (poly, c, owner), (poly_ref, c_ref, owner_ref) in zip(got[4], ref[4]):
+        np.testing.assert_array_equal(poly, poly_ref)
+        assert (c, owner) == (c_ref, owner_ref)
 
 
 class TestInterpolation:

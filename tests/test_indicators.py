@@ -16,7 +16,7 @@ from sgdm import (
     poincare_constant,
     refine,
 )
-from sgdm.indicators import _fit_objective, consistency_error
+from sgdm.indicators import _fit_objective, _grad_power, _value_power, consistency_error
 
 from conftest import grad_parabola, grad_sin_pi, parabola, sin_pi
 
@@ -152,6 +152,39 @@ class TestInterpolateBest:
             for m in square_meshes[:3]
         ]
         assert vals[0] > vals[1] > vals[2]
+
+
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [("p1", 0.9855040978539389), ("p1_lumped", 1.0789995140641246), ("cr", 0.6713252234487906)],
+    )
+    def test_p3_value_unchanged(self, kind, expected):
+        # values of the earlier assembly, which summed one sparse triple
+        # product per gradient component over the quadrature points
+        from conftest import grad_sin_product, sin_product
+
+        gd = build_gd(build_uniform_triangulation(4, 4), kind)
+        fit = interpolate_best(gd, sin_product, grad_sin_product, p=3.0)
+        assert abs(fit.value - expected) <= 1e-10
+
+
+# -- p-power derivatives ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["p1", "p1_lumped", "cr"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("helper", [_grad_power, _value_power], ids=["grad", "value"])
+def test_power_helpers_match_finite_differences(helper, dim, kind):
+    mesh = build_uniform_interval(7, 0.0, 1.0) if dim == 1 else build_uniform_triangulation(3, 3)
+    gd = build_gd(mesh, kind)
+    p, h = 3.0, 1e-6
+    v = np.random.default_rng(12).standard_normal(gd.n_dofs)
+    value, grad = helper(gd, v, p)
+    # the helper returns the derivative divided by p
+    fd = np.array(
+        [(helper(gd, v + h * e, p)[0] - helper(gd, v - h * e, p)[0]) / (2 * h) for e in np.eye(gd.n_dofs)]
+    )
+    np.testing.assert_allclose(p * grad, fd, rtol=1e-6, atol=1e-8 * max(1.0, value))
 
 
 # -- limit-conformity ------------------------------------------------------------
