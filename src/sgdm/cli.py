@@ -3,18 +3,21 @@ assumption probes, oracle checks and convergence studies.
 
 Configs are single JSON files (diffable, hashable); every run writes CSV
 tables, a JSON summary with pass/fail flags, and a reproducibility manifest
-carrying the config echo, its SHA-256 hash, the seed and the package
-version. CSV outputs are byte-identical for identical (config, seed) at any
-worker count.
+carrying the config echo, its SHA-256 hash, the seed, the package version,
+the numpy and scipy versions and the BLAS/OpenMP thread settings (every
+linear solve runs through scipy). CSV outputs are byte-identical for
+identical (config, seed) at any worker count.
 """
 
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 import importlib
 
@@ -259,6 +262,12 @@ def write_manifest(outdir, cfg, extra=None):
         "config_sha256": config_hash(cfg),
         "master_seed": cfg["master_seed"],
         "version": __version__,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "threads": {  # null where unset
+            name: os.environ.get(name)
+            for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        },
     }
     if extra:
         manifest.update(extra)

@@ -17,8 +17,10 @@ homogeneous Dirichlet condition removes the boundary DOFs (marked -1).
                    ``p1`` in 1D).
 
 ``P``, ``G``, the affine pieces and the per-cell gradient stencils C_c are
-all built from that description, and every form ``sum_c C_c^T B_c C_c`` with
-per-cell blocks B_c is filled by one routine, ``form_values``.
+all built from that description. Every form ``sum_c C_c^T B_c C_c`` with
+per-cell blocks B_c is filled by one routine, ``form_values``, into the slots
+of one pattern per space, and every system with that pattern is solved by
+one LAPACK band LU, ``form_solver``.
 
 Scalar fields are callables mapping an (n, dim) coordinate array to (n,)
 values; vector fields map to (n, dim).
@@ -30,6 +32,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import quadrature
 
@@ -64,7 +68,8 @@ class GradientDiscretisation:
     ``G`` maps DOF vectors to the per-cell constant gradients (row layout
     cell-major: row ``c*dim + k`` is component k on cell c). ``stencils``
     gives them cell by cell; ``gradient_form`` fills ``sum_c C_c^T B_c C_c``
-    into a pattern and slot map kept per space (the stiffness: B_c = meas I).
+    into a pattern and slot map kept per space (the stiffness: B_c = meas I),
+    and ``form_solver`` factors a matrix with that pattern in band storage.
     """
 
     def __init__(self, mesh, kind, cell_dofs, alpha, beta, dof_positions):
@@ -144,7 +149,7 @@ class GradientDiscretisation:
             blocks = blocks[:, None, None] * np.eye(self.dim)
         _, coef = self.stencils
         pattern, slots, _ = self._form_layout
-        local = np.einsum("cdk,cde,cel->ckl", coef, blocks, coef)
+        local = coef.transpose(0, 2, 1) @ (blocks @ coef)
         return np.bincount(slots, weights=local.ravel(), minlength=len(pattern))
 
     def form_values_of(self, A):
@@ -158,15 +163,53 @@ class GradientDiscretisation:
             raise ValueError("matrix pattern is not inside the gradient-form pattern")
         return np.bincount(slots, weights=A.data, minlength=len(pattern))
 
-    def form_matrix(self, values, dense=False):
-        """The (n_dofs, n_dofs) matrix with these slot values, CSC or dense."""
+    def form_matrix(self, values):
+        """The (n_dofs, n_dofs) CSC matrix with these slot values."""
         pattern, _, indptr = self._form_layout
         n = self.n_dofs
-        if dense:
-            A = np.zeros(n * n)
-            A[pattern] = values
-            return A.reshape(n, n).T
         return sp.csc_matrix((values, pattern % n, indptr), shape=(n, n))
+
+    @cached_property
+    def band_layout(self):
+        """Band storage of the form pattern, ``(order, b, place)``: the DOF
+        order (natural or reverse Cuthill-McKee, whichever has the smaller
+        half-bandwidth; natural on a tie), the half-bandwidth b in that
+        order, and each slot's flat index in the column-major LAPACK general
+        band array (3b+1, n) of the reordered matrix."""
+        pattern = self._form_layout[0]
+        n = self.n_dofs
+        rows, cols = pattern % n, pattern // n
+        graph = sp.csr_matrix((np.ones(len(pattern)), (rows, cols)), shape=(n, n))
+        layouts = []
+        for order in (np.arange(n), reverse_cuthill_mckee(graph, symmetric_mode=True)):
+            pos = np.argsort(order)  # the place of each DOF in the order
+            layouts.append((int(np.abs(pos[rows] - pos[cols]).max(initial=0)), order, pos))
+        b, order, pos = min(layouts, key=lambda layout: layout[0])
+        # entry (i, j) sits at row 2b + i - j of column j: b rows above the
+        # upper band are left for the fill-in of the LU factors
+        return order, b, pos[cols] * (3 * b + 1) + 2 * b + pos[rows] - pos[cols]
+
+    def form_solver(self, values):
+        """Band LU factors (LAPACK ``dgbtrf``) of the matrix with these slot
+        values, as a function that solves it for a right-hand side; the
+        right-hand side is not overwritten. Raises
+        ``np.linalg.LinAlgError`` when the matrix is singular."""
+        if self.n_dofs == 0:  # LAPACK rejects an empty right-hand side
+            return np.copy
+        order, b, place = self.band_layout
+        ab = np.zeros(self.n_dofs * (3 * b + 1))
+        ab[place] = values
+        lu, piv, info = lapack.dgbtrf(ab.reshape(self.n_dofs, 3 * b + 1).T, b, b, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular matrix: zero pivot {info} in band LU")
+
+        def solve(rhs):
+            x, _ = lapack.dgbtrs(lu, b, b, rhs[order], piv, overwrite_b=1)
+            out = np.empty_like(x)
+            out[order] = x
+            return out
+
+        return solve
 
     def gradient_form(self, blocks):
         """``sum_c C_c^T blocks[c] C_c`` as a CSC matrix (see form_values)."""

@@ -11,10 +11,9 @@ frozen-coefficient (Kacanov) iteration; time steps are uniform and a step
 that fails both strategies aborts the trajectory with diagnostics.
 
 All three system matrices (Newton Jacobian, Kacanov matrix, linear
-operator) are the mass plus ``dt`` times a weighted gradient form, filled by
-the discretisation's one routine from per-cell blocks; the number of
-unknowns picks only the storage (dense or sparse) and the solver (LAPACK or
-SuperLU).
+operator) are the mass plus ``dt`` times a weighted gradient form: the
+discretisation fills their slot values from per-cell blocks and solves them
+by one LAPACK band LU (``gd.form_solver``), at every size.
 """
 
 import json
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .flux import LINEAR_DIFFUSION, P_LAPLACE, REGULARIZED_P_LAPLACE, eval_flux, eval_flux_jacobian
 from .noise import NoiseIncrement, RngStream, sample_increment
@@ -102,12 +100,15 @@ class Stepper:
     (``gd.stencils``); the Newton Jacobian, the frozen-coefficient matrix and
     the linear operator differ only in the per-cell blocks B_c. ``_system``
     adds the mass, mapped into the form's slots once here, to ``dt`` times
-    the discretisation's fill ``gd.form_values``. The number of unknowns
-    decides only storage and solver: up to ``_DENSE_LIMIT`` unknowns the
-    filled systems and the constant operators (reconstruction, its weighted
-    transpose, mass) are dense arrays solved by LAPACK, since the sparse
-    machinery costs more than the arithmetic at that scale; above it they
-    are sparse and the systems are solved by SuperLU."""
+    the discretisation's fill ``gd.form_values``, and ``_solve`` factors and
+    solves the slot values by the discretisation's band LU
+    (``gd.form_solver``); the linear operator is factored once. The number
+    of unknowns picks only the storage of the constant operators (the
+    reconstruction, its weighted transpose, the mass, and the linear
+    operator for its residual check): up to ``_DENSE_LIMIT`` unknowns they
+    are dense arrays, since sparse products cost more than the arithmetic at
+    that scale, and above it CSR matrices. The benchmark has a workload on
+    each side (``oracle_pool`` dense, ``mc_p3_2d_sparse`` CSR)."""
 
     _DENSE_LIMIT = 220
 
@@ -120,10 +121,7 @@ class Stepper:
         self.dt = sgd.dt
         gd = self.gd
         self.E = noise.basis.values(gd.quad_x)
-        self._dense = gd.n_dofs <= self._DENSE_LIMIT
-        # constant operators are stored like the filled systems: dense arrays
-        # spare small systems the per-call overhead of sparse products
-        store = (lambda A: A.toarray()) if self._dense else sp.csr_matrix
+        store = (lambda A: A.toarray()) if gd.n_dofs <= self._DENSE_LIMIT else sp.csr_matrix
         self._P = store(gd.P)
         self._PTw = store(gd.P.T @ sp.diags(gd.quad_w))
         self._M = store(gd.mass)
@@ -136,18 +134,14 @@ class Stepper:
         self._mass_vals = gd.form_values_of(gd.mass)
         self._linear_solve = None
         if flux_model.is_linear:
-            self._A_lin = self._system(gd.mesh.cell_measures)
-            if self._dense:
-                Ainv = np.linalg.inv(self._A_lin)
-                self._linear_solve = lambda b: Ainv @ b
-            else:
-                self._linear_solve = spla.splu(self._A_lin).solve
+            values = self._system(gd.mesh.cell_measures)
+            self._A_lin = store(gd.form_matrix(values))
+            self._linear_solve = gd.form_solver(values)
 
     def _system(self, blocks):
-        """``M + dt sum_c C_c^T blocks[c] C_c``, dense or CSC by size; blocks
-        as in ``gd.form_values``."""
-        gd = self.gd
-        return gd.form_matrix(self._mass_vals + self.dt * gd.form_values(blocks), self._dense)
+        """Slot values of ``M + dt sum_c C_c^T blocks[c] C_c``; blocks as in
+        ``gd.form_values``."""
+        return self._mass_vals + self.dt * self.gd.form_values(blocks)
 
     def _gradients(self, u):
         return np.einsum("cdk,ck->cd", self._cell_coef, u[self._cell_dofs])
@@ -171,8 +165,9 @@ class Stepper:
         blocks = self._cell_sum @ J_q.reshape(len(J_q), -1)
         return self._system(blocks.reshape(-1, gd.dim, gd.dim))
 
-    def _solve(self, A, b):
-        return np.linalg.solve(A, b) if self._dense else spla.spsolve(A, b)
+    def _solve(self, values, b):
+        """Solve the system with these slot values for ``b``."""
+        return self.gd.form_solver(values)(b)
 
     def _kacanov_weights(self, u):
         gd = self.gd

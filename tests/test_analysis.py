@@ -173,6 +173,18 @@ class TestDualNorm:
             w = rng.standard_normal(gd.n_dofs)
             assert dual_norm(gd, w, 2.0) <= gd.lp_norm(w, 2.0) + 1e-10
 
+    def test_p3_below_p2_on_trajectory_increments(self):
+        # on a domain of measure 1, ||grad phi||_3 >= ||grad phi||_2, so the
+        # p=3 dual norm cannot exceed the p=2 one; unnormalised reweighting
+        # iterates underflowed on 4 of these rows and returned a bare L2 ratio
+        gd = build_gd(build_uniform_interval(64, 0.0, 1.0), "p1")
+        sgd = SpaceTimeGD(gd, T=0.25, n_steps=64)
+        noise = make_noise(gd.mesh.bounding_box, 8, f0="tanh")
+        traj = run_trajectory(sgd, p_laplace(3.0), noise, sin_pi, master_seed=11, sample_index=0)
+        for k in range(0, 61, 6):
+            w = traj.u[k + 1] - traj.u[k]
+            assert dual_norm(gd, w, 3.0) <= dual_norm(gd, w, 2.0)
+
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_dense_oracle_small(self, p):
         gd = build_gd(build_uniform_interval(6, 0.0, 1.0), "p1")

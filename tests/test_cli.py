@@ -1,10 +1,12 @@
 """Config validation, subcommand behavior, and byte-level reproducibility."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from sgdm.cli import ConfigError, config_hash, load_config, main
 
@@ -82,6 +84,12 @@ class TestCommands:
         echo.write_text(json.dumps(manifest["config"]))
         assert load_config(echo) == manifest["config"]
         assert manifest["config_sha256"] == config_hash(manifest["config"])
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
+        assert manifest["threads"] == {
+            name: os.environ.get(name)
+            for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        }
 
     def test_run_byte_identical_across_reruns_and_workers(self, tmp_path):
         path, _ = write_config(tmp_path, n_samples=10, levels=1)

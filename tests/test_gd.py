@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation, quadrature, refine
 from sgdm.gd import _dual_quadrature
@@ -166,10 +167,48 @@ class TestGradientForm:
         scale = max(np.abs(ref).max(), 1e-300)
         assert np.abs((got - ref).toarray()).max(initial=0.0) <= 1e-13 * scale
 
-    def test_dense_storage_holds_the_same_matrix(self, local_basis_gd):
+    def test_band_holds_the_same_matrix(self, local_basis_gd):
         gd = local_basis_gd
-        vals = gd.form_values(gd.mesh.cell_measures)
-        np.testing.assert_array_equal(gd.form_matrix(vals, dense=True), gd.form_matrix(vals).toarray())
+        vals = gd.form_values(np.random.default_rng(9).uniform(0.5, 2.0, gd.mesh.n_cells))
+        order, b, place = gd.band_layout
+        n = gd.n_dofs
+        ab = np.zeros(n * (3 * b + 1))
+        ab[place] = vals
+        ab = ab.reshape(n, 3 * b + 1).T
+        # read entry (i, j) of the reordered matrix back from row 2b + i - j
+        i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= b)
+        A = np.zeros((n, n))
+        A[order[i], order[j]] = ab[2 * b + i - j, j]
+        np.testing.assert_array_equal(A, gd.form_matrix(vals).toarray())
+
+    def test_band_solve_matches_sparse_solve(self, local_basis_gd):
+        gd = local_basis_gd
+        vals = gd.form_values_of(gd.mass) + gd.form_values(gd.mesh.cell_measures)
+        rhs = np.random.default_rng(10).standard_normal(gd.n_dofs)
+        kept = rhs.copy()
+        x = gd.form_solver(vals)(rhs)
+        np.testing.assert_array_equal(rhs, kept)
+        ref = spla.spsolve(gd.form_matrix(vals), rhs)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_band_order_picks_reverse_cuthill_mckee(self):
+        gd = build_gd(refine(build_uniform_triangulation(10, 10)), "p1")
+        A = gd.gradient_form(gd.mesh.cell_measures).tocoo()
+        assert np.abs(A.row - A.col).max() == 280
+        order, b, _ = gd.band_layout
+        assert b == 19
+        assert not np.array_equal(order, np.arange(gd.n_dofs))
+
+    def test_band_order_keeps_natural_when_narrower(self):
+        gd = build_gd(build_uniform_triangulation(20, 20), "cr")
+        order, b, _ = gd.band_layout
+        assert b == 58
+        np.testing.assert_array_equal(order, np.arange(gd.n_dofs))
+
+    def test_singular_band_raises(self, local_basis_gd):
+        gd = local_basis_gd
+        with pytest.raises(np.linalg.LinAlgError):
+            gd.form_solver(0.0 * gd.form_values(gd.mesh.cell_measures))
 
     def test_mass_pattern_inside_form_pattern(self, local_basis_gd):
         # the stepper adds the mass into the form's slots

@@ -263,11 +263,16 @@ def _array(A):
     return A.toarray() if sp.issparse(A) else np.asarray(A)
 
 
+def _slot_matrix(stepper, values):
+    return stepper.gd.form_matrix(values).toarray()
+
+
 MESHES = {
     "1d": lambda: build_uniform_interval(12, 0.0, 1.0),
     "2d": lambda: build_uniform_triangulation(4, 3),
 }
-# a limit no system reaches stores every system sparse; a huge one, dense
+# the constant operators: a limit no space reaches stores them all CSR; a
+# huge one, dense
 STORAGES = {"dense": 10**9, "sparse": -1}
 
 
@@ -310,7 +315,7 @@ def _stepper(monkeypatch, case, storage, flux, cfg=None):
     sgd, noise, _, _ = case
     monkeypatch.setattr(Stepper, "_DENSE_LIMIT", STORAGES[storage])
     stepper = Stepper(sgd, flux, noise, cfg)
-    assert stepper._dense == (storage == "dense")
+    assert sp.issparse(stepper._M) == (storage == "sparse")
     return stepper
 
 
@@ -320,7 +325,7 @@ class TestAssembly:
     def test_jacobian_matches_sparse_product(self, monkeypatch, assembly_case, storage, flux):
         stepper = _stepper(monkeypatch, assembly_case, storage, JACOBIAN_FLUXES[flux]())
         u = assembly_case[2]
-        J = _array(stepper._jacobian(u))
+        J = _slot_matrix(stepper, stepper._jacobian(u))
         ref = _reference_jacobian(stepper, u)
         assert np.abs(J - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -336,7 +341,7 @@ class TestAssembly:
                 for e in np.eye(n)
             ]
         )
-        J = _array(stepper._jacobian(u))
+        J = _slot_matrix(stepper, stepper._jacobian(u))
         assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
 
     def test_isotropic_blocks_match_weighted_stiffness(self, monkeypatch, assembly_case, storage):
@@ -345,7 +350,7 @@ class TestAssembly:
         gd, u = stepper.gd, assembly_case[2]
         w = gd.mesh.cell_measures * stepper._kacanov_weights(u)
         ref = (gd.mass + stepper.dt * gd.G.T @ sp.diags(np.repeat(w, gd.dim)) @ gd.G).toarray()
-        A = _array(stepper._system(w[:, None, None] * np.eye(gd.dim)))
+        A = _slot_matrix(stepper, stepper._system(w[:, None, None] * np.eye(gd.dim)))
         assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
         # the linear operator: w = 1
         linear = _stepper(monkeypatch, assembly_case, storage, linear_diffusion())
