@@ -8,6 +8,10 @@ Built-in kinds:
 * ``linear``:                a(x, y) = y
 * ``custom``:                user-supplied callables.
 
+The built-in kinds ignore the value ``x`` and depend on the gradient alone;
+``FluxModel.depends_on_value`` is true only for ``custom``. Where the
+gradient is constant per cell, a built-in flux is constant per cell too.
+
 For p < 2 the p-Laplace Jacobian is singular at y = 0; Newton solvers use
 the Jacobian of the smoothed flux (eps^2 + |y|^2)^((p-2)/2) y controlled by
 ``newton_epsilon``, while residuals use the flux itself.
@@ -49,6 +53,10 @@ class FluxModel:
     @property
     def is_linear(self):
         return self.kind == LINEAR_DIFFUSION or (self.kind == P_LAPLACE and self.p == 2.0)
+
+    @property
+    def depends_on_value(self):
+        return self.kind == CUSTOM
 
 
 def p_laplace(p, newton_epsilon=None):

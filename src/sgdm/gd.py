@@ -189,6 +189,12 @@ class GradientDiscretisation:
         # upper band are left for the fill-in of the LU factors
         return order, b, pos[cols] * (3 * b + 1) + 2 * b + pos[rows] - pos[cols]
 
+    @cached_property
+    def _band_natural(self):
+        """Whether the band order is the natural DOF order."""
+        order = self.band_layout[0]
+        return bool(np.array_equal(order, np.arange(self.n_dofs)))
+
     def form_solver(self, values):
         """Band LU factors (LAPACK ``dgbtrf``) of the matrix with these slot
         values, as a function that solves it for a right-hand side; the
@@ -202,6 +208,9 @@ class GradientDiscretisation:
         lu, piv, info = lapack.dgbtrf(ab.reshape(self.n_dofs, 3 * b + 1).T, b, b, overwrite_ab=1)
         if info > 0:
             raise np.linalg.LinAlgError(f"singular matrix: zero pivot {info} in band LU")
+        if self._band_natural:
+            # dgbtrs solves a copy of the right-hand side and returns it
+            return lambda rhs: lapack.dgbtrs(lu, b, b, rhs, piv)[0]
 
         def solve(rhs):
             x, _ = lapack.dgbtrs(lu, b, b, rhs[order], piv, overwrite_b=1)

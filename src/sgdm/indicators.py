@@ -11,6 +11,8 @@ eigenproblem and is exact up to quadrature. For p != 2 the values are
 certified lower bounds (indicators) or upper bounds (consistency error)
 obtained by iteratively reweighted least squares; every reported bound is
 the best ratio/objective actually attained at an explicit discrete vector.
+Their linear systems (mass and weighted gradient forms) are filled into the
+discretisation's form pattern and solved by its band LU, ``gd.form_solver``.
 """
 
 from dataclasses import dataclass
@@ -26,12 +28,6 @@ from .quadrature import polygon_rule, interval_rule
 IRLS_MAX_ITER = 50
 IRLS_RTOL = 1e-9
 _DENSE_EIG_LIMIT = 800
-
-
-def _solve_spd(A, b):
-    if A.shape[0] == 0:
-        return np.zeros(0)
-    return spla.spsolve(A.tocsc(), b)
 
 
 def _max_gen_eig(A, B):
@@ -110,9 +106,8 @@ def interpolate_best(gd, phi, grad_phi, p=2.0, phat=None, max_iter=IRLS_MAX_ITER
     phi_q = np.asarray(phi(gd.quad_x), dtype=float)
     gphi_q = np.asarray(grad_phi(gd.quad_x), dtype=float).reshape(-1, gd.dim)
 
-    A0 = (gd.mass + gd.stiffness).tocsc()
     b0 = gd.P.T @ (gd.quad_w * phi_q) + gd.G.T @ _cellwise_vector_integral(gd, gphi_q, gd.quad_w)
-    w = _solve_spd(A0, b0)
+    w = gd.form_solver(gd.form_values_of(gd.mass) + gd.form_values(gd.mesh.cell_measures))(b0)
     best_val = _fit_objective(gd, w, phi_q, gphi_q, p, phat)
     best_w = w
     scale = max(1.0, np.abs(phi_q).max(initial=0.0), np.abs(gphi_q).max(initial=0.0))
@@ -142,10 +137,10 @@ def interpolate_best(gd, phi, grad_phi, p=2.0, phat=None, max_iter=IRLS_MAX_ITER
         # the gradient is constant per cell, so its weights sum per cell
         wq = gd.quad_w * om2 / s2
         wcell = np.bincount(gd.quad_cell, weights=wq, minlength=gd.mesh.n_cells)
-        A = gd.P.T @ sp.diags(gd.quad_w * om1 / s1) @ gd.P + gd.gradient_form(wcell)
+        A = gd.form_values_of(gd.P.T @ sp.diags(gd.quad_w * om1 / s1) @ gd.P) + gd.form_values(wcell)
         b = gd.P.T @ (gd.quad_w * om1 * phi_q / s1)
         b = b + gd.G.T @ _cellwise_vector_integral(gd, gphi_q, wq)
-        w_new = _solve_spd(A.tocsc(), b)
+        w_new = gd.form_solver(A)(b)
         val = _fit_objective(gd, w_new, phi_q, gphi_q, p, phat)
         if val < best_val:
             best_val, best_w = val, w_new
@@ -176,12 +171,12 @@ def indicator_W(gd, phi, div_phi, p=2.0, max_iter=IRLS_MAX_ITER, rtol=IRLS_RTOL)
     if np.linalg.norm(c) == 0.0:
         return 0.0
 
-    z = _solve_spd(gd.stiffness, c)
+    meas = gd.mesh.cell_measures
+    z = gd.form_solver(gd.form_values(meas))(c)
     if p == 2.0:
         return float(np.sqrt(c @ z))
 
     # maximize |c.v| / ||grad v||_p == 1 / min{||grad v||_p : c.v = 1}
-    meas = gd.mesh.cell_measures
     v = z / (c @ z)
     best = abs(c @ v) / gd.grad_lp_norm(v, p)
     om = np.ones(gd.mesh.n_cells)
@@ -190,7 +185,7 @@ def indicator_W(gd, phi, div_phi, p=2.0, max_iter=IRLS_MAX_ITER, rtol=IRLS_RTOL)
         mag2 = np.sum(g**2, axis=1)
         eps2 = 1e-16 * max(mag2.max(), 1e-300)
         om = _damp((mag2 + eps2) ** ((p - 2.0) / 2.0), om)
-        y = _solve_spd(gd.gradient_form(meas * om), c)
+        y = gd.form_solver(gd.form_values(meas * om))(c)
         v_new = y / (c @ y)
         ratio = abs(c @ v_new) / gd.grad_lp_norm(v_new, p)
         move = np.linalg.norm(v_new - v) / max(1.0, np.linalg.norm(v_new))

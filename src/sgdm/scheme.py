@@ -14,6 +14,12 @@ All three system matrices (Newton Jacobian, Kacanov matrix, linear
 operator) are the mass plus ``dt`` times a weighted gradient form: the
 discretisation fills their slot values from per-cell blocks and solves them
 by one LAPACK band LU (``gd.form_solver``), at every size.
+
+The reconstructed gradient is constant on each cell, so a flux that does
+not read the value (every built-in kind) is constant per cell too: the flux
+term and its Jacobian are integrated exactly with one point per cell. A
+custom flux may read Pi u, which varies inside a cell, and is evaluated at
+the quadrature points.
 """
 
 import json
@@ -102,13 +108,23 @@ class Stepper:
     adds the mass, mapped into the form's slots once here, to ``dt`` times
     the discretisation's fill ``gd.form_values``, and ``_solve`` factors and
     solves the slot values by the discretisation's band LU
-    (``gd.form_solver``); the linear operator is factored once. The number
-    of unknowns picks only the storage of the constant operators (the
-    reconstruction, its weighted transpose, the mass, and the linear
-    operator for its residual check): up to ``_DENSE_LIMIT`` unknowns they
-    are dense arrays, since sparse products cost more than the arithmetic at
-    that scale, and above it CSR matrices. The benchmark has a workload on
-    each side (``oracle_pool`` dense, ``mc_p3_2d_sparse`` CSR)."""
+    (``gd.form_solver``); the linear operator is factored once.
+
+    The flux and its Jacobian are evaluated on a flux rule built here: the
+    cell of each point, the weighted sum per cell, and the operator giving
+    Pi u at each point. A flux of the gradient alone
+    (``FluxModel.depends_on_value`` false) gets one point per cell, weighted
+    by the cell measure and valued at the cell mean of Pi u; a custom flux
+    gets the quadrature points. The noise term stays at the quadrature
+    points, since the noise basis varies inside a cell.
+
+    The number of unknowns picks only the storage of the constant operators
+    (the reconstruction, its weighted transpose, the mass, the flux rule's
+    operators, and the linear operator for its residual check): up to
+    ``_DENSE_LIMIT`` unknowns they are dense arrays, since sparse products
+    cost more than the arithmetic at that scale, and above it CSR matrices.
+    The benchmark has a workload on each side (``oracle_pool`` dense,
+    ``mc_p3_2d_sparse`` CSR)."""
 
     _DENSE_LIMIT = 220
 
@@ -126,11 +142,21 @@ class Stepper:
         self._PTw = store(gd.P.T @ sp.diags(gd.quad_w))
         self._M = store(gd.mass)
         self._cell_dofs, self._cell_coef = gd.stencils
-        # (n_cells, n_quad): sums quadrature-weighted point values per cell
-        self._cell_sum = sp.csr_matrix(
-            (gd.quad_w, (gd.quad_cell, np.arange(len(gd.quad_w)))),
-            shape=(gd.mesh.n_cells, len(gd.quad_w)),
+        n_cells = gd.mesh.n_cells
+        # the flux rule (see the class docstring); cell_sum sums weighted point
+        # values per cell
+        cell_sum = sp.csr_matrix(
+            (gd.quad_w, (gd.quad_cell, np.arange(len(gd.quad_w)))), shape=(n_cells, len(gd.quad_w))
         )
+        if flux_model.depends_on_value:
+            self._rule_cell, self._rule_P, self._rule_sum = gd.quad_cell, self._P, store(cell_sum)
+        else:
+            # a(grad u) is constant per cell: one point per cell integrates
+            # it exactly; its value there is the cell mean of Pi u
+            meas = gd.mesh.cell_measures
+            self._rule_cell = np.arange(n_cells)
+            self._rule_P = store(sp.diags(1.0 / meas) @ cell_sum @ gd.P)
+            self._rule_sum = store(sp.diags(meas, format="csr"))
         self._mass_vals = gd.form_values_of(gd.mass)
         self._linear_solve = None
         if flux_model.is_linear:
@@ -150,20 +176,23 @@ class Stepper:
         """f0(Pi u_n) * sum_k c_k e_k at the quadrature points."""
         return self.noise.f0(self._P @ u_n) * (self.E @ inc.coeffs)
 
+    def _flux_integrals(self, u, g):
+        """Cell integrals (n_cells, dim) of a(Pi u, g) by the flux rule, for
+        the per-cell gradients g of u."""
+        return self._rule_sum @ eval_flux(self.flux, self._rule_P @ u, g[self._rule_cell])
+
     def _flux_vector(self, u):
-        gd = self.gd
-        a_q = eval_flux(self.flux, self._P @ u, self._gradients(u)[gd.quad_cell])
-        local = np.einsum("cdk,cd->ck", self._cell_coef, self._cell_sum @ a_q)
-        return np.bincount(self._cell_dofs.ravel(), weights=local.ravel(), minlength=gd.n_dofs)
+        local = np.einsum("cdk,cd->ck", self._cell_coef, self._flux_integrals(u, self._gradients(u)))
+        return np.bincount(self._cell_dofs.ravel(), weights=local.ravel(), minlength=self.gd.n_dofs)
 
     def residual(self, u, u_n, b_noise):
         return self._M @ (u - u_n) + self.dt * self._flux_vector(u) - b_noise
 
     def _jacobian(self, u):
-        gd = self.gd
-        J_q = eval_flux_jacobian(self.flux, self._P @ u, self._gradients(u)[gd.quad_cell])
-        blocks = self._cell_sum @ J_q.reshape(len(J_q), -1)
-        return self._system(blocks.reshape(-1, gd.dim, gd.dim))
+        d = self.gd.dim
+        J = eval_flux_jacobian(self.flux, self._rule_P @ u, self._gradients(u)[self._rule_cell])
+        blocks = self._rule_sum @ J.reshape(len(J), -1)
+        return self._system(blocks.reshape(-1, d, d))
 
     def _solve(self, values, b):
         """Solve the system with these slot values for ``b``."""
@@ -181,11 +210,11 @@ class Stepper:
             return (1.0 + r) ** (p - 2.0)
         if self.flux.kind == LINEAR_DIFFUSION:
             return np.ones(gd.mesh.n_cells)
-        # custom: project the flux on the gradient direction
-        a = eval_flux(self.flux, np.zeros(gd.mesh.n_cells), g)
+        # custom: project the cell integral of the flux on the gradient
+        a = self._flux_integrals(u, g)
         w = np.ones(gd.mesh.n_cells)
         nz = r > 1e-14
-        w[nz] = np.sum(a[nz] * g[nz], axis=1) / r[nz] ** 2
+        w[nz] = np.sum(a[nz] * g[nz], axis=1) / (gd.mesh.cell_measures[nz] * r[nz] ** 2)
         return np.maximum(w, 1e-14)
 
     def step(self, u_n, inc):

@@ -7,7 +7,15 @@ import pytest
 import scipy.sparse as sp
 
 from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation
-from sgdm.flux import custom_flux, eval_flux_jacobian, linear_diffusion, p_laplace
+import sgdm.scheme
+from sgdm.flux import (
+    custom_flux,
+    eval_flux,
+    eval_flux_jacobian,
+    linear_diffusion,
+    p_laplace,
+    regularized_p_laplace,
+)
 from sgdm.noise import NoiseIncrement, RngStream, make_noise, sample_increment
 from sgdm.scheme import (
     SolverConfig,
@@ -380,3 +388,74 @@ def test_dense_and_sparse_storage_same_step(monkeypatch, assembly_case):
     for kind in (p_laplace(3.0).kind, linear_diffusion().kind):
         dense, sparse = out["dense", kind], out["sparse", kind]
         assert np.abs(dense - sparse).max() <= 1e-12 * np.abs(dense).max()
+
+
+def _value_dependent_flux():
+    """a(x, y) = (1 + x^2) y: it reads the value, which varies inside a cell."""
+    return custom_flux(
+        2.0,
+        lambda x, y: (1.0 + x**2)[:, None] * y,
+        lambda x, y: (1.0 + x**2)[:, None, None] * np.eye(y.shape[1]),
+    )
+
+
+class TestFluxRule:
+    @pytest.mark.parametrize(
+        "flux",
+        [p_laplace(3.0), regularized_p_laplace(3.0), linear_diffusion()],
+        ids=["p3", "regularized_p3", "linear"],
+    )
+    def test_gradient_only_flux_evaluated_once_per_cell(self, monkeypatch, assembly_case, flux):
+        sgd, noise, u, _ = assembly_case
+        stepper = Stepper(sgd, flux, noise)
+        rows = []
+        for name in ("eval_flux", "eval_flux_jacobian"):
+            original = getattr(sgdm.scheme, name)
+
+            def record(model, x, y, original=original):
+                rows.append((len(x), len(y)))
+                return original(model, x, y)
+
+            monkeypatch.setattr(sgdm.scheme, name, record)
+        stepper._flux_vector(u)
+        stepper._jacobian(u)
+        n_cells = sgd.gd.mesh.n_cells
+        assert rows == [(n_cells, n_cells)] * 2
+
+    def test_value_dependent_flux_sees_every_quadrature_point(self, assembly_case):
+        sgd, noise, u, _ = assembly_case
+        gd = sgd.gd
+        flux = _value_dependent_flux()
+        stepper = Stepper(sgd, flux, noise)
+        g = (gd.G @ u).reshape(gd.mesh.n_cells, gd.dim)
+        integrals = np.zeros_like(g)
+        a_q = eval_flux(flux, gd.P @ u, g[gd.quad_cell])
+        np.add.at(integrals, gd.quad_cell, gd.quad_w[:, None] * a_q)
+        ref = gd.G.T @ integrals.ravel()
+        got = stepper._flux_vector(u)
+        scale = np.abs(ref).max()
+        assert np.abs(got - ref).max() <= 1e-13 * scale
+        # one point per cell at the cell mean of Pi u misses the variation
+        meas = gd.mesh.cell_measures
+        mean = np.bincount(gd.quad_cell, weights=gd.quad_w * (gd.P @ u)) / meas
+        one_point = gd.G.T @ (meas[:, None] * eval_flux(flux, mean, g)).ravel()
+        assert np.abs(one_point - ref).max() > 1e-6 * scale
+        J = _slot_matrix(stepper, stepper._jacobian(u))
+        J_ref = _reference_jacobian(stepper, u)
+        assert np.abs(J - J_ref).max() <= 1e-13 * np.abs(J_ref).max()
+
+
+def test_kacanov_fallback_converges_for_value_dependent_flux():
+    # the frozen coefficients must see the value: frozen at x = 0 the
+    # iteration stalled at residual 6.3e-2
+    gd = build_gd(build_uniform_interval(12, 0.0, 1.0), "p1")
+    sgd = SpaceTimeGD(gd, T=0.004, n_steps=4)
+    noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
+    rng = np.random.default_rng(41)
+    u = 1.5 * rng.standard_normal(gd.n_dofs)
+    inc = NoiseIncrement(0.3 * rng.standard_normal(4), sgd.dt)
+    flux = _value_dependent_flux()
+    u_newton, res_newton, _, _ = Stepper(sgd, flux, noise).step(u, inc)
+    u_kacanov, res_kacanov, _, _ = Stepper(sgd, flux, noise, SolverConfig(max_newton=0)).step(u, inc)
+    assert res_newton <= 1e-10 and res_kacanov <= 1e-10
+    np.testing.assert_allclose(u_kacanov, u_newton, rtol=0, atol=1e-12 * np.abs(u_newton).max())
