@@ -6,7 +6,9 @@ from .gd import CROUZEIX_RAVIART, P1_CONFORMING, P1_MASS_LUMPED, GradientDiscret
 from .indicators import BestFit, indicator_T, indicator_W, interpolate_best, poincare_constant
 from .flux import FluxModel, eval_flux, eval_flux_jacobian, linear_diffusion, p_laplace, probe_assumptions, regularized_p_laplace
 from .noise import NoiseIncrement, NoiseModel, RngStream, apply_noise, growth_check, make_noise, sample_increment
-from .scheme import SolverConfig, SpaceTimeGD, StepFailure, Trajectory, energy_identity_residual, run_trajectory, solve_step
+from .scheme import (
+    SolverConfig, SpaceTimeGD, StepFailure, Trajectory, energy_identity_residual, run_block, run_trajectory, solve_step,
+)
 from . import analysis
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@ piecewise-constant paths, noise-accumulator statistics, and the exact
 single-unknown linear-scheme oracle.
 
 Estimators consume iterables of trajectories and reduce in sample order, so
-reports are bit-identical however the samples were produced.
+reports are bit-identical however the samples were spread over workers;
+ensembles advance their samples in fixed lockstep blocks (see
+``iter_trajectories``).
 """
 
 import math
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scheme import run_trajectory
+from .scheme import Stepper, run_block, run_trajectory
 
 
 # -- streaming statistics ------------------------------------------------------
@@ -541,44 +543,65 @@ class EnsembleAccumulator:
         return rep
 
 
-def iter_trajectories(sgd, flux_model, noise, u0, master_seed, n_samples, cfg=None, start=0):
-    """Generate trajectories for consecutive sample indices, reusing one
-    stepper (its stored operators, the mass in the form's slots, and the
-    factorised operator of a linear flux) across the whole ensemble."""
-    from .scheme import Stepper
+# Samples advance in blocks of this many consecutive indices (see
+# iter_trajectories): enough rows to share each step's interpreter overhead,
+# while a block holds the full paths of only this many samples at once.
+ENSEMBLE_BLOCK = 16
 
+
+def _sample_blocks(start, n_samples):
+    """The blocks [kB, (k+1)B) ∩ [start, start + n_samples), B = ENSEMBLE_BLOCK,
+    in order, as ranges of sample indices."""
+    B, stop = ENSEMBLE_BLOCK, start + n_samples
+    blocks = (range(max(k * B, start), min((k + 1) * B, stop)) for k in range(start // B, -(-stop // B)))
+    return [block for block in blocks if block]
+
+
+def iter_trajectories(sgd, flux_model, noise, u0, master_seed, n_samples, cfg=None, start=0):
+    """Generate trajectories for consecutive sample indices, one per sample
+    and in order, reusing one stepper (its stored operators, the mass in the
+    form's slots, and the factorised operator of a linear flux) across the
+    whole ensemble.
+
+    Samples advance in lockstep blocks of sample indices
+    [kB, (k+1)B) ∩ [start, start + n_samples) with B = ``ENSEMBLE_BLOCK``
+    (``scheme.run_block``). The boundaries depend only on the sample
+    indices, so a sample's path is a deterministic function of
+    (master_seed, sample, its block), and bit-identical however the blocks
+    are spread over workers. Its noise is bit-identical to the stream of
+    (master_seed, sample, step) drawn alone; its states agree with
+    ``run_trajectory`` for that sample alone up to the rounding of the
+    block's row arithmetic."""
     u0_vec = sgd.gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)
     stepper = Stepper(sgd, flux_model, noise, cfg)
-    for s in range(start, start + n_samples):
-        yield run_trajectory(sgd, flux_model, noise, u0_vec, master_seed, s, cfg, _stepper=stepper)
+    for block in _sample_blocks(start, n_samples):
+        yield from run_block(sgd, flux_model, noise, u0_vec, master_seed, block, cfg, _stepper=stepper)
 
 
 _WORKER_STATE = {}
 
 
 def _ensemble_worker_init(sgd, flux_model, noise, u0_vec, master_seed, cfg, acc_kwargs):
-    from .scheme import Stepper
-
     _WORKER_STATE["args"] = (sgd, flux_model, noise, u0_vec, master_seed, cfg)
     _WORKER_STATE["stepper"] = Stepper(sgd, flux_model, noise, cfg)
     _WORKER_STATE["acc"] = EnsembleAccumulator(sgd, **acc_kwargs)
 
 
-def _ensemble_worker_task(sample_index):
+def _ensemble_worker_task(block):
     sgd, flux_model, noise, u0_vec, master_seed, cfg = _WORKER_STATE["args"]
-    traj = run_trajectory(
-        sgd, flux_model, noise, u0_vec, master_seed, sample_index, cfg,
-        _stepper=_WORKER_STATE["stepper"],
+    trajs = run_block(
+        sgd, flux_model, noise, u0_vec, master_seed, block, cfg, _stepper=_WORKER_STATE["stepper"]
     )
-    return _WORKER_STATE["acc"].summarize(traj)
+    return [_WORKER_STATE["acc"].summarize(traj) for traj in trajs]
 
 
 def run_ensemble(sgd, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=None, cfg=None, workers=1):
     """Run a sample ensemble and reduce it to an EstimatorReport.
 
-    Per-sample summaries are computed independently (optionally in parallel
-    workers) and reduced strictly in sample order, so the report is
-    bit-identical for any worker count.
+    Samples advance in the fixed blocks of ``iter_trajectories``; the fork
+    pool of ``workers`` > 1 hands out whole blocks. Per-sample summaries are
+    reduced strictly in sample order, so the report is bit-identical for
+    any worker count.
     """
     acc_kwargs = dict(acc_kwargs or {})
     acc_kwargs.setdefault("p", flux_model.p)
@@ -591,14 +614,16 @@ def run_ensemble(sgd, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=
     import multiprocessing as mp
 
     ctx = mp.get_context("fork")
+    blocks = _sample_blocks(0, n_samples)
     with ctx.Pool(
         workers,
         initializer=_ensemble_worker_init,
         initargs=(sgd, flux_model, noise, u0_vec, master_seed, cfg, acc_kwargs),
     ) as pool:
-        chunk = max(1, n_samples // (workers * 16))
-        for summary in pool.imap(_ensemble_worker_task, range(n_samples), chunksize=chunk):
-            acc.add_summary(summary)
+        chunk = max(1, len(blocks) // (workers * 16))
+        for summaries in pool.imap(_ensemble_worker_task, blocks, chunksize=chunk):
+            for summary in summaries:
+                acc.add_summary(summary)
     return acc.report()
 
 

@@ -310,7 +310,9 @@ def cmd_run(cfg, workers, outdir):
                 acc_kwargs, solver_cfg, workers=workers,
             )
         except StepFailure as exc:
-            summary["failures"].append({"level": lvl, "step": exc.step_index, "residual": exc.residual_norm})
+            summary["failures"].append(
+                {"level": lvl, "sample": exc.sample_index, "step": exc.step_index, "residual": exc.residual_norm}
+            )
             summary["ok"] = False
             continue
 

@@ -91,32 +91,41 @@ class GradientDiscretisation:
             np.repeat(cell_dofs, d, axis=0), self.local_gradients.reshape(-1, d + 1), n_dofs
         )
         if kind == P1_MASS_LUMPED:
-            self.quad_x, self.quad_w, self.quad_cell, owner, regions = _dual_quadrature(mesh)
+            self.quad_x, self.quad_w, self.quad_cell, owner, self._dual_regions = _dual_quadrature(mesh)
             dof = cell_dofs[self.quad_cell, owner][:, None]
             self.P = _basis_matrix(dof, np.ones(dof.shape), n_dofs)
-            self.pieces = []
-            for poly, c, i in regions:
-                n = int(cell_dofs[c, i] >= 0)  # 0 where the owner was eliminated
-                self.pieces.append(
-                    Piece(poly, np.full(n, cell_dofs[c, i]), np.ones(n), np.zeros((n, d)))
-                )
         else:
             self.quad_x, self.quad_w, self.quad_cell, lam_ref = _simplex_quadrature(mesh)
             phi = alpha + beta * np.tile(lam_ref, (mesh.n_cells, 1))
             self.P = _basis_matrix(cell_dofs[self.quad_cell], phi, n_dofs)
-            cells, local = np.nonzero(cell_dofs >= 0)  # cell-major, local order
-            dofs = cell_dofs[cells, local]
-            const = (alpha + beta * self._bary_coeff[:, 0, :])[cells, local]
-            grads = self.local_gradients[cells, :, local]  # (n, dim)
-            split = np.cumsum(np.bincount(cells, minlength=mesh.n_cells))[:-1]
-            self.pieces = [
-                Piece(*piece)
-                for piece in zip(v, *(np.split(a, split) for a in (dofs, const, grads)))
-            ]
         mass = (self.P.T @ sp.diags(self.quad_w) @ self.P).tocsc()
         self.mass = 0.5 * (mass + mass.T)
         stiff = self.gradient_form(mesh.cell_measures)
         self.stiffness = 0.5 * (stiff + stiff.T)
+
+    @cached_property
+    def pieces(self):
+        """The convex regions on which the reconstruction is one affine map,
+        as ``Piece``s, built on first use: the dual sub-regions for
+        ``p1_lumped``, the cells otherwise."""
+        d = self.dim
+        if self.kind == P1_MASS_LUMPED:
+            pieces = []
+            for poly, c, i in self._dual_regions:
+                n = int(self.cell_dofs[c, i] >= 0)  # 0 where the owner was eliminated
+                pieces.append(
+                    Piece(poly, np.full(n, self.cell_dofs[c, i]), np.ones(n), np.zeros((n, d)))
+                )
+            return pieces
+        cells, local = np.nonzero(self.cell_dofs >= 0)  # cell-major, local order
+        dofs = self.cell_dofs[cells, local]
+        const = (self.alpha + self.beta * self._bary_coeff[:, 0, :])[cells, local]
+        grads = self.local_gradients[cells, :, local]  # (n, dim)
+        split = np.cumsum(np.bincount(cells, minlength=self.mesh.n_cells))[:-1]
+        v = self.mesh.vertices[self.mesh.cells]
+        return [
+            Piece(*piece) for piece in zip(v, *(np.split(a, split) for a in (dofs, const, grads)))
+        ]
 
     # -- weighted gradient forms: sum_c C_c^T B_c C_c ---------------------------
 
@@ -144,13 +153,36 @@ class GradientDiscretisation:
 
     def form_values(self, blocks):
         """Slot values of ``sum_c C_c^T blocks[c] C_c``: blocks are
-        (n_cells, dim, dim), or (n_cells,) weights w for the blocks w * I."""
-        if np.ndim(blocks) == 1:
-            blocks = blocks[:, None, None] * np.eye(self.dim)
-        _, coef = self.stencils
+        (n_cells, dim, dim), or (n_cells,) weights w for the blocks w * I.
+        A block of B forms, (B, n_cells, dim, dim) or (B, n_cells), gives
+        (B, n_slots) values from one ``bincount`` over slots offset by
+        n_slots per form; each form's slots are summed in the same order as
+        alone."""
+        blocks = np.asarray(blocks, dtype=float)
+        single = blocks.ndim in (1, 3)
+        n_cells = self.mesh.n_cells
+        products, traces = self._stencil_products
+        if blocks.ndim <= 2:
+            local = blocks.reshape(-1, n_cells, 1) * traces
+        else:
+            local = np.matmul(blocks.reshape(-1, n_cells, 1, self.dim**2), products)
         pattern, slots, _ = self._form_layout
-        local = coef.transpose(0, 2, 1) @ (blocks @ coef)
-        return np.bincount(slots, weights=local.ravel(), minlength=len(pattern))
+        n, B = len(pattern), len(local)
+        keys = (slots + n * np.arange(B)[:, None]).ravel()
+        values = np.bincount(keys, weights=local.ravel(), minlength=B * n).reshape(B, n)
+        return values[0] if single else values
+
+    @cached_property
+    def _stencil_products(self):
+        """The local matrices of unit blocks: ``products[c, d*dim + e, i*k + j]
+        = coef[c, d, i] * coef[c, e, j]``, so that ``C_c^T B_c C_c`` is
+        ``B_c.ravel() @ products[c]``, and ``traces`` (n_cells, k*k), the
+        entries of ``C_c^T C_c`` for the blocks w * I."""
+        _, coef = self.stencils
+        n_cells, d, k = coef.shape
+        products = np.einsum("cdi,cej->cdeij", coef, coef).reshape(n_cells, d * d, k * k)
+        traces = np.einsum("cdi,cdj->cij", coef, coef).reshape(n_cells, k * k)
+        return products, traces
 
     def form_values_of(self, A):
         """Slot values of a sparse matrix whose pattern lies inside the form
@@ -197,8 +229,9 @@ class GradientDiscretisation:
 
     def form_solver(self, values):
         """Band LU factors (LAPACK ``dgbtrf``) of the matrix with these slot
-        values, as a function that solves it for a right-hand side; the
-        right-hand side is not overwritten. Raises
+        values, as a function that solves it for a right-hand side (n,) or
+        for the columns of (n, m); the right-hand side is not overwritten.
+        Raises
         ``np.linalg.LinAlgError`` when the matrix is singular."""
         if self.n_dofs == 0:  # LAPACK rejects an empty right-hand side
             return np.copy

@@ -9,6 +9,7 @@ multiplication operator k |-> f0(v(.)) k(.).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -149,40 +150,181 @@ class _TableMultiplier:
 class RngStream:
     """Counter-based random stream keyed by (master seed, sample, time).
 
-    Distinct stream ids are statistically independent; the same key is
-    bit-reproducible regardless of sampling order or worker placement.
+    The stream is numpy's ``Generator(Philox(SeedSequence(entropy=
+    master_seed, spawn_key=(sample_index, time_index))))``. Distinct stream
+    ids are statistically independent; the same key is bit-reproducible
+    regardless of sampling order or worker placement. ``sample_index`` may
+    be an integer array: the stream then stands for the block of streams
+    (master_seed, s, time_index), one per entry s, and ``sample_increment``
+    draws one increment per entry.
     """
 
     master_seed: int
     sample_index: int
     time_index: int
 
-    def generator(self):
-        ss = np.random.SeedSequence(
-            entropy=self.master_seed, spawn_key=(self.sample_index, self.time_index)
-        )
-        return np.random.Generator(np.random.Philox(ss))
+
+# numpy's SeedSequence hash (a pool of four 32-bit words), written out so that
+# one array of sample indices is hashed at once; every value is a Python int
+# or a uint64 array holding 32-bit words.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(n):
+    """The 32-bit words of a nonnegative integer, least significant first
+    (one word for 0), as SeedSequence splits its entropy."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"stream ids must be nonnegative, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value, const, mult):
+    """One hash of a word with the running constant ``const`` (SeedSequence's
+    ``hashmix`` with mult A, a ``generate_state`` word with mult B)."""
+    value = (value ^ const) * (const * mult & _MASK32) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _successors(const, mult):
+    """The next ``_POOL_SIZE`` running hash constants from ``const``, and the
+    one after them."""
+    consts = []
+    for _ in range(_POOL_SIZE):
+        consts.append(const)
+        const = const * mult & _MASK32
+    return consts, const
+
+
+@lru_cache(maxsize=64)
+def _master_pool(master_seed):
+    """The pool, a (_POOL_SIZE, 1) column, and the running hash constant after
+    the master seed's words (zero padded to the pool size, as with a spawn
+    key): the part of every stream's hash that the sample and time indices
+    do not touch."""
+    words = _uint32_words(master_seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    consts, const = _successors(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, c, _MULT_A) for word, c in zip(words, consts)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const, _MULT_A))
+                const = const * _MULT_A & _MASK32
+    pool, const = _mix_words(np.array(pool, dtype=np.uint64)[:, None], const, words[_POOL_SIZE:])
+    pool.flags.writeable = False  # shared by every call with this seed
+    return pool, const
+
+
+def _mix_words(pool, const, words):
+    """Mix entropy words past the pool size into every pool word. The pool is
+    a (_POOL_SIZE, B) array with one column per stream, hashed against a
+    column of constants; a word is an int or a (B,) array."""
+    for word in words:
+        consts, const = _successors(const, _MULT_A)
+        pool = _mix(pool, _hashmix(word, np.array(consts, dtype=np.uint64)[:, None], _MULT_A))
+    return pool, const
+
+
+def _pool_keys(pool):
+    """``generate_state(2, np.uint64)`` of every column of a pool: (B, 2)."""
+    consts, _ = _successors(_INIT_B, _MULT_B)
+    words = _hashmix(pool, np.array(consts, dtype=np.uint64)[:, None], _MULT_B)
+    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1)
+
+
+def stream_keys(master_seed, sample_index, time_index):
+    """Philox keys of the streams (master_seed, s, time_index): (2,) for an
+    integer s, from numpy's ``SeedSequence(entropy=master_seed, spawn_key=(s,
+    time_index)).generate_state(2, np.uint64)`` (the key a Philox seeded
+    by that SeedSequence takes), and (B, 2) for an integer
+    array, bit-identical to that. The array is hashed in one pass over the
+    block when every entry fits one 32-bit word; larger entries go through
+    numpy's SeedSequence one by one."""
+    if isinstance(sample_index, (int, np.integer)):
+        ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(sample_index, time_index))
+        return ss.generate_state(2, np.uint64)
+    samples = np.asarray(sample_index).reshape(-1)
+    if samples.size and samples.min() < 0:
+        raise ValueError(f"stream ids must be nonnegative, got {samples.min()}")
+    words = samples.astype(np.uint64)
+    pool, const = _master_pool(int(master_seed))
+    keys = _pool_keys(_mix_words(pool, const, [words] + _uint32_words(time_index))[0])
+    for b in np.flatnonzero(words > _MASK32):
+        keys[b] = stream_keys(master_seed, int(samples[b]), time_index)
+    return keys
+
+
+class _KeyedNormals:
+    """Standard normals of keyed streams from one reused Philox: with the key
+    set, a zero counter and an empty buffer it continues exactly as a Philox
+    seeded by a SeedSequence whose ``generate_state(2, np.uint64)`` is that
+    key. Each call sets the whole state, so no draw depends on an earlier
+    one; not thread-safe."""
+
+    def __init__(self):
+        self.bits = np.random.Philox(0)
+        self.normals = np.random.Generator(self.bits).standard_normal
+        self.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def __call__(self, key, n):
+        self.state["state"]["key"] = key
+        self.bits.state = self.state
+        return self.normals(n)
+
+
+_keyed_normals = _KeyedNormals()
 
 
 @dataclass(frozen=True)
 class NoiseIncrement:
-    """One sampled Wiener increment: coeffs_k = q_k sqrt(dt) xi_k."""
+    """One sampled Wiener increment: coeffs_k = q_k sqrt(dt) xi_k; a block of
+    increments has coeffs of shape (B, k_max), one row per sample."""
 
     coeffs: np.ndarray
     dt: float
 
     @property
     def k_norm_sq(self):
-        """Squared norm of the increment in the covariance space."""
-        return float(np.sum(self.coeffs**2))
+        """Squared norm of the increment in the covariance space (per row)."""
+        return np.sum(self.coeffs**2, axis=-1)
 
 
 def sample_increment(noise, rng, dt):
-    """Draw a Q-Wiener increment over a step of length dt from a stream."""
+    """Draw a Q-Wiener increment over a step of length dt from a stream.
+
+    ``rng`` is an ``RngStream`` or a numpy generator. A stream whose
+    ``sample_index`` is an array gives coeffs of shape (B, k_max), row b
+    bit-identical to the increment of the stream of ``sample_index[b]``
+    alone: each row is drawn from its own keyed Philox stream."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    xi = gen.standard_normal(noise.k_max)
+    if isinstance(rng, RngStream):
+        keys = stream_keys(rng.master_seed, rng.sample_index, rng.time_index)
+        xi = np.array([_keyed_normals(key, noise.k_max) for key in keys.reshape(-1, 2)])
+        xi = xi.reshape(keys.shape[:-1] + (noise.k_max,))
+    else:
+        xi = rng.standard_normal(noise.k_max)
     return NoiseIncrement(noise.q * np.sqrt(dt) * xi, float(dt))
 
 

@@ -10,6 +10,13 @@ is damped Newton with the smoothed flux Jacobian, falling back to the
 frozen-coefficient (Kacanov) iteration; time steps are uniform and a step
 that fails both strategies aborts the trajectory with diagnostics.
 
+Samples advance in lockstep blocks (``run_block``): the states of B samples
+are one (B, n) array, each step draws the block's increments with one keyed
+noise call, and ``Stepper.step`` moves the whole block, carrying a
+per-sample active mask through Newton, its line search and the fallback, so
+each sample stops once it has converged. A single path (``run_trajectory``)
+is a block of one.
+
 All three system matrices (Newton Jacobian, Kacanov matrix, linear
 operator) are the mass plus ``dt`` times a weighted gradient form: the
 discretisation fills their slot values from per-cell blocks and solves them
@@ -29,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .flux import LINEAR_DIFFUSION, P_LAPLACE, REGULARIZED_P_LAPLACE, eval_flux, eval_flux_jacobian
-from .noise import NoiseIncrement, RngStream, sample_increment
+from .noise import RngStream, sample_increment
 
 
 @dataclass(frozen=True)
@@ -68,13 +75,28 @@ class SpaceTimeGD:
 
 
 class StepFailure(RuntimeError):
-    """Nonlinear solve failed; carries the best iterate and its residual."""
+    """Nonlinear solve failed; carries the best iterate and its residual.
 
-    def __init__(self, message, best_iterate, residual_norm, step_index=None):
+    ``block_row`` is the failing row of the block ``Stepper.step`` advanced;
+    the trajectory runner adds the ``step_index`` and the ``sample_index``,
+    and the message names both once they are set."""
+
+    def __init__(self, message, best_iterate, residual_norm, step_index=None, sample_index=None, block_row=0):
         super().__init__(message)
+        self.message = message
         self.best_iterate = best_iterate
         self.residual_norm = residual_norm
         self.step_index = step_index
+        self.sample_index = sample_index
+        self.block_row = block_row
+
+    def __str__(self):
+        where = [
+            f"{name} {value}"
+            for name, value in (("sample", self.sample_index), ("step", self.step_index))
+            if value is not None
+        ]
+        return f"{self.message} at {', '.join(where)}" if where else self.message
 
 
 @dataclass
@@ -98,8 +120,22 @@ class Trajectory:
     increments: np.ndarray = None
 
 
+def _rows(A, X):
+    """``A`` (dense or sparse) applied to every row of ``X``."""
+    return (A @ X.T).T
+
+
 class Stepper:
-    """Assembles and solves one implicit step; reused along a trajectory.
+    """Assembles and solves one implicit step for a block of samples; reused
+    along their trajectories.
+
+    ``step`` advances B samples at once, states held as a (B, n) array; a
+    single sample is a block of one. Rows never mix: each is the step of its
+    own sample, and the nonlinear solver carries a per-row active mask, so a
+    row stops as soon as it has converged and its iterates depend only on
+    its own data. Every evaluation covers the active rows at once: one flux
+    and one flux-Jacobian call on all their points, and one
+    ``gd.form_values`` fill of all their systems.
 
     Every system the step solves has the form ``M + dt sum_c C_c^T B_c C_c``
     with the per-cell gradient stencils C_c of the discretisation
@@ -107,8 +143,9 @@ class Stepper:
     the linear operator differ only in the per-cell blocks B_c. ``_system``
     adds the mass, mapped into the form's slots once here, to ``dt`` times
     the discretisation's fill ``gd.form_values``, and ``_solve`` factors and
-    solves the slot values by the discretisation's band LU
-    (``gd.form_solver``); the linear operator is factored once.
+    solves each row's slot values by the discretisation's band LU
+    (``gd.form_solver``). The linear operator is factored once, and a step
+    solves it for the B right-hand sides in one call.
 
     The flux and its Jacobian are evaluated on a flux rule built here: the
     cell of each point, the weighted sum per cell, and the operator giving
@@ -119,8 +156,9 @@ class Stepper:
     points, since the noise basis varies inside a cell.
 
     The number of unknowns picks only the storage of the constant operators
-    (the reconstruction, its weighted transpose, the mass, the flux rule's
-    operators, and the linear operator for its residual check): up to
+    (the reconstruction, its weighted transpose, the mass, the gradient
+    operator G and its transpose, the flux rule's operators, and the linear
+    operator for its residual check): up to
     ``_DENSE_LIMIT`` unknowns they are dense arrays, since sparse products
     cost more than the arithmetic at that scale, and above it CSR matrices.
     The benchmark has a workload on each side (``oracle_pool`` dense,
@@ -141,7 +179,7 @@ class Stepper:
         self._P = store(gd.P)
         self._PTw = store(gd.P.T @ sp.diags(gd.quad_w))
         self._M = store(gd.mass)
-        self._cell_dofs, self._cell_coef = gd.stencils
+        self._G, self._GT = store(gd.G), store(gd.G.T)
         n_cells = gd.mesh.n_cells
         # the flux rule (see the class docstring); cell_sum sums weighted point
         # values per cell
@@ -166,42 +204,59 @@ class Stepper:
 
     def _system(self, blocks):
         """Slot values of ``M + dt sum_c C_c^T blocks[c] C_c``; blocks as in
-        ``gd.form_values``."""
+        ``gd.form_values``, one form or a block of forms."""
         return self._mass_vals + self.dt * self.gd.form_values(blocks)
 
-    def _gradients(self, u):
-        return np.einsum("cdk,ck->cd", self._cell_coef, u[self._cell_dofs])
+    def _gradients(self, U):
+        """Per-cell gradients (B, n_cells, dim) of the rows of U."""
+        return _rows(self._G, U).reshape(len(U), -1, self.gd.dim)
 
-    def noise_values(self, u_n, inc):
-        """f0(Pi u_n) * sum_k c_k e_k at the quadrature points."""
-        return self.noise.f0(self._P @ u_n) * (self.E @ inc.coeffs)
+    def noise_values(self, U_n, C):
+        """f0(Pi u_n) * sum_k c_k e_k at the quadrature points, (B, n_q), for
+        states U_n (B, n) and increment coefficients C (B, k_max)."""
+        return self.noise.f0(_rows(self._P, U_n)) * (C @ self.E.T)
 
-    def _flux_integrals(self, u, g):
-        """Cell integrals (n_cells, dim) of a(Pi u, g) by the flux rule, for
-        the per-cell gradients g of u."""
-        return self._rule_sum @ eval_flux(self.flux, self._rule_P @ u, g[self._rule_cell])
+    def _cell_sums(self, X):
+        """Weighted per-cell sums (B, n_cells, ...) by the flux rule of point
+        values X (B, n_points, ...)."""
+        B, n_points = X.shape[:2]
+        sums = self._rule_sum @ X.swapaxes(0, 1).reshape(n_points, -1)
+        return sums.reshape((-1, B) + X.shape[2:]).swapaxes(0, 1)
 
-    def _flux_vector(self, u):
-        local = np.einsum("cdk,cd->ck", self._cell_coef, self._flux_integrals(u, self._gradients(u)))
-        return np.bincount(self._cell_dofs.ravel(), weights=local.ravel(), minlength=self.gd.n_dofs)
+    def _rule_arguments(self, U, g):
+        """The flux arguments at the rule's points of every row, flattened:
+        values Pi u (B * n_points,) and gradients (B * n_points, dim)."""
+        return _rows(self._rule_P, U).ravel(), g[:, self._rule_cell].reshape(-1, self.gd.dim)
 
-    def residual(self, u, u_n, b_noise):
-        return self._M @ (u - u_n) + self.dt * self._flux_vector(u) - b_noise
+    def _flux_integrals(self, U, g):
+        """Cell integrals (B, n_cells, dim) of a(Pi u, g) by the flux rule,
+        for the rows of U and their per-cell gradients g."""
+        a = eval_flux(self.flux, *self._rule_arguments(U, g))
+        return self._cell_sums(a.reshape(len(U), -1, self.gd.dim))
 
-    def _jacobian(self, u):
+    def _flux_vector(self, U):
+        """The flux term <a(Pi u, grad u), grad phi_i> of every row, (B, n)."""
+        return _rows(self._GT, self._flux_integrals(U, self._gradients(U)).reshape(len(U), -1))
+
+    def residual(self, U, U_n, b_noise):
+        """Residuals (B, n) of the step equation at the rows of U."""
+        return _rows(self._M, U - U_n) + self.dt * self._flux_vector(U) - b_noise
+
+    def _jacobian(self, U):
+        """Slot values (B, n_slots) of the Newton matrix at every row of U."""
         d = self.gd.dim
-        J = eval_flux_jacobian(self.flux, self._rule_P @ u, self._gradients(u)[self._rule_cell])
-        blocks = self._rule_sum @ J.reshape(len(J), -1)
-        return self._system(blocks.reshape(-1, d, d))
+        J = eval_flux_jacobian(self.flux, *self._rule_arguments(U, self._gradients(U)))
+        return self._system(self._cell_sums(J.reshape(len(U), -1, d, d)))
 
     def _solve(self, values, b):
-        """Solve the system with these slot values for ``b``."""
-        return self.gd.form_solver(values)(b)
+        """Solve, row by row, the system with slot values ``values[i]`` for
+        ``b[i]``."""
+        return np.array([self.gd.form_solver(v)(r) for v, r in zip(values, b)]).reshape(b.shape)
 
-    def _kacanov_weights(self, u):
-        gd = self.gd
-        g = self._gradients(u)
-        r = np.linalg.norm(g, axis=1)
+    def _kacanov_weights(self, U):
+        """Frozen-coefficient weights (B, n_cells) at every row of U."""
+        g = self._gradients(U)
+        r = np.linalg.norm(g, axis=2)
         p = self.flux.p
         if self.flux.kind == P_LAPLACE:
             eps = max(self.flux.newton_epsilon, 1e-12)
@@ -209,112 +264,156 @@ class Stepper:
         if self.flux.kind == REGULARIZED_P_LAPLACE:
             return (1.0 + r) ** (p - 2.0)
         if self.flux.kind == LINEAR_DIFFUSION:
-            return np.ones(gd.mesh.n_cells)
+            return np.ones_like(r)
         # custom: project the cell integral of the flux on the gradient
-        a = self._flux_integrals(u, g)
-        w = np.ones(gd.mesh.n_cells)
+        a = self._flux_integrals(U, g)
+        w = np.ones_like(r)
         nz = r > 1e-14
-        w[nz] = np.sum(a[nz] * g[nz], axis=1) / (gd.mesh.cell_measures[nz] * r[nz] ** 2)
+        meas = np.broadcast_to(self.gd.mesh.cell_measures, r.shape)
+        w[nz] = np.sum(a[nz] * g[nz], axis=1) / (meas[nz] * r[nz] ** 2)
         return np.maximum(w, 1e-14)
 
-    def step(self, u_n, inc):
-        """Advance one step; returns (u_next, residual_norm, iterations, z)
-        where z is the sampled noise term at the quadrature points."""
-        gd = self.gd
+    def step(self, U_n, C):
+        """Advance a block one step: states U_n (B, n) and increment
+        coefficients C (B, k_max). Returns (U, residual norms (B,),
+        iterations (B,), Z) where Z (B, n_q) is the sampled noise term at the
+        quadrature points.
+
+        Damped Newton runs on the rows not yet converged; a row whose line
+        search fails, or that is still unconverged after ``max_newton``
+        iterations, goes on to the frozen-coefficient (Kacanov) iteration.
+        A row unconverged after both raises ``StepFailure`` for the first
+        such row (``block_row``)."""
         cfg = self.cfg
-        z = self.noise_values(u_n, inc)
-        b_noise = self._PTw @ z
-        rhs = self._M @ u_n + b_noise
+        tol = cfg.newton_tol
+        Z = self.noise_values(U_n, C)
+        b_noise = _rows(self._PTw, Z)
+        rhs = _rows(self._M, U_n) + b_noise
+        B = len(U_n)
 
         if self._linear_solve is not None:
-            u = self._linear_solve(rhs)
-            return u, np.linalg.norm(self._A_lin @ u - rhs), 1, z
+            U = self._linear_solve(rhs.T).T
+            return U, np.linalg.norm(_rows(self._A_lin, U) - rhs, axis=1), np.ones(B, dtype=int), Z
 
-        u = u_n.copy()
-        R = self.residual(u, u_n, b_noise)
-        nr = np.linalg.norm(R)
-        best_u, best_nr = u, nr
-        iters = 0
+        U = U_n.copy()
+        R = self.residual(U, U_n, b_noise)
+        nr = np.linalg.norm(R, axis=1)
+        best_U, best_nr = U.copy(), nr.copy()
+        iters = np.zeros(B, dtype=int)
+
+        def keep_best(rows):
+            better = rows[nr[rows] < best_nr[rows]]
+            best_U[better], best_nr[better] = U[better], nr[better]
+
+        active = nr > tol
         for _ in range(cfg.max_newton):
-            if nr <= cfg.newton_tol:
-                return u, nr, iters, z
-            iters += 1
-            du = self._solve(self._jacobian(u), -R)
-            t = 1.0
-            accepted = False
-            while t >= 1e-10:
-                u_try = u + t * du
-                R_try = self.residual(u_try, u_n, b_noise)
-                nr_try = np.linalg.norm(R_try)
-                if nr_try < nr * (1.0 - 1e-4 * t) or nr_try <= cfg.newton_tol:
-                    u, R, nr = u_try, R_try, nr_try
-                    accepted = True
-                    break
-                t *= cfg.line_search_shrink
-            if nr < best_nr:
-                best_u, best_nr = u, nr
-            if not accepted:
+            rows = np.flatnonzero(active)
+            if rows.size == 0:
                 break
-        if nr <= cfg.newton_tol:
-            return u, nr, iters, z
+            iters[rows] += 1
+            dU = self._solve(self._jacobian(U[rows]), -R[rows])
+            t = 1.0
+            searching = np.arange(rows.size)  # positions in rows
+            while t >= 1e-10 and searching.size:
+                r = rows[searching]
+                U_try = U[r] + t * dU[searching]
+                R_try = self.residual(U_try, U_n[r], b_noise[r])
+                nr_try = np.linalg.norm(R_try, axis=1)
+                ok = (nr_try < nr[r] * (1.0 - 1e-4 * t)) | (nr_try <= tol)
+                U[r[ok]], R[r[ok]], nr[r[ok]] = U_try[ok], R_try[ok], nr_try[ok]
+                searching = searching[~ok]
+                t *= cfg.line_search_shrink
+            keep_best(rows)
+            active[rows] = nr[rows] > tol
+            active[rows[searching]] = False  # a failed line search ends Newton
 
         # frozen-coefficient (Kacanov) fallback: isotropic blocks meas * w * I
+        active = nr > tol
+        meas = self.gd.mesh.cell_measures
         for _ in range(cfg.max_fixed_point):
-            iters += 1
-            u = self._solve(self._system(gd.mesh.cell_measures * self._kacanov_weights(u)), rhs)
-            nr = np.linalg.norm(self.residual(u, u_n, b_noise))
-            if nr < best_nr:
-                best_u, best_nr = u, nr
-            if nr <= cfg.newton_tol:
-                return u, nr, iters, z
-        raise StepFailure(
-            f"nonlinear step did not converge (best residual {best_nr:.3e})",
-            best_u,
-            best_nr,
-        )
+            rows = np.flatnonzero(active)
+            if rows.size == 0:
+                break
+            iters[rows] += 1
+            U[rows] = self._solve(self._system(meas * self._kacanov_weights(U[rows])), rhs[rows])
+            nr[rows] = np.linalg.norm(self.residual(U[rows], U_n[rows], b_noise[rows]), axis=1)
+            keep_best(rows)
+            active[rows] = nr[rows] > tol
+        if active.any():
+            row = int(np.flatnonzero(active)[0])
+            raise StepFailure(
+                f"nonlinear step did not converge (best residual {best_nr[row]:.3e})",
+                best_U[row],
+                best_nr[row],
+                block_row=row,
+            )
+        return U, nr, iters, Z
 
 
 def solve_step(sgd, flux_model, noise, u_n, inc, cfg=None):
     """Single implicit step from u_n with a given noise increment."""
     stepper = Stepper(sgd, flux_model, noise, cfg)
-    u, res, iters, _ = stepper.step(np.asarray(u_n, dtype=float), inc)
-    return u, res, iters
+    U, res, iters, _ = stepper.step(np.asarray(u_n, dtype=float)[None], np.asarray(inc.coeffs, dtype=float)[None])
+    return U[0], res[0], iters[0]
 
 
-def run_trajectory(sgd, flux_model, noise, u0, master_seed, sample_index, cfg=None, increments=None, _stepper=None):
-    """Simulate one full path of the scheme.
+def run_block(sgd, flux_model, noise, u0, master_seed, samples, cfg=None, increments=None, _stepper=None):
+    """Simulate the paths of a block of samples in lockstep; returns one
+    ``Trajectory`` per entry of ``samples``, in order.
 
     ``u0`` is either a callable initial condition (interpolated onto the
-    discrete space) or a DOF vector. ``increments`` optionally prescribes the
-    per-step spectral increment coefficients, e.g. for coupled-refinement
-    studies; by default step n draws from the stream
-    (master_seed, sample_index, n+1), so a path is a deterministic function
-    of (master_seed, sample_index).
+    discrete space) or a DOF vector, shared by the block. ``increments``
+    optionally prescribes the spectral increment coefficients, (B, N,
+    k_max); by default step n of sample s draws from the stream
+    (master_seed, s, n+1), one keyed draw for the whole block per step. A
+    failed step raises ``StepFailure`` naming the first step at which a
+    sample fails and the first such sample of the block.
     """
     gd = sgd.gd
     N = sgd.n_steps
     stepper = _stepper if _stepper is not None else Stepper(sgd, flux_model, noise, cfg)
-    u = np.zeros((N + 1, gd.n_dofs))
-    u[0] = gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)
-    m_partial = np.zeros((N, len(gd.quad_w)))
-    residuals = np.zeros(N)
-    newton_iters = np.zeros(N, dtype=int)
-    used = np.zeros((N, noise.k_max))
+    samples = [int(s) for s in samples]
+    B = len(samples)
+    u = np.zeros((B, N + 1, gd.n_dofs))
+    u[:, 0] = gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)
+    m_partial = np.zeros((B, N, len(gd.quad_w)))
+    residuals = np.zeros((B, N))
+    newton_iters = np.zeros((B, N), dtype=int)
+    used = np.zeros((B, N, noise.k_max))
+    stream_ids = np.array(samples, dtype=np.int64)
     for n in range(N):
         if increments is not None:
-            inc = NoiseIncrement(np.asarray(increments[n], dtype=float), sgd.dt)
+            used[:, n] = increments[:, n]
         else:
-            inc = sample_increment(noise, RngStream(master_seed, sample_index, n + 1), sgd.dt)
-        used[n] = inc.coeffs
+            used[:, n] = sample_increment(noise, RngStream(master_seed, stream_ids, n + 1), sgd.dt).coeffs
         try:
-            u[n + 1], residuals[n], newton_iters[n], z = stepper.step(u[n], inc)
+            u[:, n + 1], residuals[:, n], newton_iters[:, n], z = stepper.step(u[:, n], used[:, n])
         except StepFailure as exc:
             exc.step_index = n
+            exc.sample_index = samples[exc.block_row]
             raise
-        m_partial[n] = (m_partial[n - 1] if n > 0 else 0.0) + z
-    return Trajectory(
-        sgd, flux_model, noise, u, m_partial, master_seed, sample_index, residuals, newton_iters, used
-    )
+        m_partial[:, n] = (m_partial[:, n - 1] if n > 0 else 0.0) + z
+    return [
+        Trajectory(sgd, flux_model, noise, u[b], m_partial[b], master_seed, s, residuals[b], newton_iters[b], used[b])
+        for b, s in enumerate(samples)
+    ]
+
+
+def run_trajectory(sgd, flux_model, noise, u0, master_seed, sample_index, cfg=None, increments=None, _stepper=None):
+    """Simulate one full path of the scheme: ``run_block`` for a block of one.
+
+    ``u0`` is either a callable initial condition (interpolated onto the
+    discrete space) or a DOF vector. ``increments`` optionally prescribes the
+    per-step spectral increment coefficients, (N, k_max), e.g. for
+    coupled-refinement studies; by default step n draws from the stream
+    (master_seed, sample_index, n+1), so a path is a deterministic function
+    of (master_seed, sample_index).
+    """
+    if increments is not None:
+        increments = np.asarray(increments, dtype=float)[None]
+    return run_block(
+        sgd, flux_model, noise, u0, master_seed, [sample_index], cfg, increments, _stepper
+    )[0]
 
 
 def energy_identity_residual(traj):
@@ -323,7 +422,7 @@ def energy_identity_residual(traj):
     1/2||Pi u^(n+1)||^2 + 1/2||Pi(u^(n+1)-u^(n))||^2 + dt<a, grad u^(n+1)>
         = 1/2||Pi u^(n)||^2 + <f dW, Pi u^(n+1)>."""
     gd = traj.sgd.gd
-    stepper = Stepper(traj.sgd, traj.flux, traj.noise)
+    flux_terms = Stepper(traj.sgd, traj.flux, traj.noise)._flux_vector(traj.u[1:])
     worst = 0.0
     for n in range(traj.sgd.n_steps):
         u_new, u_old = traj.u[n + 1], traj.u[n]
@@ -331,7 +430,7 @@ def energy_identity_residual(traj):
         lhs = (
             0.5 * gd.l2_inner(u_new, u_new)
             + 0.5 * gd.l2_inner(u_new - u_old, u_new - u_old)
-            + traj.sgd.dt * float(stepper._flux_vector(u_new) @ u_new)
+            + traj.sgd.dt * float(flux_terms[n] @ u_new)
         )
         rhs = 0.5 * gd.l2_inner(u_old, u_old) + float(
             (gd.P.T @ (gd.quad_w * z)) @ u_new

@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 
 from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation
 from sgdm.analysis import (
+    ENSEMBLE_BLOCK,
     DualNormSolver,
     EnsembleAccumulator,
     TimePath,
@@ -28,9 +29,10 @@ from sgdm.analysis import (
     time_translate_estimator,
     u_path,
 )
+from sgdm.analysis import _sample_blocks
 from sgdm.flux import linear_diffusion, p_laplace
 from sgdm.noise import make_noise
-from sgdm.scheme import SpaceTimeGD, run_trajectory
+from sgdm.scheme import SpaceTimeGD, run_block, run_trajectory
 
 from conftest import sin_pi, sin_product, zero_field
 
@@ -406,6 +408,41 @@ class TestEstimators:
         assert a.energy_max_l2_sq == b.energy_max_l2_sq
         assert a.translate_table == b.translate_table
         assert a.dual_increment_table == b.dual_increment_table
+        assert a.martingale_h_beta == b.martingale_h_beta
+
+
+
+class TestBlocks:
+    def test_block_boundaries_depend_only_on_sample_indices(self):
+        B = ENSEMBLE_BLOCK
+        assert _sample_blocks(0, 2 * B + 3) == [range(0, B), range(B, 2 * B), range(2 * B, 2 * B + 3)]
+        assert _sample_blocks(B - 2, 4) == [range(B - 2, B), range(B, B + 2)]
+        assert _sample_blocks(5, 0) == []
+
+    def test_iter_trajectories_runs_the_fixed_blocks(self, small_ensemble):
+        sgd, flux, noise, _ = small_ensemble
+        start, n = ENSEMBLE_BLOCK - 3, 7
+        trajs = list(iter_trajectories(sgd, flux, noise, sin_pi, 41, n, start=start))
+        assert [t.sample_index for t in trajs] == list(range(start, start + n))
+        blocks = [run_block(sgd, flux, noise, sin_pi, 41, block) for block in _sample_blocks(start, n)]
+        for got, want in zip(trajs, [t for block in blocks for t in block]):
+            np.testing.assert_array_equal(got.u, want.u)
+            np.testing.assert_array_equal(got.m_partial, want.m_partial)
+
+    def test_reports_identical_across_workers_over_several_blocks(self, single_dof_gd):
+        sgd = SpaceTimeGD(single_dof_gd, T=0.5, n_steps=4)
+        noise = make_noise(single_dof_gd.mesh.bounding_box, 1, f0="constant")
+        kwargs = dict(translate_ells=(1,), dual_ells=(), with_dual=False, extra_fn=lambda t: t.u[:, 0])
+        n = 2 * ENSEMBLE_BLOCK + 5
+        reports = [
+            run_ensemble(sgd, linear_diffusion(), noise, np.ones(1), 3, n, kwargs, workers=w) for w in (1, 2)
+        ]
+        for rep in reports:
+            assert rep.n_samples == n
+        a, b = reports
+        np.testing.assert_array_equal(a.extra.s, b.extra.s)
+        np.testing.assert_array_equal(a.extra.s2, b.extra.s2)
+        assert a.translate_table == b.translate_table
         assert a.martingale_h_beta == b.martingale_h_beta
 
 

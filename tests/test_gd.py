@@ -191,6 +191,34 @@ class TestGradientForm:
         ref = spla.spsolve(gd.form_matrix(vals), rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_band_solve_of_several_right_hand_sides(self, local_basis_gd):
+        gd = local_basis_gd
+        vals = gd.form_values_of(gd.mass) + gd.form_values(gd.mesh.cell_measures)
+        rhs = np.random.default_rng(11).standard_normal((gd.n_dofs, 3))
+        kept = rhs.copy()
+        solve = gd.form_solver(vals)
+        X = solve(rhs)
+        np.testing.assert_array_equal(rhs, kept)
+        assert X.shape == rhs.shape
+        for j in range(3):
+            x = solve(rhs[:, j])
+            assert np.abs(X[:, j] - x).max() <= 1e-14 * np.abs(x).max()
+
+    def test_form_values_of_a_block_match_each_form(self, local_basis_gd):
+        # one bincount over offset slots fills every form as it is filled alone
+        gd = local_basis_gd
+        rng = np.random.default_rng(12)
+        blocks = rng.standard_normal((3, gd.mesh.n_cells, gd.dim, gd.dim))
+        weights = rng.random((3, gd.mesh.n_cells))
+        for block in (blocks, weights):
+            values = gd.form_values(block)
+            assert values.shape == (3, len(gd.form_values(block[0])))
+            for b in range(3):
+                np.testing.assert_array_equal(values[b], gd.form_values(block[b]))
+        isotropic = gd.form_values(weights[0][:, None, None] * np.eye(gd.dim))
+        got = gd.form_values(weights[0])
+        assert np.abs(got - isotropic).max() <= 1e-14 * np.abs(isotropic).max()
+
     def test_band_order_picks_reverse_cuthill_mckee(self):
         gd = build_gd(refine(build_uniform_triangulation(10, 10)), "p1")
         A = gd.gradient_form(gd.mesh.cell_measures).tocoo()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation
-from sgdm.noise import RngStream, apply_noise, growth_check, make_noise, sample_increment
+from sgdm.noise import RngStream, apply_noise, growth_check, make_noise, sample_increment, stream_keys
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +62,50 @@ class TestIncrements:
         c = np.array([sample_increment(noise, RngStream(6, s, 1), 1.0).coeffs[0] for s in range(n)])
         assert abs(np.corrcoef(a, b)[0, 1]) <= 3.0 / np.sqrt(n)
         assert abs(np.corrcoef(a, c)[0, 1]) <= 3.0 / np.sqrt(n)
+
+
+def _numpy_stream(master_seed, sample, step):
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(sample, step))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+class TestBlockStreams:
+    SAMPLES = np.array([0, 2**32 + 1, 5, 0, 2**32 - 1])
+
+    @pytest.mark.parametrize("master_seed", [0, 11, 2**32 + 5, 2**70])
+    @pytest.mark.parametrize("step", [0, 1, 16])
+    def test_block_draws_bit_identical_to_per_key_generators(self, master_seed, step):
+        noise = make_noise([[0.0], [1.0]], 6, q=np.ones(6), f0="constant")
+        block = sample_increment(noise, RngStream(master_seed, self.SAMPLES, step), 1.0).coeffs
+        assert block.shape == (len(self.SAMPLES), 6)
+        for row, s in zip(block, self.SAMPLES.tolist()):
+            np.testing.assert_array_equal(row, _numpy_stream(master_seed, s, step).standard_normal(6))
+            alone = sample_increment(noise, RngStream(master_seed, s, step), 1.0).coeffs
+            np.testing.assert_array_equal(row, alone)
+
+    @pytest.mark.parametrize("master_seed", [0, 11, 2**32 + 5, 2**70])
+    def test_block_keys_are_seed_sequence_states(self, master_seed):
+        samples = np.concatenate([np.arange(40), self.SAMPLES])
+        for step in (0, 1, 16, 2**40):
+            keys = stream_keys(master_seed, samples, step)
+            want = [
+                np.random.SeedSequence(entropy=master_seed, spawn_key=(s, step)).generate_state(2, np.uint64)
+                for s in samples.tolist()
+            ]
+            np.testing.assert_array_equal(keys, want)
+
+    def test_scaled_rows_and_row_norms(self):
+        noise = make_noise([[0.0], [1.0]], 4, f0="tanh")
+        inc = sample_increment(noise, RngStream(7, np.arange(3), 2), 0.25)
+        for s in range(3):
+            alone = sample_increment(noise, RngStream(7, s, 2), 0.25)
+            np.testing.assert_array_equal(inc.coeffs[s], alone.coeffs)
+            assert inc.k_norm_sq[s] == alone.k_norm_sq
+
+    def test_negative_sample_rejected(self):
+        noise = make_noise([[0.0], [1.0]], 1, f0="constant")
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_increment(noise, RngStream(1, np.array([3, -1]), 1), 0.1)
 
 
 class TestBasis:

@@ -16,6 +16,7 @@ from sgdm.flux import (
     p_laplace,
     regularized_p_laplace,
 )
+from sgdm.analysis import iter_trajectories
 from sgdm.noise import NoiseIncrement, RngStream, make_noise, sample_increment
 from sgdm.scheme import (
     SolverConfig,
@@ -23,6 +24,7 @@ from sgdm.scheme import (
     StepFailure,
     Stepper,
     energy_identity_residual,
+    run_block,
     run_trajectory,
     save_trajectory,
     solve_step,
@@ -70,7 +72,7 @@ class TestSolveStep:
         lhs = (
             0.5 * gd.l2_inner(u1, u1)
             + 0.5 * gd.l2_inner(u1 - u_n, u1 - u_n)
-            + sgd.dt * float(stepper._flux_vector(u1) @ u1)
+            + sgd.dt * float(stepper._flux_vector(u1[None])[0] @ u1)
         )
         rhs = 0.5 * gd.l2_inner(u_n, u_n)
         assert abs(lhs - rhs) <= 1e-9
@@ -267,6 +269,12 @@ def _reference_jacobian(stepper, u):
     return (gd.mass + stepper.dt * (gd.G.T @ B @ gd.G)).toarray()
 
 
+def _step(stepper, u, inc):
+    """One step of the single state u, as a block of one."""
+    U, res, iters, z = stepper.step(u[None], inc.coeffs[None])
+    return U[0], res[0], iters[0], z[0]
+
+
 def _array(A):
     return A.toarray() if sp.issparse(A) else np.asarray(A)
 
@@ -333,7 +341,7 @@ class TestAssembly:
     def test_jacobian_matches_sparse_product(self, monkeypatch, assembly_case, storage, flux):
         stepper = _stepper(monkeypatch, assembly_case, storage, JACOBIAN_FLUXES[flux]())
         u = assembly_case[2]
-        J = _slot_matrix(stepper, stepper._jacobian(u))
+        J = _slot_matrix(stepper, stepper._jacobian(u[None])[0])
         ref = _reference_jacobian(stepper, u)
         assert np.abs(J - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -342,21 +350,18 @@ class TestAssembly:
         stepper = _stepper(monkeypatch, assembly_case, storage, JACOBIAN_FLUXES[flux]())
         u = assembly_case[2]
         n, h = len(u), 1e-5
-        b = np.zeros(n)
-        fd = np.column_stack(
-            [
-                (stepper.residual(u + h * e, u, b) - stepper.residual(u - h * e, u, b)) / (2 * h)
-                for e in np.eye(n)
-            ]
-        )
-        J = _slot_matrix(stepper, stepper._jacobian(u))
+        b = np.zeros((n, n))
+        U, E = np.broadcast_to(u, (n, n)), h * np.eye(n)
+        # row e of the block is the residual difference along e
+        fd = ((stepper.residual(U + E, U, b) - stepper.residual(U - E, U, b)) / (2 * h)).T
+        J = _slot_matrix(stepper, stepper._jacobian(u[None])[0])
         assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
 
     def test_isotropic_blocks_match_weighted_stiffness(self, monkeypatch, assembly_case, storage):
         # the Kacanov matrix: blocks meas * w * I with the frozen p=3 weights
         stepper = _stepper(monkeypatch, assembly_case, storage, p_laplace(3.0))
         gd, u = stepper.gd, assembly_case[2]
-        w = gd.mesh.cell_measures * stepper._kacanov_weights(u)
+        w = gd.mesh.cell_measures * stepper._kacanov_weights(u[None])[0]
         ref = (gd.mass + stepper.dt * gd.G.T @ sp.diags(np.repeat(w, gd.dim)) @ gd.G).toarray()
         A = _slot_matrix(stepper, stepper._system(w[:, None, None] * np.eye(gd.dim)))
         assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -371,8 +376,8 @@ class TestAssembly:
         kacanov = _stepper(
             monkeypatch, assembly_case, storage, p_laplace(3.0), SolverConfig(max_newton=0)
         )
-        u_newton, res_newton, _, _ = newton.step(u, inc)
-        u_kacanov, res_kacanov, iters, _ = kacanov.step(u, inc)
+        u_newton, res_newton, _, _ = _step(newton, u, inc)
+        u_kacanov, res_kacanov, iters, _ = _step(kacanov, u, inc)
         assert res_newton <= 1e-10 and res_kacanov <= 1e-10
         assert iters >= 1
         np.testing.assert_allclose(u_kacanov, u_newton, rtol=0, atol=1e-8 * np.abs(u_newton).max())
@@ -384,7 +389,7 @@ def test_dense_and_sparse_storage_same_step(monkeypatch, assembly_case):
     for storage in STORAGES:
         for flux in (p_laplace(3.0), linear_diffusion()):
             stepper = _stepper(monkeypatch, assembly_case, storage, flux)
-            out[storage, flux.kind] = stepper.step(u, inc)[0]
+            out[storage, flux.kind] = _step(stepper, u, inc)[0]
     for kind in (p_laplace(3.0).kind, linear_diffusion().kind):
         dense, sparse = out["dense", kind], out["sparse", kind]
         assert np.abs(dense - sparse).max() <= 1e-12 * np.abs(dense).max()
@@ -417,8 +422,8 @@ class TestFluxRule:
                 return original(model, x, y)
 
             monkeypatch.setattr(sgdm.scheme, name, record)
-        stepper._flux_vector(u)
-        stepper._jacobian(u)
+        stepper._flux_vector(u[None])
+        stepper._jacobian(u[None])
         n_cells = sgd.gd.mesh.n_cells
         assert rows == [(n_cells, n_cells)] * 2
 
@@ -432,7 +437,7 @@ class TestFluxRule:
         a_q = eval_flux(flux, gd.P @ u, g[gd.quad_cell])
         np.add.at(integrals, gd.quad_cell, gd.quad_w[:, None] * a_q)
         ref = gd.G.T @ integrals.ravel()
-        got = stepper._flux_vector(u)
+        got = stepper._flux_vector(u[None])[0]
         scale = np.abs(ref).max()
         assert np.abs(got - ref).max() <= 1e-13 * scale
         # one point per cell at the cell mean of Pi u misses the variation
@@ -440,7 +445,7 @@ class TestFluxRule:
         mean = np.bincount(gd.quad_cell, weights=gd.quad_w * (gd.P @ u)) / meas
         one_point = gd.G.T @ (meas[:, None] * eval_flux(flux, mean, g)).ravel()
         assert np.abs(one_point - ref).max() > 1e-6 * scale
-        J = _slot_matrix(stepper, stepper._jacobian(u))
+        J = _slot_matrix(stepper, stepper._jacobian(u[None])[0])
         J_ref = _reference_jacobian(stepper, u)
         assert np.abs(J - J_ref).max() <= 1e-13 * np.abs(J_ref).max()
 
@@ -455,7 +460,88 @@ def test_kacanov_fallback_converges_for_value_dependent_flux():
     u = 1.5 * rng.standard_normal(gd.n_dofs)
     inc = NoiseIncrement(0.3 * rng.standard_normal(4), sgd.dt)
     flux = _value_dependent_flux()
-    u_newton, res_newton, _, _ = Stepper(sgd, flux, noise).step(u, inc)
-    u_kacanov, res_kacanov, _, _ = Stepper(sgd, flux, noise, SolverConfig(max_newton=0)).step(u, inc)
+    u_newton, res_newton, _, _ = _step(Stepper(sgd, flux, noise), u, inc)
+    u_kacanov, res_kacanov, _, _ = _step(Stepper(sgd, flux, noise, SolverConfig(max_newton=0)), u, inc)
     assert res_newton <= 1e-10 and res_kacanov <= 1e-10
     np.testing.assert_allclose(u_kacanov, u_newton, rtol=0, atol=1e-12 * np.abs(u_newton).max())
+
+
+def _sine_product(x):
+    return np.prod(np.sin(np.pi * x), axis=1)
+
+
+BLOCK_FLUXES = {"p3": lambda: p_laplace(3.0), "linear": linear_diffusion, "value_dependent": _value_dependent_flux}
+
+
+def _assert_rows_match_alone(U, res, iters, singles):
+    """Block rows against (u, residual, iterations) of each row stepped alone."""
+    for b, (u, r, it) in enumerate(singles):
+        assert np.abs(U[b] - u).max() <= 1e-12 * max(np.abs(u).max(), 1e-300)
+        assert iters[b] == it
+        assert res[b] <= 1e-10 and r <= 1e-10
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("flux", list(BLOCK_FLUXES))
+    @pytest.mark.parametrize("kind", ["p1", "p1_lumped", "cr"])
+    @pytest.mark.parametrize("mesh", list(MESHES))
+    def test_block_paths_match_single_samples(self, mesh, kind, flux):
+        gd = build_gd(MESHES[mesh](), kind)
+        sgd = SpaceTimeGD(gd, T=0.05, n_steps=5)
+        noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
+        model = BLOCK_FLUXES[flux]()
+        samples = [3, 4, 5, 6, 7]
+        block = run_block(sgd, model, noise, _sine_product, 19, samples)
+        for traj, s in zip(block, samples):
+            alone = run_trajectory(sgd, model, noise, _sine_product, 19, s)
+            assert traj.sample_index == s
+            np.testing.assert_array_equal(traj.increments, alone.increments)
+            assert np.abs(traj.u - alone.u).max() <= 1e-12 * np.abs(alone.u).max()
+            assert np.abs(traj.m_partial - alone.m_partial).max() <= 1e-12 * np.abs(alone.m_partial).max()
+            np.testing.assert_array_equal(traj.per_step_newton_iters, alone.per_step_newton_iters)
+
+    def test_rows_stop_at_their_own_iteration_counts(self, assembly_case):
+        sgd, noise, u, inc = assembly_case
+        stepper = Stepper(sgd, p_laplace(3.0), noise)
+        U = np.array([0.0, 0.01, 0.3, 1.0, 4.0])[:, None] * u
+        C = np.array([0.0, 0.5, 1.0, 1.0, 2.0])[:, None] * inc.coeffs
+        U1, res, iters, Z = stepper.step(U, C)
+        singles = [_step(stepper, U[b], NoiseIncrement(C[b], sgd.dt))[:3] for b in range(len(U))]
+        _assert_rows_match_alone(U1, res, iters, singles)
+        assert iters[0] == 0 and len(set(iters.tolist())) >= 3
+        z = stepper.noise_values(U[2:3], C[2:3])[0]
+        assert np.abs(Z[2] - z).max() <= 1e-14 * np.abs(z).max()
+
+    def test_rows_through_the_kacanov_fallback(self, assembly_case):
+        # at dt = 0.001 one Newton iteration leaves the larger rows short of the
+        # tolerance; the fallback then converges them
+        sgd, noise, u, inc = assembly_case
+        short = SpaceTimeGD(sgd.gd, T=0.004, n_steps=4)
+        stepper = Stepper(short, p_laplace(3.0), noise, SolverConfig(max_newton=1))
+        U = np.array([0.0, 0.1, 0.5, 1.0, 2.0])[:, None] * u
+        C = np.array([0.0, 1.0, 1.0, 1.0, 1.0])[:, None] * inc.coeffs
+        U1, res, iters, _ = stepper.step(U, C)
+        singles = [_step(stepper, U[b], NoiseIncrement(C[b], short.dt))[:3] for b in range(len(U))]
+        _assert_rows_match_alone(U1, res, iters, singles)
+        assert iters[0] == 0 and np.all(iters[1:] > 1)
+
+    def test_block_failure_names_its_sample(self, setup16):
+        sgd, _ = setup16
+        noise = make_noise(sgd.gd.mesh.bounding_box, 4, f0="constant")
+        cfg = SolverConfig(max_newton=1, max_fixed_point=1)
+        # rows 0 and 1 stay at zero; row 2 is driven hard at step 1
+        increments = np.zeros((3, sgd.n_steps, 4))
+        increments[2, 1] = 5.0
+        with pytest.raises(StepFailure) as exc:
+            run_block(sgd, p_laplace(3.0), noise, zero_field, 1, [7, 8, 9], cfg, increments)
+        assert (exc.value.sample_index, exc.value.step_index) == (9, 1)
+        assert "sample 9" in str(exc.value) and "step 1" in str(exc.value)
+        assert exc.value.best_iterate.shape == (sgd.gd.n_dofs,)
+
+    def test_ensemble_failure_names_its_sample(self, setup16):
+        sgd, noise = setup16
+        cfg = SolverConfig(max_newton=1, max_fixed_point=1)
+        with pytest.raises(StepFailure) as exc:
+            list(iter_trajectories(sgd, p_laplace(3.0), noise, sin_pi, 1, 3, cfg, start=18))
+        assert (exc.value.sample_index, exc.value.step_index) == (18, 0)
+        assert "sample 18" in str(exc.value)
