@@ -543,16 +543,35 @@ class EnsembleAccumulator:
         return rep
 
 
-# Samples advance in blocks of this many consecutive indices (see
-# iter_trajectories): enough rows to share each step's interpreter overhead,
-# while a block holds the full paths of only this many samples at once.
+# Samples advance in blocks of consecutive indices (see iter_trajectories),
+# and a block holds the full paths of its samples at once. Measured with
+# run_ensemble of 32 samples at B = 1, 4, 8, 16, 32 (2-vCPU VM): 63
+# unknowns, 64 steps ran 10, 20, 29, 33-37, 37 samples/s; P1 20x20, 16
+# steps ran 12, 17-20, 19-20, 19-23, 17-18/s; hence at most 16 rows. On
+# 20x20 at 64 steps more rows buy nothing past 8 but memory: P1 (5.1 MB a
+# path) ran 3.5, 4.4-5.1, 5.1-5.7, 5.3/s at B up to 16 as peak RSS went
+# 103 -> 241 MB, p1_lumped (30 MB a path) 2.3-2.6/s at any B up to 16 as it
+# went 231 -> 629 MB. A budget of 32 MiB of paths keeps 16 rows on the
+# first two and gives 6 and 1 on these (see ensemble_block).
 ENSEMBLE_BLOCK = 16
+BLOCK_PATH_BYTES = 32 * 2**20
 
 
-def _sample_blocks(start, n_samples):
-    """The blocks [kB, (k+1)B) ∩ [start, start + n_samples), B = ENSEMBLE_BLOCK,
-    in order, as ranges of sample indices."""
-    B, stop = ENSEMBLE_BLOCK, start + n_samples
+def ensemble_block(sgd, noise):
+    """Samples per block for paths on this space-time grid and noise:
+    ``ENSEMBLE_BLOCK``, or fewer when their paths (``scheme.run_block``
+    stores per sample N+1 states, N rows of noise sums at the quadrature
+    points, N increments, residuals and iteration counts) would pass
+    ``BLOCK_PATH_BYTES``; at least one."""
+    gd, N = sgd.gd, sgd.n_steps
+    path_bytes = 8 * ((N + 1) * gd.n_dofs + N * (len(gd.quad_w) + noise.k_max + 2))
+    return int(max(1, min(ENSEMBLE_BLOCK, BLOCK_PATH_BYTES // path_bytes)))
+
+
+def _sample_blocks(start, n_samples, B):
+    """The blocks [kB, (k+1)B) ∩ [start, start + n_samples), in order, as
+    ranges of sample indices."""
+    stop = start + n_samples
     blocks = (range(max(k * B, start), min((k + 1) * B, stop)) for k in range(start // B, -(-stop // B)))
     return [block for block in blocks if block]
 
@@ -564,17 +583,21 @@ def iter_trajectories(sgd, flux_model, noise, u0, master_seed, n_samples, cfg=No
     whole ensemble.
 
     Samples advance in lockstep blocks of sample indices
-    [kB, (k+1)B) ∩ [start, start + n_samples) with B = ``ENSEMBLE_BLOCK``
-    (``scheme.run_block``). The boundaries depend only on the sample
-    indices, so a sample's path is a deterministic function of
-    (master_seed, sample, its block), and bit-identical however the blocks
-    are spread over workers. Its noise is bit-identical to the stream of
-    (master_seed, sample, step) drawn alone; its states agree with
-    ``run_trajectory`` for that sample alone up to the rounding of the
-    block's row arithmetic."""
+    [kB, (k+1)B) ∩ [start, start + n_samples) with B =
+    ``ensemble_block(sgd, noise)`` (``scheme.run_block``). The boundaries
+    depend only on the sample indices and the problem's sizes, so a
+    sample's path is a deterministic function of (master_seed, sample, its
+    block), and bit-identical however the blocks are spread over workers.
+    Its noise is bit-identical to the stream of (master_seed, sample, step)
+    drawn alone; its states agree with ``run_trajectory`` for that sample
+    alone up to the rounding of the block's row arithmetic.
+
+    A ``StepFailure`` in a block ends the generator before any sample of
+    that block is yielded: the samples of earlier blocks have been
+    yielded, the failing block's earlier samples are discarded with it."""
     u0_vec = sgd.gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)
     stepper = Stepper(sgd, flux_model, noise, cfg)
-    for block in _sample_blocks(start, n_samples):
+    for block in _sample_blocks(start, n_samples, ensemble_block(sgd, noise)):
         yield from run_block(sgd, flux_model, noise, u0_vec, master_seed, block, cfg, _stepper=stepper)
 
 
@@ -614,7 +637,7 @@ def run_ensemble(sgd, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=
     import multiprocessing as mp
 
     ctx = mp.get_context("fork")
-    blocks = _sample_blocks(0, n_samples)
+    blocks = _sample_blocks(0, n_samples, ensemble_block(sgd, noise))
     with ctx.Pool(
         workers,
         initializer=_ensemble_worker_init,

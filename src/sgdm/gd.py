@@ -158,31 +158,16 @@ class GradientDiscretisation:
         (B, n_slots) values from one ``bincount`` over slots offset by
         n_slots per form; each form's slots are summed in the same order as
         alone."""
-        blocks = np.asarray(blocks, dtype=float)
-        single = blocks.ndim in (1, 3)
-        n_cells = self.mesh.n_cells
-        products, traces = self._stencil_products
-        if blocks.ndim <= 2:
-            local = blocks.reshape(-1, n_cells, 1) * traces
-        else:
-            local = np.matmul(blocks.reshape(-1, n_cells, 1, self.dim**2), products)
+        if np.ndim(blocks) in (1, 2):
+            blocks = blocks[..., None, None] * np.eye(self.dim)
+        _, coef = self.stencils
         pattern, slots, _ = self._form_layout
+        local = coef.transpose(0, 2, 1) @ (blocks @ coef)
+        if local.ndim == 3:
+            return np.bincount(slots, weights=local.ravel(), minlength=len(pattern))
         n, B = len(pattern), len(local)
         keys = (slots + n * np.arange(B)[:, None]).ravel()
-        values = np.bincount(keys, weights=local.ravel(), minlength=B * n).reshape(B, n)
-        return values[0] if single else values
-
-    @cached_property
-    def _stencil_products(self):
-        """The local matrices of unit blocks: ``products[c, d*dim + e, i*k + j]
-        = coef[c, d, i] * coef[c, e, j]``, so that ``C_c^T B_c C_c`` is
-        ``B_c.ravel() @ products[c]``, and ``traces`` (n_cells, k*k), the
-        entries of ``C_c^T C_c`` for the blocks w * I."""
-        _, coef = self.stencils
-        n_cells, d, k = coef.shape
-        products = np.einsum("cdi,cej->cdeij", coef, coef).reshape(n_cells, d * d, k * k)
-        traces = np.einsum("cdi,cdj->cij", coef, coef).reshape(n_cells, k * k)
-        return products, traces
+        return np.bincount(keys, weights=local.ravel(), minlength=B * n).reshape(B, n)
 
     def form_values_of(self, A):
         """Slot values of a sparse matrix whose pattern lies inside the form

@@ -367,7 +367,11 @@ def run_block(sgd, flux_model, noise, u0, master_seed, samples, cfg=None, increm
     k_max); by default step n of sample s draws from the stream
     (master_seed, s, n+1), one keyed draw for the whole block per step. A
     failed step raises ``StepFailure`` naming the first step at which a
-    sample fails and the first such sample of the block.
+    sample fails and the first such sample of the block; no path of the
+    block is returned then.
+
+    The block holds the full paths of all its samples until it returns;
+    ``analysis.ensemble_block`` bounds its size by that memory.
     """
     gd = sgd.gd
     N = sgd.n_steps

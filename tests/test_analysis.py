@@ -7,6 +7,7 @@ from scipy import integrate
 from scipy.optimize import minimize
 
 from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation
+from sgdm import analysis
 from sgdm.analysis import (
     ENSEMBLE_BLOCK,
     DualNormSolver,
@@ -18,6 +19,7 @@ from sgdm.analysis import (
     dual_increment_estimator,
     dual_norm,
     energy_estimators,
+    ensemble_block,
     fractional_norm,
     iter_trajectories,
     loglog_slope,
@@ -414,20 +416,42 @@ class TestEstimators:
 
 class TestBlocks:
     def test_block_boundaries_depend_only_on_sample_indices(self):
-        B = ENSEMBLE_BLOCK
-        assert _sample_blocks(0, 2 * B + 3) == [range(0, B), range(B, 2 * B), range(2 * B, 2 * B + 3)]
-        assert _sample_blocks(B - 2, 4) == [range(B - 2, B), range(B, B + 2)]
-        assert _sample_blocks(5, 0) == []
+        B = 5
+        assert _sample_blocks(0, 2 * B + 3, B) == [range(0, B), range(B, 2 * B), range(2 * B, 2 * B + 3)]
+        assert _sample_blocks(B - 2, 4, B) == [range(B - 2, B), range(B, B + 2)]
+        assert _sample_blocks(5, 0, B) == []
 
-    def test_iter_trajectories_runs_the_fixed_blocks(self, small_ensemble):
+    def test_block_size_bounded_by_the_paths_it_holds(self, small_ensemble, monkeypatch):
         sgd, flux, noise, _ = small_ensemble
-        start, n = ENSEMBLE_BLOCK - 3, 7
-        trajs = list(iter_trajectories(sgd, flux, noise, sin_pi, 41, n, start=start))
-        assert [t.sample_index for t in trajs] == list(range(start, start + n))
-        blocks = [run_block(sgd, flux, noise, sin_pi, 41, block) for block in _sample_blocks(start, n)]
-        for got, want in zip(trajs, [t for block in blocks for t in block]):
-            np.testing.assert_array_equal(got.u, want.u)
-            np.testing.assert_array_equal(got.m_partial, want.m_partial)
+        (traj,) = run_block(sgd, flux, noise, sin_pi, 41, [0])
+        fields = (traj.u, traj.m_partial, traj.increments, traj.per_step_residuals, traj.per_step_newton_iters)
+        path = sum(a.nbytes for a in fields)
+        assert ensemble_block(sgd, noise) == ENSEMBLE_BLOCK
+        for budget, B in ((3 * path, 3), (4 * path - 1, 3), (path - 1, 1)):
+            monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", budget)
+            assert ensemble_block(sgd, noise) == B
+
+    def test_p1_lumped_paths_shrink_the_block(self):
+        # 57,600 quadrature points on 20 x 20: one path of 64 steps holds
+        # about 30 MB of noise sums
+        gd = build_gd(build_uniform_triangulation(20, 20), "p1_lumped")
+        sgd = SpaceTimeGD(gd, T=0.25, n_steps=64)
+        B = ensemble_block(sgd, make_noise(gd.mesh.bounding_box, 16, f0="tanh"))
+        assert 1 <= B < ENSEMBLE_BLOCK
+        assert B * 8 * 64 * len(gd.quad_w) <= analysis.BLOCK_PATH_BYTES
+
+    def test_iter_trajectories_runs_the_fixed_blocks(self, small_ensemble, monkeypatch):
+        sgd, flux, noise, _ = small_ensemble
+        for budget in (analysis.BLOCK_PATH_BYTES, 1):  # blocks of ENSEMBLE_BLOCK, then of 1
+            monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", budget)
+            B = ensemble_block(sgd, noise)
+            start, n = B + 1 - min(B, 3), 7
+            trajs = list(iter_trajectories(sgd, flux, noise, sin_pi, 41, n, start=start))
+            assert [t.sample_index for t in trajs] == list(range(start, start + n))
+            blocks = [run_block(sgd, flux, noise, sin_pi, 41, block) for block in _sample_blocks(start, n, B)]
+            for got, want in zip(trajs, [t for block in blocks for t in block], strict=True):
+                np.testing.assert_array_equal(got.u, want.u)
+                np.testing.assert_array_equal(got.m_partial, want.m_partial)
 
     def test_reports_identical_across_workers_over_several_blocks(self, single_dof_gd):
         sgd = SpaceTimeGD(single_dof_gd, T=0.5, n_steps=4)
