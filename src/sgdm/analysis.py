@@ -3,10 +3,11 @@ and dual-norm increment statistics, fractional time-regularity norms of
 piecewise-constant paths, noise-accumulator statistics, and the exact
 single-unknown linear-scheme oracle.
 
-Estimators consume iterables of trajectories and reduce in sample order, so
-reports are bit-identical however the samples were spread over workers;
-ensembles advance their samples in fixed lockstep blocks (see
-``iter_trajectories``).
+Ensembles advance their samples in fixed lockstep blocks (see
+``iter_trajectories``), and ``EnsembleAccumulator.summarize`` turns the
+paths of a block into one summary whose arrays have a leading sample axis.
+The rows of every summary are reduced strictly in sample order, so reports
+are bit-identical however the blocks were spread over workers.
 """
 
 import math
@@ -28,27 +29,29 @@ class MeanSE:
 
 
 class RunningStat:
-    """Streaming mean and standard error."""
+    """Streaming mean and standard error, by Welford's update: a run of
+    equal values has exactly that mean and zero spread, which the plain sums
+    of x and x^2 do not give."""
 
     def __init__(self):
         self.n = 0
-        self.s = 0.0
-        self.s2 = 0.0
+        self.mean = 0.0
+        self.m2 = 0.0  # sum of squared deviations from the running mean
 
     def add(self, x):
         x = float(x)
         self.n += 1
-        self.s += x
-        self.s2 += x * x
+        delta = x - self.mean
+        self.mean += delta / self.n
+        self.m2 += delta * (x - self.mean)
 
     def result(self):
         if self.n == 0:
             return MeanSE(math.nan, math.nan, 0)
-        mean = self.s / self.n
         if self.n == 1:
-            return MeanSE(mean, 0.0, 1)
-        var = max(self.s2 - self.n * mean * mean, 0.0) / (self.n - 1)
-        return MeanSE(mean, math.sqrt(var / self.n), self.n)
+            return MeanSE(self.mean, 0.0, 1)
+        var = max(self.m2, 0.0) / (self.n - 1)
+        return MeanSE(self.mean, math.sqrt(var / self.n), self.n)
 
 
 class RunningVector:
@@ -61,11 +64,14 @@ class RunningVector:
         self.max = np.full(size, -np.inf)
 
     def add(self, x):
-        x = np.asarray(x, dtype=float)
-        self.n += 1
-        self.s += x
-        self.s2 += x * x
-        self.max = np.maximum(self.max, x)
+        """Add one vector, or the rows of an (m, size) block one after the
+        other: cumulative sums along the rows give the same bits as m
+        single adds."""
+        x = np.asarray(x, dtype=float).reshape(-1, len(self.s))
+        self.n += len(x)
+        self.s = np.cumsum(np.vstack([self.s, x]), axis=0)[-1]
+        self.s2 = np.cumsum(np.vstack([self.s2, x * x]), axis=0)[-1]
+        self.max = np.maximum(self.max, x.max(axis=0, initial=-np.inf))
 
     @property
     def mean(self):
@@ -393,6 +399,10 @@ class EstimatorReport:
 class EnsembleAccumulator:
     """One-pass computation of the estimator suite over a trajectory stream.
 
+    ``summarize`` computes the pathwise quantities of a block of
+    trajectories at once and ``add_summary`` reduces them, row by row in
+    sample order; ``add`` takes one trajectory as a block of one.
+
     ``p`` sets the gradient moments and the report's exponents; the dual-norm
     increment table always uses the p = 2 dual norm, with one batched search
     per sample over the increments of every lag in ``dual_ells``.
@@ -450,75 +460,104 @@ class EnsembleAccumulator:
         self.pair_mean = RunningStat()
         self.n_samples = 0
 
-    def summarize(self, traj):
-        """Per-sample pathwise quantities; reduction happens in add_summary
-        strictly in sample order so reports do not depend on worker count."""
-        sgd, gd = self.sgd, self.sgd.gd
-        N, dt = sgd.n_steps, sgd.dt
-        w = gd.quad_w
-        VV = (gd.P @ traj.u.T).T  # (N+1, n_q) node values
-        gram = (VV * w) @ VV.T
-        d2 = np.maximum(np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2 * gram, 0.0)
+    def summarize(self, trajs):
+        """Pathwise quantities of a block of trajectories on this space-time
+        grid, each with a leading sample axis (row b for ``trajs[b]``);
+        ``add_summary`` reduces the rows strictly in sample order, so reports
+        do not depend on the worker count.
 
-        out = {}
-        out["max_sq"] = float(np.diag(gram)[1:].max())
-        g_all = (gd.G @ traj.u.T).reshape(gd.mesh.n_cells, gd.dim, N + 1)
-        mag = np.sqrt(np.sum(g_all**2, axis=1))  # (n_cells, N+1)
-        grad_p_by_node = gd.mesh.cell_measures @ mag**self.p
-        out["grad_total"] = float(dt * np.sum(grad_p_by_node[1:]))
-        out["incr_sum"] = float(np.sum(d2[np.arange(1, N + 1), np.arange(N)]))
-        out["translate"] = {}
-        for ell in self.translate_ells:
-            idx = np.arange(1, N - ell + 1)
-            out["translate"][ell] = float(dt * np.sum(d2[idx + ell, idx]))
+        The energy-type rows come from the whole block at once
+        (``_energy_rows``). The dual-norm search, the martingale's
+        fractional norm and ``extra_fn`` run per sample."""
+        sgd, gd = self.sgd, self.sgd.gd
+        N = sgd.n_steps
+        w = gd.quad_w
+        U = np.stack([traj.u for traj in trajs])  # (B, N+1, n)
+        out = self._energy_rows(U)
         if self.with_dual and gd.n_dofs and self.dual_ells:
-            # one search over the increments of every lag, rows u^(n+ell) - u^(n)
-            # for n = 1..N-ell, lag after lag
-            rows = np.concatenate([traj.u[1 + ell :] - traj.u[1 : N + 1 - ell] for ell in self.dual_ells])
-            powers = self._dual.batch(rows) ** self.dual_r
-            per_lag = np.split(powers, np.cumsum([N - ell for ell in self.dual_ells])[:-1])
-            out["dual"] = {ell: float(np.mean(x)) for ell, x in zip(self.dual_ells, per_lag)}
+            # one search per sample over the increments of every lag, rows
+            # u^(n+ell) - u^(n) for n = 1..N-ell, lag after lag
+            powers = np.array([
+                self._dual.batch(np.concatenate([u[1 + ell :] - u[1 : N + 1 - ell] for ell in self.dual_ells]))
+                for u in U
+            ]) ** self.dual_r
+            per_lag = np.split(powers, np.cumsum([N - ell for ell in self.dual_ells])[:-1], axis=1)
+            out["dual"] = {ell: np.mean(x, axis=1) for ell, x in zip(self.dual_ells, per_lag)}
         if self.with_martingale:
-            mp = m_path(traj)
-            out["mart_h"] = fractional_norm(mp, self.beta, 2.0)
-            m_norms_sq = np.sum(w * traj.m_partial**2, axis=1)
+            # per sample: a block of noise sums at the quadrature points
+            # would be the largest array of the summary
+            out["mart_h"] = np.array([fractional_norm(m_path(traj), self.beta, 2.0) for traj in trajs])
+            m_norms_sq = np.array([np.einsum("nq,nq,q->n", t.m_partial, t.m_partial, w) for t in trajs])
             out["m_sq"] = m_norms_sq
-            out["mart_sup"] = float(m_norms_sq.max() ** (self.martingale_r / 2.0))
+            out["mart_sup"] = m_norms_sq.max(axis=1) ** (self.martingale_r / 2.0)
             if self._phi_quad is not None:
-                incs = np.diff(
-                    traj.m_partial, axis=0, prepend=np.zeros((1, traj.m_partial.shape[1]))
-                )
-                out["pairs"] = incs @ (w * self._phi_quad)
+                v = w * self._phi_quad
+                out["pairs"] = np.array([np.diff(t.m_partial, axis=0, prepend=0.0) @ v for t in trajs])
         if self.extra_fn is not None:
-            out["extra"] = np.asarray(self.extra_fn(traj), dtype=float)
+            out["extra"] = np.array([np.asarray(self.extra_fn(traj), dtype=float) for traj in trajs])
         return out
 
+    def _energy_rows(self, U):
+        """Max L^2 norm, gradient p-power, increment sum and translates of a
+        block of paths U (B, N+1, n). The squared L^2 distances come from
+        one batched Gram product U M U^T with the mass matrix, read along
+        its diagonals, and the gradient p-powers from one G product over all
+        B(N+1) states."""
+        sgd, gd = self.sgd, self.sgd.gd
+        N, dt = sgd.n_steps, sgd.dt
+        B = len(U)
+        states = U.reshape(-1, gd.n_dofs)
+        MU = (gd.mass @ states.T).reshape(gd.n_dofs, B, N + 1)
+        gram = U @ MU.transpose(1, 0, 2)  # (B, N+1, N+1)
+        sq = np.diagonal(gram, axis1=1, axis2=2)  # ||Pi u^(n)||^2, (B, N+1)
+
+        def lag_sq(ell):
+            """||Pi u^(n+ell) - Pi u^(n)||^2 for n = 0..N-ell, (B, N+1-ell)."""
+            cross = np.diagonal(gram, -ell, axis1=1, axis2=2)
+            return np.maximum(sq[:, ell:] + sq[:, :-ell] - 2 * cross, 0.0)
+
+        g_all = gd.G @ states.T  # per-cell gradients of every state
+        g_all *= g_all
+        mag_p = np.sum(g_all.reshape(gd.mesh.n_cells, gd.dim, -1), axis=1)  # (n_cells, B(N+1))
+        np.power(mag_p, self.p / 2.0, out=mag_p)
+        grad_p_by_node = (gd.mesh.cell_measures @ mag_p).reshape(B, N + 1)
+        return {
+            "max_sq": sq[:, 1:].max(axis=1),
+            "grad_total": dt * np.sum(grad_p_by_node[:, 1:], axis=1),
+            "incr_sum": np.sum(lag_sq(1), axis=1),
+            "translate": {ell: dt * np.sum(lag_sq(ell)[:, 1:], axis=1) for ell in self.translate_ells},
+        }
+
     def add_summary(self, out):
-        self.stats["energy"].add(out["max_sq"])
-        self.stats["grad"].add(out["grad_total"])
-        self.stats["incr"].add(out["incr_sum"])
+        """Reduce a block summary (``summarize``): every statistic takes the
+        block's rows one by one, in sample order."""
+        columns = [
+            (self.stats["energy"], out["max_sq"]),
+            (self.stats["grad"], out["grad_total"]),
+            (self.stats["incr"], out["incr_sum"]),
+        ]
         for q in self.moment_qs:
-            self.moments[q].add(out["max_sq"] ** (2 ** (q - 1)))
-            self.grad_moments[q].add(out["grad_total"] ** (2 ** (q - 1)))
-        for ell, val in out["translate"].items():
-            self.translate[ell].add(val)
-        for ell, val in out.get("dual", {}).items():
-            self.dual[ell].add(val)
+            columns.append((self.moments[q], out["max_sq"] ** (2 ** (q - 1))))
+            columns.append((self.grad_moments[q], out["grad_total"] ** (2 ** (q - 1))))
+        columns += [(self.translate[ell], vals) for ell, vals in out["translate"].items()]
+        columns += [(self.dual[ell], vals) for ell, vals in out.get("dual", {}).items()]
         if self.with_martingale and "mart_h" in out:
-            self.mart_h.add(out["mart_h"])
-            self.mart_sup.add(out["mart_sup"])
-            for n, v in enumerate(out["m_sq"]):
-                self.mart_sq[n].add(float(v))
-            for v in out.get("pairs", ()):
-                self.pair_mean.add(float(v))
+            columns += [(self.mart_h, out["mart_h"]), (self.mart_sup, out["mart_sup"])]
+            columns += list(zip(self.mart_sq, out["m_sq"].T))
+            if "pairs" in out:
+                columns.append((self.pair_mean, out["pairs"].ravel()))
+        for stat, vals in columns:
+            for v in vals.tolist():
+                stat.add(v)
         if "extra" in out:
             if self.extra is None:
-                self.extra = RunningVector(len(out["extra"]))
+                self.extra = RunningVector(out["extra"].shape[1])
             self.extra.add(out["extra"])
-        self.n_samples += 1
+        self.n_samples += len(out["max_sq"])
 
     def add(self, traj):
-        self.add_summary(self.summarize(traj))
+        """Add one trajectory: a block of one."""
+        self.add_summary(self.summarize([traj]))
 
     def report(self):
         rep = EstimatorReport(
@@ -615,38 +654,40 @@ def _ensemble_worker_task(block):
     trajs = run_block(
         sgd, flux_model, noise, u0_vec, master_seed, block, cfg, _stepper=_WORKER_STATE["stepper"]
     )
-    return [_WORKER_STATE["acc"].summarize(traj) for traj in trajs]
+    return _WORKER_STATE["acc"].summarize(trajs)
 
 
 def run_ensemble(sgd, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=None, cfg=None, workers=1):
     """Run a sample ensemble and reduce it to an EstimatorReport.
 
-    Samples advance in the fixed blocks of ``iter_trajectories``; the fork
-    pool of ``workers`` > 1 hands out whole blocks. Per-sample summaries are
-    reduced strictly in sample order, so the report is bit-identical for
-    any worker count.
+    Samples advance in the fixed blocks of ``iter_trajectories``, each block
+    summarised in one ``EnsembleAccumulator.summarize`` call; the fork pool
+    of ``workers`` > 1 hands out whole blocks and returns their summaries.
+    The summaries' rows are reduced strictly in sample order, so the report
+    is bit-identical for any worker count.
     """
     acc_kwargs = dict(acc_kwargs or {})
     acc_kwargs.setdefault("p", flux_model.p)
     acc = EnsembleAccumulator(sgd, **acc_kwargs)
     u0_vec = sgd.gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)
+    blocks = _sample_blocks(0, n_samples, ensemble_block(sgd, noise))
     if workers <= 1:
-        for traj in iter_trajectories(sgd, flux_model, noise, u0_vec, master_seed, n_samples, cfg):
-            acc.add(traj)
+        stepper = Stepper(sgd, flux_model, noise, cfg)
+        for block in blocks:
+            trajs = run_block(sgd, flux_model, noise, u0_vec, master_seed, block, cfg, _stepper=stepper)
+            acc.add_summary(acc.summarize(trajs))
         return acc.report()
     import multiprocessing as mp
 
     ctx = mp.get_context("fork")
-    blocks = _sample_blocks(0, n_samples, ensemble_block(sgd, noise))
     with ctx.Pool(
         workers,
         initializer=_ensemble_worker_init,
         initargs=(sgd, flux_model, noise, u0_vec, master_seed, cfg, acc_kwargs),
     ) as pool:
         chunk = max(1, len(blocks) // (workers * 16))
-        for summaries in pool.imap(_ensemble_worker_task, blocks, chunksize=chunk):
-            for summary in summaries:
-                acc.add_summary(summary)
+        for summary in pool.imap(_ensemble_worker_task, blocks, chunksize=chunk):
+            acc.add_summary(summary)
     return acc.report()
 
 
@@ -741,16 +782,13 @@ def pathwise_lp_difference(traj_coarse, traj_fine, p):
 
 def coupled_increments(noise, master_seed, sample_index, n_fine, dt_fine, n_levels):
     """Wiener increments shared across refinement levels: the finest-level
-    increments are drawn first, then summed pairwise for each coarser level.
-    Returns a list, coarsest first, of (n_steps, k_max) coefficient arrays."""
+    increments are drawn first, in one keyed call over the steps (step n
+    from the stream (master_seed, sample_index, n+1), as a path draws
+    them), then summed pairwise for each coarser level. Returns a list,
+    coarsest first, of (n_steps, k_max) coefficient arrays."""
     from .noise import RngStream, sample_increment
 
-    fine = np.array(
-        [
-            sample_increment(noise, RngStream(master_seed, sample_index, n + 1), dt_fine).coeffs
-            for n in range(n_fine)
-        ]
-    )
+    fine = sample_increment(noise, RngStream(master_seed, sample_index, np.arange(1, n_fine + 1)), dt_fine).coeffs
     levels = [fine]
     for _ in range(n_levels - 1):
         prev = levels[-1]

@@ -153,10 +153,12 @@ class RngStream:
     The stream is numpy's ``Generator(Philox(SeedSequence(entropy=
     master_seed, spawn_key=(sample_index, time_index))))``. Distinct stream
     ids are statistically independent; the same key is bit-reproducible
-    regardless of sampling order or worker placement. ``sample_index`` may
-    be an integer array: the stream then stands for the block of streams
-    (master_seed, s, time_index), one per entry s, and ``sample_increment``
-    draws one increment per entry.
+    regardless of sampling order or worker placement. ``sample_index`` and
+    ``time_index`` may be integer arrays, broadcast against each other: the
+    stream then stands for the grid of streams (master_seed, s, n), one per
+    broadcast entry, and ``sample_increment`` draws one increment per entry.
+    A (B, 1) column of samples against an (N,) row of steps is the noise of
+    a block's whole path.
     """
 
     master_seed: int
@@ -247,25 +249,27 @@ def _pool_keys(pool):
 
 
 def stream_keys(master_seed, sample_index, time_index):
-    """Philox keys of the streams (master_seed, s, time_index): (2,) for an
-    integer s, from numpy's ``SeedSequence(entropy=master_seed, spawn_key=(s,
-    time_index)).generate_state(2, np.uint64)`` (the key a Philox seeded
-    by that SeedSequence takes), and (B, 2) for an integer
-    array, bit-identical to that. The array is hashed in one pass over the
-    block when every entry fits one 32-bit word; larger entries go through
-    numpy's SeedSequence one by one."""
-    if isinstance(sample_index, (int, np.integer)):
-        ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(sample_index, time_index))
-        return ss.generate_state(2, np.uint64)
-    samples = np.asarray(sample_index).reshape(-1)
-    if samples.size and samples.min() < 0:
-        raise ValueError(f"stream ids must be nonnegative, got {samples.min()}")
-    words = samples.astype(np.uint64)
+    """Philox keys of the streams (master_seed, s, n) for the entries s of
+    ``sample_index`` and n of ``time_index``, broadcast against each other:
+    an array of the broadcast shape plus a last axis of 2, each key
+    bit-identical to numpy's ``SeedSequence(entropy=master_seed,
+    spawn_key=(s, n)).generate_state(2, np.uint64)`` (the key a Philox
+    seeded by that SeedSequence takes). Every entry whose s and n fit one
+    32-bit word is hashed in one numpy pass; an entry with a larger index
+    goes through numpy's SeedSequence on its own."""
+    samples, steps = np.broadcast_arrays(np.asarray(sample_index), np.asarray(time_index))
+    shape = samples.shape
+    samples, steps = samples.reshape(-1), steps.reshape(-1)
+    for ids in (samples, steps):
+        if ids.size and ids.min() < 0:
+            raise ValueError(f"stream ids must be nonnegative, got {ids.min()}")
+    words = [samples.astype(np.uint64), steps.astype(np.uint64)]
     pool, const = _master_pool(int(master_seed))
-    keys = _pool_keys(_mix_words(pool, const, [words] + _uint32_words(time_index))[0])
-    for b in np.flatnonzero(words > _MASK32):
-        keys[b] = stream_keys(master_seed, int(samples[b]), time_index)
-    return keys
+    keys = _pool_keys(_mix_words(pool, const, words)[0])
+    for i in np.flatnonzero((words[0] > _MASK32) | (words[1] > _MASK32)):
+        ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(int(samples[i]), int(steps[i])))
+        keys[i] = ss.generate_state(2, np.uint64)
+    return keys.reshape(shape + (2,))
 
 
 class _KeyedNormals:
@@ -298,8 +302,8 @@ _keyed_normals = _KeyedNormals()
 
 @dataclass(frozen=True)
 class NoiseIncrement:
-    """One sampled Wiener increment: coeffs_k = q_k sqrt(dt) xi_k; a block of
-    increments has coeffs of shape (B, k_max), one row per sample."""
+    """One sampled Wiener increment: coeffs_k = q_k sqrt(dt) xi_k; a grid of
+    increments has coeffs of shape (..., k_max), one row per stream."""
 
     coeffs: np.ndarray
     dt: float
@@ -313,10 +317,14 @@ class NoiseIncrement:
 def sample_increment(noise, rng, dt):
     """Draw a Q-Wiener increment over a step of length dt from a stream.
 
-    ``rng`` is an ``RngStream`` or a numpy generator. A stream whose
-    ``sample_index`` is an array gives coeffs of shape (B, k_max), row b
-    bit-identical to the increment of the stream of ``sample_index[b]``
-    alone: each row is drawn from its own keyed Philox stream."""
+    ``rng`` is an ``RngStream`` or a numpy generator. A stream of index
+    arrays gives coeffs of the broadcast shape of its sample and time
+    indices plus a last axis of k_max, one increment per stream (master
+    seed, s, n), each bit-identical to the increment of that stream drawn
+    alone: one call keys a block's whole path, (B, N, k_max) for a (B, 1)
+    column of samples and N steps. The keys are hashed in one pass
+    (``stream_keys``); each stream's normals are then drawn from the reused
+    Philox with that key."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if isinstance(rng, RngStream):

@@ -11,11 +11,11 @@ frozen-coefficient (Kacanov) iteration; time steps are uniform and a step
 that fails both strategies aborts the trajectory with diagnostics.
 
 Samples advance in lockstep blocks (``run_block``): the states of B samples
-are one (B, n) array, each step draws the block's increments with one keyed
-noise call, and ``Stepper.step`` moves the whole block, carrying a
-per-sample active mask through Newton, its line search and the fallback, so
-each sample stops once it has converged. A single path (``run_trajectory``)
-is a block of one.
+are one (B, n) array, one keyed noise call draws the increments of every
+sample and every step before the first step, and ``Stepper.step`` moves the
+whole block one step at a time, carrying a per-sample active mask through
+Newton, its line search and the fallback, so each sample stops once it has
+converged. A single path (``run_trajectory``) is a block of one.
 
 All three system matrices (Newton Jacobian, Kacanov matrix, linear
 operator) are the mass plus ``dt`` times a weighted gradient form: the
@@ -365,10 +365,10 @@ def run_block(sgd, flux_model, noise, u0, master_seed, samples, cfg=None, increm
     discrete space) or a DOF vector, shared by the block. ``increments``
     optionally prescribes the spectral increment coefficients, (B, N,
     k_max); by default step n of sample s draws from the stream
-    (master_seed, s, n+1), one keyed draw for the whole block per step. A
-    failed step raises ``StepFailure`` naming the first step at which a
-    sample fails and the first such sample of the block; no path of the
-    block is returned then.
+    (master_seed, s, n+1), and the whole block's increments for all N steps
+    are drawn in one keyed call before the first step. A failed step raises
+    ``StepFailure`` naming the first step at which a sample fails and the
+    first such sample of the block; no path of the block is returned then.
 
     The block holds the full paths of all its samples until it returns;
     ``analysis.ensemble_block`` bounds its size by that memory.
@@ -378,18 +378,16 @@ def run_block(sgd, flux_model, noise, u0, master_seed, samples, cfg=None, increm
     stepper = _stepper if _stepper is not None else Stepper(sgd, flux_model, noise, cfg)
     samples = [int(s) for s in samples]
     B = len(samples)
+    if increments is None:
+        streams = RngStream(master_seed, np.array(samples, dtype=np.int64)[:, None], np.arange(1, N + 1))
+        increments = sample_increment(noise, streams, sgd.dt).coeffs
+    used = np.array(increments, dtype=float).reshape(B, N, noise.k_max)
     u = np.zeros((B, N + 1, gd.n_dofs))
     u[:, 0] = gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)
     m_partial = np.zeros((B, N, len(gd.quad_w)))
     residuals = np.zeros((B, N))
     newton_iters = np.zeros((B, N), dtype=int)
-    used = np.zeros((B, N, noise.k_max))
-    stream_ids = np.array(samples, dtype=np.int64)
     for n in range(N):
-        if increments is not None:
-            used[:, n] = increments[:, n]
-        else:
-            used[:, n] = sample_increment(noise, RngStream(master_seed, stream_ids, n + 1), sgd.dt).coeffs
         try:
             u[:, n + 1], residuals[:, n], newton_iters[:, n], z = stepper.step(u[:, n], used[:, n])
         except StepFailure as exc:

@@ -33,7 +33,7 @@ from sgdm.analysis import (
 )
 from sgdm.analysis import _sample_blocks
 from sgdm.flux import linear_diffusion, p_laplace
-from sgdm.noise import make_noise
+from sgdm.noise import RngStream, make_noise, sample_increment
 from sgdm.scheme import SpaceTimeGD, run_block, run_trajectory
 
 from conftest import sin_pi, sin_product, zero_field
@@ -272,7 +272,7 @@ class TestDualNormSearch:
         traj = p3_trajectory(gd)
         N = traj.sgd.n_steps
         acc = EnsembleAccumulator(traj.sgd, 3.0, dual_ells=(1, 2, 4, 8), dual_r=4)
-        got = acc.summarize(traj)["dual"]
+        got = {ell: vals[0] for ell, vals in acc.summarize([traj])["dual"].items()}
         assert set(got) == {1, 2, 4, 8}
         rows_all, ref_all = [], []
         for ell in (1, 2, 4, 8):
@@ -470,6 +470,78 @@ class TestBlocks:
         assert a.martingale_h_beta == b.martingale_h_beta
 
 
+def _summary_columns(out):
+    """A block summary's arrays by flat key ("translate.2", "dual.1", ...)."""
+    flat = {}
+    for key, value in out.items():
+        if isinstance(value, dict):
+            flat.update({f"{key}.{ell}": vals for ell, vals in value.items()})
+        else:
+            flat[key] = value
+    return flat
+
+
+def _report_fields(rep):
+    fields = dict(vars(rep))
+    extra = fields.pop("extra")
+    if extra is not None:
+        fields.update({"extra.s": extra.s.tolist(), "extra.s2": extra.s2.tolist(), "extra.max": extra.max.tolist()})
+    return fields
+
+
+class TestBlockSummaries:
+    ESTIMATORS = dict(
+        translate_ells=(1, 2, 4), dual_ells=(1, 2, 4), dual_r=2, with_dual=True, with_martingale=True,
+        extra_fn=lambda traj: traj.u[:, 0],
+    )
+
+    def test_block_summary_matches_blocks_of_one(self):
+        gd = build_gd(build_uniform_interval(16, 0.0, 1.0), "p1")
+        sgd = SpaceTimeGD(gd, T=0.25, n_steps=12)
+        noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
+        trajs = run_block(sgd, p_laplace(3.0), noise, sin_pi, 29, range(5))
+        acc = EnsembleAccumulator(sgd, 3.0, **self.ESTIMATORS)
+        block = _summary_columns(acc.summarize(trajs))
+        singles = [_summary_columns(acc.summarize([traj])) for traj in trajs]
+        assert set(block) == {
+            "max_sq", "grad_total", "incr_sum", "translate.1", "translate.2", "translate.4", "dual.1", "dual.2",
+            "dual.4", "mart_h", "m_sq", "mart_sup", "pairs", "extra",
+        }
+        for key, got in block.items():
+            want = np.concatenate([single[key] for single in singles])
+            assert got.shape == want.shape == (5,) + want.shape[1:]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=key)
+        # the energy-type rows against a loop over each path's states
+        N, dt = sgd.n_steps, sgd.dt
+        for b, traj in enumerate(trajs):
+            sq = [gd.l2_inner(v, v) for v in traj.u]
+            steps = [gd.l2_inner(v, v) for v in np.diff(traj.u, axis=0)]
+            grad = dt * sum(gd.grad_lp_norm(v, 3.0) ** 3 for v in traj.u[1:])
+            assert abs(block["max_sq"][b] - max(sq[1:])) <= 1e-12 * max(sq[1:])
+            assert abs(block["incr_sum"][b] - sum(steps)) <= 1e-12 * sum(sq)
+            assert abs(block["grad_total"][b] - grad) <= 1e-12 * grad
+            for ell in (1, 2, 4):
+                diffs = traj.u[1 + ell :] - traj.u[1 : N + 1 - ell]
+                lagged = dt * sum(gd.l2_inner(v, v) for v in diffs)
+                assert abs(block[f"translate.{ell}"][b] - lagged) <= 1e-12 * dt * sum(sq)
+
+    def test_reports_identical_across_workers_over_blocks_of_three(self, monkeypatch):
+        gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
+        sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
+        noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
+        path_bytes = 8 * ((sgd.n_steps + 1) * gd.n_dofs + sgd.n_steps * (len(gd.quad_w) + noise.k_max + 2))
+        monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", 3 * path_bytes)
+        assert ensemble_block(sgd, noise) == 3
+        reports = [
+            run_ensemble(sgd, p_laplace(3.0), noise, sin_pi, 43, 8, dict(self.ESTIMATORS), workers=w)
+            for w in (1, 2)
+        ]
+        a, b = (_report_fields(rep) for rep in reports)
+        assert a["n_samples"] == 8
+        assert a["dual_increment_table"] and a["martingale_sq_by_step"] and a["translate_table"]
+        assert a == b
+
+
 class TestOuOracle:
     def test_zero_noise_geometric_decay(self):
         means, variances = ou_exact_moments(1.0, 4.0, 0.0, 2.0, 0.1, 5)
@@ -514,6 +586,13 @@ class TestRefinementTools:
         assert [len(l) for l in levels] == [2, 4, 8]
         np.testing.assert_allclose(levels[1], levels[2].reshape(4, 2, 3).sum(axis=1), atol=1e-15)
         np.testing.assert_allclose(levels[0], levels[1].reshape(2, 2, 3).sum(axis=1), atol=1e-15)
+
+    def test_coupled_finest_level_is_the_keyed_path(self):
+        noise = make_noise([[0.0], [1.0]], 3, f0="tanh")
+        fine = coupled_increments(noise, 7, 2, n_fine=8, dt_fine=0.0625, n_levels=3)[-1]
+        assert fine.shape == (8, 3)
+        for n in range(8):
+            np.testing.assert_array_equal(fine[n], sample_increment(noise, RngStream(7, 2, n + 1), 0.0625).coeffs)
 
     def test_pathwise_difference_of_identical_levels_zero(self):
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")

@@ -108,6 +108,37 @@ class TestBlockStreams:
             sample_increment(noise, RngStream(1, np.array([3, -1]), 1), 0.1)
 
 
+class TestStreamGrid:
+    """Keys and draws of a sample x step grid, the noise of a block's path."""
+
+    SAMPLES = np.array([0, 3, 2**32 - 1, 2**32, 2**32 + 1])
+    STEPS = np.array([0, 1, 16, 2**32 - 1, 2**32, 2**40])
+
+    @pytest.mark.parametrize("master_seed", [0, 11, 2**32 + 5, 2**70])
+    def test_grid_keys_are_seed_sequence_states(self, master_seed):
+        keys = stream_keys(master_seed, self.SAMPLES[:, None], self.STEPS)
+        assert keys.shape == (len(self.SAMPLES), len(self.STEPS), 2)
+        for i, s in enumerate(self.SAMPLES.tolist()):
+            for j, n in enumerate(self.STEPS.tolist()):
+                want = np.random.SeedSequence(entropy=master_seed, spawn_key=(s, n)).generate_state(2, np.uint64)
+                np.testing.assert_array_equal(keys[i, j], want)
+
+    def test_path_draw_is_the_per_step_draws(self):
+        noise = make_noise([[0.0], [1.0]], 5, f0="tanh")
+        samples = np.array([4, 2**32 + 3, 9])
+        block = sample_increment(noise, RngStream(11, samples[:, None], np.arange(1, 9)), 0.1).coeffs
+        assert block.shape == (3, 8, 5)
+        for row, s in zip(block, samples.tolist()):
+            for n in range(8):
+                alone = sample_increment(noise, RngStream(11, s, n + 1), 0.1).coeffs
+                np.testing.assert_array_equal(row[n], alone)
+
+    def test_negative_step_rejected(self):
+        noise = make_noise([[0.0], [1.0]], 1, f0="constant")
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_increment(noise, RngStream(1, np.array([[3]]), np.array([2, -1])), 0.1)
+
+
 class TestBasis:
     def test_orthonormal_under_quadrature_1d(self):
         gd = build_gd(build_uniform_interval(64, 0.0, 1.0), "p1")
