@@ -1,13 +1,17 @@
 """Monte Carlo estimator suite: energy and moment estimators, time-translate
 and dual-norm increment statistics, fractional time-regularity norms of
-piecewise-constant paths, noise-accumulator statistics, and the exact
-single-unknown linear-scheme oracle.
+piecewise-constant paths, noise-accumulator statistics, coupled refinement
+studies, and the exact single-unknown linear-scheme oracle.
 
-Ensembles advance their samples in fixed lockstep blocks (see
-``iter_trajectories``), and ``EnsembleAccumulator.summarize`` turns the
-paths of a block into one summary whose arrays have a leading sample axis.
-The rows of every summary are reduced strictly in sample order, so reports
-are bit-identical however the blocks were spread over workers.
+Every Monte Carlo path runs through one block driver, ``map_blocks``: it
+maps a task, built once with the steppers and whatever else it reuses, over
+fixed lockstep blocks of sample indices (see ``iter_trajectories``), in
+this process or on a fork pool. ``run_ensemble``'s task summarises a
+block's paths in one ``EnsembleAccumulator.summarize`` call, arrays with a
+leading sample axis; ``coupled_refinement_study``'s runs the block on every
+refinement level and gives its rows of coarse-to-fine differences. The rows
+are reduced strictly in sample order, so results are bit-identical however
+the blocks were spread over workers.
 """
 
 import math
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scheme import Stepper, run_block, run_trajectory
+from .scheme import Stepper, StepFailure, run_block, run_trajectory
 
 
 # -- streaming statistics ------------------------------------------------------
@@ -401,7 +405,7 @@ class EnsembleAccumulator:
 
     ``summarize`` computes the pathwise quantities of a block of
     trajectories at once and ``add_summary`` reduces them, row by row in
-    sample order; ``add`` takes one trajectory as a block of one.
+    sample order; one trajectory is a block of one.
 
     ``p`` sets the gradient moments and the report's exponents; the dual-norm
     increment table always uses the p = 2 dual norm, with one batched search
@@ -555,10 +559,6 @@ class EnsembleAccumulator:
             self.extra.add(out["extra"])
         self.n_samples += len(out["max_sq"])
 
-    def add(self, traj):
-        """Add one trajectory: a block of one."""
-        self.add_summary(self.summarize([traj]))
-
     def report(self):
         rep = EstimatorReport(
             n_samples=self.n_samples,
@@ -596,14 +596,17 @@ ENSEMBLE_BLOCK = 16
 BLOCK_PATH_BYTES = 32 * 2**20
 
 
-def ensemble_block(sgd, noise):
-    """Samples per block for paths on this space-time grid and noise:
-    ``ENSEMBLE_BLOCK``, or fewer when their paths (``scheme.run_block``
-    stores per sample N+1 states, N rows of noise sums at the quadrature
-    points, N increments, residuals and iteration counts) would pass
-    ``BLOCK_PATH_BYTES``; at least one."""
-    gd, N = sgd.gd, sgd.n_steps
-    path_bytes = 8 * ((N + 1) * gd.n_dofs + N * (len(gd.quad_w) + noise.k_max + 2))
+def ensemble_block(noise, *sgds):
+    """Samples per block when each sample holds one path on every
+    space-time grid of ``sgds`` (one grid for an ensemble, every level for
+    a coupled study): ``ENSEMBLE_BLOCK``, or fewer when those paths
+    (``scheme.run_block`` stores per sample N+1 states, N rows of noise
+    sums at the quadrature points, N increments, residuals and iteration
+    counts) would pass ``BLOCK_PATH_BYTES``; at least one."""
+    path_bytes = sum(
+        8 * ((sgd.n_steps + 1) * sgd.gd.n_dofs + sgd.n_steps * (len(sgd.gd.quad_w) + noise.k_max + 2))
+        for sgd in sgds
+    )
     return int(max(1, min(ENSEMBLE_BLOCK, BLOCK_PATH_BYTES // path_bytes)))
 
 
@@ -623,7 +626,7 @@ def iter_trajectories(sgd, flux_model, noise, u0, master_seed, n_samples, cfg=No
 
     Samples advance in lockstep blocks of sample indices
     [kB, (k+1)B) ∩ [start, start + n_samples) with B =
-    ``ensemble_block(sgd, noise)`` (``scheme.run_block``). The boundaries
+    ``ensemble_block(noise, sgd)`` (``scheme.run_block``). The boundaries
     depend only on the sample indices and the problem's sizes, so a
     sample's path is a deterministic function of (master_seed, sample, its
     block), and bit-identical however the blocks are spread over workers.
@@ -636,110 +639,64 @@ def iter_trajectories(sgd, flux_model, noise, u0, master_seed, n_samples, cfg=No
     yielded, the failing block's earlier samples are discarded with it."""
     u0_vec = sgd.gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)
     stepper = Stepper(sgd, flux_model, noise, cfg)
-    for block in _sample_blocks(start, n_samples, ensemble_block(sgd, noise)):
+    for block in _sample_blocks(start, n_samples, ensemble_block(noise, sgd)):
         yield from run_block(sgd, flux_model, noise, u0_vec, master_seed, block, cfg, _stepper=stepper)
 
 
-_WORKER_STATE = {}
+# -- the block driver --------------------------------------------------------------
 
 
-def _ensemble_worker_init(sgd, flux_model, noise, u0_vec, master_seed, cfg, acc_kwargs):
-    _WORKER_STATE["args"] = (sgd, flux_model, noise, u0_vec, master_seed, cfg)
-    _WORKER_STATE["stepper"] = Stepper(sgd, flux_model, noise, cfg)
-    _WORKER_STATE["acc"] = EnsembleAccumulator(sgd, **acc_kwargs)
+_WORKER_TASK = None  # the task of a pool worker process, set as the worker starts
 
 
-def _ensemble_worker_task(block):
-    sgd, flux_model, noise, u0_vec, master_seed, cfg = _WORKER_STATE["args"]
-    trajs = run_block(
-        sgd, flux_model, noise, u0_vec, master_seed, block, cfg, _stepper=_WORKER_STATE["stepper"]
-    )
-    return _WORKER_STATE["acc"].summarize(trajs)
+def _start_worker(task):
+    global _WORKER_TASK
+    _WORKER_TASK = task
+
+
+def _run_in_worker(block):
+    return _WORKER_TASK(block)
+
+
+def map_blocks(task, blocks, workers):
+    """Yield ``task(block)`` for each block of sample indices, in block
+    order: in this process for ``workers`` <= 1, else on a fork pool of
+    ``workers`` processes that hands out whole blocks.
+
+    The task is built once, here, with what it reuses across blocks (its
+    steppers, accumulator, transfer matrices); pool workers inherit it by
+    the fork, so only blocks and results are pickled. An exception raised
+    by a block ends the iteration at that block."""
+    if workers <= 1:
+        yield from map(task, blocks)
+        return
+    import multiprocessing as mp
+
+    with mp.get_context("fork").Pool(workers, initializer=_start_worker, initargs=(task,)) as pool:
+        yield from pool.imap(_run_in_worker, blocks, chunksize=max(1, len(blocks) // (workers * 16)))
 
 
 def run_ensemble(sgd, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=None, cfg=None, workers=1):
     """Run a sample ensemble and reduce it to an EstimatorReport.
 
-    Samples advance in the fixed blocks of ``iter_trajectories``, each block
-    summarised in one ``EnsembleAccumulator.summarize`` call; the fork pool
-    of ``workers`` > 1 hands out whole blocks and returns their summaries.
-    The summaries' rows are reduced strictly in sample order, so the report
-    is bit-identical for any worker count.
+    Samples advance in the fixed blocks of ``iter_trajectories``, run by
+    ``map_blocks`` on one stepper, each block summarised in one
+    ``EnsembleAccumulator.summarize`` call. The summaries' rows are reduced
+    strictly in sample order, so the report is bit-identical for any worker
+    count.
     """
     acc_kwargs = dict(acc_kwargs or {})
     acc_kwargs.setdefault("p", flux_model.p)
     acc = EnsembleAccumulator(sgd, **acc_kwargs)
     u0_vec = sgd.gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)
-    blocks = _sample_blocks(0, n_samples, ensemble_block(sgd, noise))
-    if workers <= 1:
-        stepper = Stepper(sgd, flux_model, noise, cfg)
-        for block in blocks:
-            trajs = run_block(sgd, flux_model, noise, u0_vec, master_seed, block, cfg, _stepper=stepper)
-            acc.add_summary(acc.summarize(trajs))
-        return acc.report()
-    import multiprocessing as mp
+    stepper = Stepper(sgd, flux_model, noise, cfg)
 
-    ctx = mp.get_context("fork")
-    with ctx.Pool(
-        workers,
-        initializer=_ensemble_worker_init,
-        initargs=(sgd, flux_model, noise, u0_vec, master_seed, cfg, acc_kwargs),
-    ) as pool:
-        chunk = max(1, len(blocks) // (workers * 16))
-        for summary in pool.imap(_ensemble_worker_task, blocks, chunksize=chunk):
-            acc.add_summary(summary)
+    def summarize(block):
+        return acc.summarize(run_block(sgd, flux_model, noise, u0_vec, master_seed, block, cfg, _stepper=stepper))
+
+    for summary in map_blocks(summarize, _sample_blocks(0, n_samples, ensemble_block(noise, sgd)), workers):
+        acc.add_summary(summary)
     return acc.report()
-
-
-def _reduce(trajs, p=None, **acc_kwargs):
-    """Reduce trajectories in order with one EnsembleAccumulator; ``p``
-    defaults to the first trajectory's flux exponent."""
-    trajs = list(trajs)
-    if len(trajs) == 0:
-        raise ValueError("need at least one trajectory")
-    acc = EnsembleAccumulator(trajs[0].sgd, p or trajs[0].flux.p, **acc_kwargs)
-    for t in trajs:
-        acc.add(t)
-    return acc.report()
-
-
-def energy_estimators(trajs, p, moment_qs=(1, 2, 3)):
-    """Plug-in Monte Carlo means with standard errors of the energy-type
-    pathwise quantities (max L^2 norm, gradient p-power, increment sum,
-    higher moments)."""
-    return _reduce(
-        trajs, p, moment_qs=moment_qs, translate_ells=(), dual_ells=(),
-        with_dual=False, with_martingale=False,
-    )
-
-
-def time_translate_estimator(trajs, ells):
-    """Monte Carlo table ell -> E[dt * sum_n ||Pi u^(n+ell) - Pi u^(n)||^2]."""
-    trajs = list(trajs)
-    N = trajs[0].sgd.n_steps
-    for ell in ells:
-        if not 1 <= ell <= N - 1:
-            raise ValueError(f"lag {ell} outside 1..{N - 1}")
-    return _reduce(
-        trajs, translate_ells=ells, dual_ells=(), with_dual=False, with_martingale=False
-    ).translate_table
-
-
-def dual_increment_estimator(trajs, ells, r=2, p=None):
-    """Monte Carlo table (ell, r) -> E[ |Pi u^(n+ell) - Pi u^(n)|_*^r ]
-    (averaged over n); r must be a power of two. |.|_* is the p = 2 dual
-    norm for every ``p``, which only sets the report's other exponents."""
-    return _reduce(
-        trajs, p, translate_ells=(), dual_ells=ells, dual_r=r, with_martingale=False
-    ).dual_increment_table
-
-
-def martingale_stats(trajs, beta=0.25, r=2):
-    """Fractional-norm and sup statistics of the accumulated noise sums plus
-    the zero-mean increment check."""
-    return _reduce(
-        trajs, translate_ells=(), dual_ells=(), beta=beta, martingale_r=r, with_dual=False
-    )
 
 
 # -- oracles and convergence studies ---------------------------------------------
@@ -763,21 +720,27 @@ def ou_exact_moments(mass, stiffness, noise_gain, u0_coeff, dt, n_steps):
     return means, variances
 
 
+def _lp_differences(E, sgd_fine, U_c, U_f, p):
+    """``pathwise_lp_difference`` of a block: coarse paths U_c (B, Nc+1,
+    n_c), fine paths U_f (B, Nf+1, n_f) on ``sgd_fine``, and E the coarse
+    reconstruction at the fine quadrature points; returns (B,)."""
+    gd_f, Nf = sgd_fine.gd, sgd_fine.n_steps
+    B, Nc = len(U_c), U_c.shape[1] - 1
+    if Nf % Nc != 0:
+        raise ValueError("fine step count must be a multiple of the coarse one")
+    # values at the fine quadrature points, one column per (sample, fine step)
+    fine = gd_f.P @ U_f[:, 1:].reshape(-1, gd_f.n_dofs).T
+    coarse = (E @ U_c[:, 1:].reshape(-1, U_c.shape[2]).T).reshape(-1, B, Nc)
+    coarse = np.repeat(coarse, Nf // Nc, axis=2).reshape(fine.shape)
+    per_step = (gd_f.quad_w @ np.abs(fine - coarse) ** p).reshape(B, Nf)
+    return (sgd_fine.dt * per_step.sum(axis=1)) ** (1.0 / p)
+
+
 def pathwise_lp_difference(traj_coarse, traj_fine, p):
     """Space-time L^p distance of two piecewise-constant scheme solutions on
     nested discretisations (fine time grid refines the coarse one)."""
-    gd_f = traj_fine.sgd.gd
-    Nf, Nc = traj_fine.sgd.n_steps, traj_coarse.sgd.n_steps
-    if Nf % Nc != 0:
-        raise ValueError("fine step count must be a multiple of the coarse one")
-    ratio = Nf // Nc
-    E = traj_coarse.sgd.gd.reconstruction_matrix(gd_f.quad_x)
-    total = 0.0
-    for j in range(Nf):
-        fine_vals = gd_f.P @ traj_fine.u[j + 1]
-        coarse_vals = E @ traj_coarse.u[j // ratio + 1]
-        total += traj_fine.sgd.dt * float(np.sum(gd_f.quad_w * np.abs(fine_vals - coarse_vals) ** p))
-    return total ** (1.0 / p)
+    E = traj_coarse.sgd.gd.reconstruction_matrix(traj_fine.sgd.gd.quad_x)
+    return float(_lp_differences(E, traj_fine.sgd, traj_coarse.u[None], traj_fine.u[None], p)[0])
 
 
 def coupled_increments(noise, master_seed, sample_index, n_fine, dt_fine, n_levels):
@@ -785,38 +748,62 @@ def coupled_increments(noise, master_seed, sample_index, n_fine, dt_fine, n_leve
     increments are drawn first, in one keyed call over the steps (step n
     from the stream (master_seed, sample_index, n+1), as a path draws
     them), then summed pairwise for each coarser level. Returns a list,
-    coarsest first, of (n_steps, k_max) coefficient arrays."""
+    coarsest first, of (n_steps, k_max) coefficient arrays.
+
+    ``sample_index`` may be a (B, 1) column of indices: the arrays then have
+    a leading sample axis, (B, n_steps, k_max), drawn in the same one call,
+    and row b is bit-identical to the arrays of sample b alone."""
     from .noise import RngStream, sample_increment
 
     fine = sample_increment(noise, RngStream(master_seed, sample_index, np.arange(1, n_fine + 1)), dt_fine).coeffs
     levels = [fine]
     for _ in range(n_levels - 1):
         prev = levels[-1]
-        levels.append(prev.reshape(len(prev) // 2, 2, -1).sum(axis=1))
+        levels.append(prev.reshape(prev.shape[:-2] + (prev.shape[-2] // 2, 2, -1)).sum(axis=-2))
     return levels[::-1]
 
 
-def coupled_refinement_study(sgds, flux_model, noise, u0, master_seed, n_samples, p, cfg=None):
+def coupled_refinement_study(sgds, flux_model, noise, u0, master_seed, n_samples, p, cfg=None, workers=1):
     """Mean pathwise L^p(space-time) differences between consecutive
     refinement levels under a common noise path per sample.
 
     ``sgds`` are space-time discretisations ordered coarse to fine with
     doubling step counts. Returns a list of MeanSE, one per consecutive pair.
+
+    Samples advance in fixed blocks, sized by the paths of every level, run
+    by ``map_blocks`` on one stepper per level and one coarse-to-fine
+    reconstruction matrix per pair: per block, one keyed
+    ``coupled_increments`` call, one ``run_block`` per level and the
+    differences of all its samples at once. The rows are reduced in sample
+    order, so the result is bit-identical for any worker count. A
+    ``StepFailure`` names the ``level`` whose step failed.
     """
-    n_levels = len(sgds)
     for a, b in zip(sgds[:-1], sgds[1:]):
         if b.n_steps != 2 * a.n_steps:
             raise ValueError("levels must double the step count")
-    stats = [RunningStat() for _ in range(n_levels - 1)]
-    n_fine = sgds[-1].n_steps
-    for s in range(n_samples):
-        incs = coupled_increments(noise, master_seed, s, n_fine, sgds[-1].dt, n_levels)
-        trajs = [
-            run_trajectory(sgd, flux_model, noise, u0, master_seed, s, cfg, increments=inc)
-            for sgd, inc in zip(sgds, incs)
-        ]
-        for i in range(n_levels - 1):
-            stats[i].add(pathwise_lp_difference(trajs[i], trajs[i + 1], p))
+    steppers = [Stepper(sgd, flux_model, noise, cfg) for sgd in sgds]
+    transfers = [c.gd.reconstruction_matrix(f.gd.quad_x) for c, f in zip(sgds[:-1], sgds[1:])]
+
+    def differences(block):
+        """(B, n_levels - 1) rows, one per sample of the block."""
+        samples = np.array(block, dtype=np.int64)[:, None]
+        incs = coupled_increments(noise, master_seed, samples, sgds[-1].n_steps, sgds[-1].dt, len(sgds))
+        paths = []
+        for level, (sgd, inc, stepper) in enumerate(zip(sgds, incs, steppers)):
+            try:
+                trajs = run_block(sgd, flux_model, noise, u0, master_seed, block, cfg, inc, _stepper=stepper)
+            except StepFailure as exc:
+                exc.level = level
+                raise
+            paths.append(np.stack([t.u for t in trajs]))
+        rows = [_lp_differences(E, sgds[i + 1], paths[i], paths[i + 1], p) for i, E in enumerate(transfers)]
+        return np.reshape(rows, (len(transfers), len(block))).T
+
+    stats = [RunningStat() for _ in transfers]
+    for rows in map_blocks(differences, _sample_blocks(0, n_samples, ensemble_block(noise, *sgds)), workers):
+        for row in rows.tolist():
+            for stat, x in zip(stats, row):
+                stat.add(x)
     return [st.result() for st in stats]
 
 

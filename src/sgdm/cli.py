@@ -522,41 +522,34 @@ def cmd_oracle(cfg, workers, outdir):
 
 
 def cmd_convergence(cfg, workers, outdir):
-    """Coupled-seed refinement study (stochastic) or error table (noise-free)."""
+    """Coupled-seed refinement study of consecutive levels; a noise-free
+    study has one path per level, so it runs one sample."""
     levels = build_levels(cfg)
-    flux_model = build_flux(cfg)
-    solver_cfg = build_solver_config(cfg)
-    mesh0 = levels[0][0]
+    mesh0, gd0, _ = levels[0]
     noise_model = build_noise_model(cfg, mesh0)
-    sgds = [sgd for (_, _, sgd) in levels]
-    u0 = build_u0(cfg, mesh0, levels[0][1])
-    rows = []
-    if noise_model.is_zero:
-        diffs = []
-        for i in range(len(sgds) - 1):
-            t_c = analysis.run_trajectory(sgds[i], flux_model, noise_model, build_u0(cfg, levels[i][0], levels[i][1]), cfg["master_seed"], 0, solver_cfg)
-            t_f = analysis.run_trajectory(sgds[i + 1], flux_model, noise_model, build_u0(cfg, levels[i + 1][0], levels[i + 1][1]), cfg["master_seed"], 0, solver_cfg)
-            d = analysis.pathwise_lp_difference(t_c, t_f, cfg["p"])
-            diffs.append(d)
-            rows.append([i, levels[i][0].h, d, 0.0, 1])
-        orders = [float(np.log2(a / b)) for a, b in zip(diffs[:-1], diffs[1:])]
-        summary = {"differences": diffs, "orders": orders, "ok": all(a > b for a, b in zip(diffs, diffs[1:])) if len(diffs) > 1 else True}
-    else:
+    summary = {"failures": [], "ok": True}
+    try:
         stats = analysis.coupled_refinement_study(
-            sgds, flux_model, noise_model, u0,
-            cfg["master_seed"], cfg["n_samples"], cfg["p"], solver_cfg,
+            [sgd for (_, _, sgd) in levels], build_flux(cfg), noise_model, build_u0(cfg, mesh0, gd0),
+            cfg["master_seed"], 1 if noise_model.is_zero else cfg["n_samples"], cfg["p"],
+            build_solver_config(cfg), workers=workers,
         )
-        for i, st in enumerate(stats):
-            rows.append([i, levels[i][0].h, st.mean, st.se, st.n])
-        means = [st.mean for st in stats]
-        summary = {
-            "differences": means,
-            "ok": all(a > b for a, b in zip(means, means[1:])) if len(means) > 1 else True,
-        }
+    except StepFailure as exc:
+        # the first pair that holds the failing level
+        summary["failures"].append({
+            "pair": max(exc.level - 1, 0), "level": exc.level, "sample": exc.sample_index,
+            "step": exc.step_index, "residual": exc.residual_norm,
+        })
+        summary["ok"] = False
+        stats = []
+    means = [st.mean for st in stats]
+    summary["differences"] = means
+    summary["orders"] = [float(np.log2(a / b)) if a > 0 and b > 0 else None for a, b in zip(means, means[1:])]
+    summary["ok"] = summary["ok"] and all(a > b for a, b in zip(means, means[1:]))
     write_csv(
         Path(outdir) / "convergence.csv",
         ["pair", "h_coarse", "mean_diff", "se", "n_samples"],
-        rows,
+        [[i, levels[i][0].h, st.mean, st.se, st.n] for i, st in enumerate(stats)],
     )
     write_summary(outdir, summary)
     write_manifest(outdir, cfg)

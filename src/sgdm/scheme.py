@@ -79,7 +79,8 @@ class StepFailure(RuntimeError):
 
     ``block_row`` is the failing row of the block ``Stepper.step`` advanced;
     the trajectory runner adds the ``step_index`` and the ``sample_index``,
-    and the message names both once they are set."""
+    a coupled refinement study the ``level``, and the message names each
+    once it is set."""
 
     def __init__(self, message, best_iterate, residual_norm, step_index=None, sample_index=None, block_row=0):
         super().__init__(message)
@@ -89,11 +90,17 @@ class StepFailure(RuntimeError):
         self.step_index = step_index
         self.sample_index = sample_index
         self.block_row = block_row
+        self.level = None
+
+    def __reduce__(self):
+        # a pool worker's failure reaches the parent pickled; the default
+        # would call the constructor with the message alone
+        return type(self), (self.message, self.best_iterate, self.residual_norm), vars(self)
 
     def __str__(self):
         where = [
             f"{name} {value}"
-            for name, value in (("sample", self.sample_index), ("step", self.step_index))
+            for name, value in (("level", self.level), ("sample", self.sample_index), ("step", self.step_index))
             if value is not None
         ]
         return f"{self.message} at {', '.join(where)}" if where else self.message
@@ -401,7 +408,7 @@ def run_block(sgd, flux_model, noise, u0, master_seed, samples, cfg=None, increm
     ]
 
 
-def run_trajectory(sgd, flux_model, noise, u0, master_seed, sample_index, cfg=None, increments=None, _stepper=None):
+def run_trajectory(sgd, flux_model, noise, u0, master_seed, sample_index, cfg=None, increments=None):
     """Simulate one full path of the scheme: ``run_block`` for a block of one.
 
     ``u0`` is either a callable initial condition (interpolated onto the
@@ -413,9 +420,7 @@ def run_trajectory(sgd, flux_model, noise, u0, master_seed, sample_index, cfg=No
     """
     if increments is not None:
         increments = np.asarray(increments, dtype=float)[None]
-    return run_block(
-        sgd, flux_model, noise, u0, master_seed, [sample_index], cfg, increments, _stepper
-    )[0]
+    return run_block(sgd, flux_model, noise, u0, master_seed, [sample_index], cfg, increments)[0]
 
 
 def energy_identity_residual(traj):

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from scipy import integrate
 from scipy.optimize import minimize
 
-from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation
+from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation, refine
 from sgdm import analysis
 from sgdm.analysis import (
     ENSEMBLE_BLOCK,
@@ -16,19 +16,16 @@ from sgdm.analysis import (
     RunningStat,
     continuous_translate,
     coupled_increments,
-    dual_increment_estimator,
+    coupled_refinement_study,
     dual_norm,
-    energy_estimators,
     ensemble_block,
     fractional_norm,
     iter_trajectories,
     loglog_slope,
     m_path,
-    martingale_stats,
     ou_exact_moments,
     pathwise_lp_difference,
     run_ensemble,
-    time_translate_estimator,
     u_path,
 )
 from sgdm.analysis import _sample_blocks
@@ -314,13 +311,23 @@ def small_ensemble():
     return sgd, flux, noise, trajs
 
 
+def reduce_block(trajs, p, **acc_kwargs):
+    """The report of one accumulator over the trajectories as one block."""
+    acc = EnsembleAccumulator(trajs[0].sgd, p, **acc_kwargs)
+    acc.add_summary(acc.summarize(trajs))
+    return acc.report()
+
+
+ENERGY_ONLY = dict(translate_ells=(), dual_ells=(), with_dual=False, with_martingale=False)
+
+
 class TestEstimators:
     def test_deterministic_path_zero_se(self):
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
         trajs = list(iter_trajectories(sgd, linear_diffusion(), noise, sin_pi, 0, 3))
-        rep = energy_estimators(trajs, p=2.0)
+        rep = reduce_block(trajs, 2.0, **ENERGY_ONLY)
         assert rep.energy_max_l2_sq.se == 0.0
         single = np.sum(gd.quad_w * (gd.P @ trajs[0].u[1]) ** 2)
         assert abs(rep.energy_max_l2_sq.mean - single) <= 1e-14
@@ -330,7 +337,7 @@ class TestEstimators:
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
         trajs = list(iter_trajectories(sgd, linear_diffusion(), noise, zero_field, 0, 2))
-        rep = energy_estimators(trajs, p=2.0)
+        rep = reduce_block(trajs, 2.0, **ENERGY_ONLY)
         assert rep.energy_max_l2_sq.mean == 0.0
         assert rep.grad_lp_p.mean == 0.0
         assert rep.increment_sum.mean == 0.0
@@ -341,7 +348,8 @@ class TestEstimators:
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
         # zero initial data and no noise: path constant in time
         trajs = list(iter_trajectories(sgd, linear_diffusion(), noise, zero_field, 0, 2))
-        table = time_translate_estimator(trajs, (1, 2, 4))
+        table = reduce_block(trajs, 2.0, **dict(ENERGY_ONLY, translate_ells=(1, 2, 4))).translate_table
+        assert set(table) == {1, 2, 4}
         assert all(v.mean == 0.0 for v in table.values())
 
     def test_translate_deterministic_direct_evaluation(self):
@@ -349,7 +357,7 @@ class TestEstimators:
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
         trajs = list(iter_trajectories(sgd, linear_diffusion(), noise, sin_pi, 0, 1))
-        table = time_translate_estimator(trajs, (2,))
+        table = reduce_block(trajs, 2.0, **dict(ENERGY_ONLY, translate_ells=(2,))).translate_table
         traj = trajs[0]
         direct = sgd.dt * sum(
             gd.l2_inner(traj.u[n + 2] - traj.u[n], traj.u[n + 2] - traj.u[n])
@@ -358,16 +366,12 @@ class TestEstimators:
         assert abs(table[2].mean - direct) <= 1e-13
         assert table[2].se == 0.0
 
-    def test_lag_out_of_range(self, small_ensemble):
-        _, _, _, trajs = small_ensemble
-        with pytest.raises(ValueError):
-            time_translate_estimator(trajs, (8,))
-
     def test_dual_exponent_must_be_power_of_two(self, small_ensemble):
         sgd, flux, noise, trajs = small_ensemble
+        dual = dict(translate_ells=(), dual_ells=(1, 2), with_martingale=False)
         with pytest.raises(ValueError):
-            dual_increment_estimator(trajs, (1, 2), r=3)
-        table = dual_increment_estimator(trajs, (1, 2), r=2)
+            EnsembleAccumulator(sgd, 2.0, dual_r=3, **dual)
+        table = reduce_block(trajs, 2.0, dual_r=2, **dual).dual_increment_table
         assert set(table) == {(1, 2), (2, 2)}
 
     def test_dual_increments_of_constant_path_zero(self):
@@ -375,7 +379,7 @@ class TestEstimators:
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
         trajs = list(iter_trajectories(sgd, linear_diffusion(), noise, zero_field, 0, 2))
-        table = dual_increment_estimator(trajs, (1, 2), r=2)
+        table = reduce_block(trajs, 2.0, translate_ells=(), dual_ells=(1, 2), with_martingale=False).dual_increment_table
         assert all(v.mean == 0.0 for v in table.values())
 
     def test_dual_table_is_p2_dual_norm_for_p3(self):
@@ -383,7 +387,7 @@ class TestEstimators:
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
         trajs = list(iter_trajectories(sgd, p_laplace(3.0), noise, sin_pi, 23, 4))
-        table = dual_increment_estimator(trajs, (1, 2), r=2)
+        table = reduce_block(trajs, 3.0, translate_ells=(), dual_ells=(1, 2), with_martingale=False).dual_increment_table
         solver = DualNormSolver(gd, 2.0)
         for ell in (1, 2):
             per_sample = [
@@ -398,7 +402,7 @@ class TestEstimators:
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
         trajs = list(iter_trajectories(sgd, linear_diffusion(), noise, sin_pi, 0, 2))
-        rep = martingale_stats(trajs)
+        rep = reduce_block(trajs, 2.0, translate_ells=(), dual_ells=(), with_dual=False)
         assert rep.martingale_h_beta.mean == 0.0
         assert rep.martingale_sup_r.mean == 0.0
 
@@ -426,17 +430,17 @@ class TestBlocks:
         (traj,) = run_block(sgd, flux, noise, sin_pi, 41, [0])
         fields = (traj.u, traj.m_partial, traj.increments, traj.per_step_residuals, traj.per_step_newton_iters)
         path = sum(a.nbytes for a in fields)
-        assert ensemble_block(sgd, noise) == ENSEMBLE_BLOCK
+        assert ensemble_block(noise, sgd) == ENSEMBLE_BLOCK
         for budget, B in ((3 * path, 3), (4 * path - 1, 3), (path - 1, 1)):
             monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", budget)
-            assert ensemble_block(sgd, noise) == B
+            assert ensemble_block(noise, sgd) == B
 
     def test_p1_lumped_paths_shrink_the_block(self):
         # 57,600 quadrature points on 20 x 20: one path of 64 steps holds
         # about 30 MB of noise sums
         gd = build_gd(build_uniform_triangulation(20, 20), "p1_lumped")
         sgd = SpaceTimeGD(gd, T=0.25, n_steps=64)
-        B = ensemble_block(sgd, make_noise(gd.mesh.bounding_box, 16, f0="tanh"))
+        B = ensemble_block(make_noise(gd.mesh.bounding_box, 16, f0="tanh"), sgd)
         assert 1 <= B < ENSEMBLE_BLOCK
         assert B * 8 * 64 * len(gd.quad_w) <= analysis.BLOCK_PATH_BYTES
 
@@ -444,7 +448,7 @@ class TestBlocks:
         sgd, flux, noise, _ = small_ensemble
         for budget in (analysis.BLOCK_PATH_BYTES, 1):  # blocks of ENSEMBLE_BLOCK, then of 1
             monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", budget)
-            B = ensemble_block(sgd, noise)
+            B = ensemble_block(noise, sgd)
             start, n = B + 1 - min(B, 3), 7
             trajs = list(iter_trajectories(sgd, flux, noise, sin_pi, 41, n, start=start))
             assert [t.sample_index for t in trajs] == list(range(start, start + n))
@@ -531,7 +535,7 @@ class TestBlockSummaries:
         noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
         path_bytes = 8 * ((sgd.n_steps + 1) * gd.n_dofs + sgd.n_steps * (len(gd.quad_w) + noise.k_max + 2))
         monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", 3 * path_bytes)
-        assert ensemble_block(sgd, noise) == 3
+        assert ensemble_block(noise, sgd) == 3
         reports = [
             run_ensemble(sgd, p_laplace(3.0), noise, sin_pi, 43, 8, dict(self.ESTIMATORS), workers=w)
             for w in (1, 2)
@@ -594,6 +598,16 @@ class TestRefinementTools:
         for n in range(8):
             np.testing.assert_array_equal(fine[n], sample_increment(noise, RngStream(7, 2, n + 1), 0.0625).coeffs)
 
+    def test_coupled_increments_of_a_sample_column(self):
+        noise = make_noise([[0.0], [1.0]], 3, f0="tanh")
+        samples = [0, 2, 5, 11]
+        block = coupled_increments(noise, 7, np.array(samples)[:, None], n_fine=8, dt_fine=0.0625, n_levels=3)
+        assert [lvl.shape for lvl in block] == [(4, 2, 3), (4, 4, 3), (4, 8, 3)]
+        for b, s in enumerate(samples):
+            alone = coupled_increments(noise, 7, s, n_fine=8, dt_fine=0.0625, n_levels=3)
+            for got, want in zip(block, alone, strict=True):
+                np.testing.assert_array_equal(got[b], want)
+
     def test_pathwise_difference_of_identical_levels_zero(self):
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd_c = SpaceTimeGD(gd, T=0.5, n_steps=4)
@@ -610,3 +624,86 @@ class TestRefinementTools:
     def test_slope_fit(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])
         assert abs(loglog_slope(x, 3.0 * x**1.4) - 1.4) <= 1e-12
+
+
+def reference_coupled_rows(sgds, flux, noise, u0, master_seed, n_samples, p):
+    """The per-sample coupled study: each level's path by ``run_trajectory``
+    on the sample's coupled increments, and each pair's L^p difference by a
+    loop over the fine steps; one row of differences per sample."""
+    rows = []
+    for s in range(n_samples):
+        incs = coupled_increments(noise, master_seed, s, sgds[-1].n_steps, sgds[-1].dt, len(sgds))
+        trajs = [run_trajectory(sgd, flux, noise, u0, master_seed, s, increments=inc) for sgd, inc in zip(sgds, incs)]
+        row = []
+        for coarse, fine in zip(trajs[:-1], trajs[1:]):
+            gd_f = fine.sgd.gd
+            E = coarse.sgd.gd.reconstruction_matrix(gd_f.quad_x)
+            ratio = fine.sgd.n_steps // coarse.sgd.n_steps
+            total = 0.0
+            for j in range(fine.sgd.n_steps):
+                diff = gd_f.P @ fine.u[j + 1] - E @ coarse.u[j // ratio + 1]
+                total += fine.sgd.dt * float(np.sum(gd_f.quad_w * np.abs(diff) ** p))
+            row.append(total ** (1.0 / p))
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestCoupledStudy:
+    N_SAMPLES = 7
+
+    @pytest.fixture
+    def levels_in_blocks_of_three(self, monkeypatch):
+        """Three nested P1 levels on (0, 1) and a path budget of three
+        samples per block."""
+        mesh = build_uniform_interval(4, 0.0, 1.0)
+        sgds = []
+        for lvl in range(3):
+            sgds.append(SpaceTimeGD(build_gd(mesh, "p1"), 0.25, 4 * 2**lvl))
+            mesh = refine(mesh)
+        noise = make_noise(mesh.bounding_box, 4, f0="tanh")
+        path_bytes = sum(
+            8 * ((s.n_steps + 1) * s.gd.n_dofs + s.n_steps * (len(s.gd.quad_w) + noise.k_max + 2)) for s in sgds
+        )
+        monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", 3 * path_bytes)
+        assert ensemble_block(noise, *sgds) == 3
+        return sgds, noise
+
+    def test_block_study_matches_per_sample_reference(self, levels_in_blocks_of_three, monkeypatch):
+        sgds, noise = levels_in_blocks_of_three
+        built = {"steppers": 0, "transfers": 0}
+
+        class CountingStepper(analysis.Stepper):
+            def __init__(self, *args, **kwargs):
+                built["steppers"] += 1
+                super().__init__(*args, **kwargs)
+
+        reconstruction_matrix = type(sgds[0].gd).reconstruction_matrix
+
+        def counting_matrix(gd, points):
+            built["transfers"] += 1
+            return reconstruction_matrix(gd, points)
+
+        monkeypatch.setattr(analysis, "Stepper", CountingStepper)
+        monkeypatch.setattr(type(sgds[0].gd), "reconstruction_matrix", counting_matrix)
+        stats = coupled_refinement_study(sgds, p_laplace(3.0), noise, sin_pi, 9, self.N_SAMPLES, 3.0)
+        # three blocks, one stepper per level and one matrix per pair
+        assert built == {"steppers": 3, "transfers": 2}
+        rows = reference_coupled_rows(sgds, p_laplace(3.0), noise, sin_pi, 9, self.N_SAMPLES, 3.0)
+        assert rows.shape == (self.N_SAMPLES, 2) and np.all(rows > 0.0)
+        for stat, col in zip(stats, rows.T, strict=True):
+            acc = RunningStat()
+            for x in col:
+                acc.add(x)
+            ref = acc.result()
+            assert stat.n == ref.n == self.N_SAMPLES
+            assert abs(stat.mean - ref.mean) <= 1e-13 * ref.mean
+            assert abs(stat.se - ref.se) <= 1e-13 * ref.se
+
+    def test_identical_across_workers_over_blocks_of_three(self, levels_in_blocks_of_three):
+        sgds, noise = levels_in_blocks_of_three
+        a, b = (
+            coupled_refinement_study(sgds, p_laplace(3.0), noise, sin_pi, 9, self.N_SAMPLES, 3.0, workers=w)
+            for w in (1, 2)
+        )
+        assert a == b
+        assert [st.n for st in a] == [self.N_SAMPLES] * 2

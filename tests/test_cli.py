@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 import scipy
 
-from sgdm.cli import ConfigError, config_hash, load_config, main
+from sgdm.analysis import pathwise_lp_difference
+from sgdm.cli import (
+    ConfigError, build_flux, build_levels, build_noise_model, build_u0, config_hash, load_config, main,
+)
+from sgdm.scheme import run_trajectory
 
 
 def write_config(tmp_path, **overrides):
@@ -166,6 +170,60 @@ class TestCommands:
         summary = json.loads((out / "summary.json").read_text())
         d = summary["differences"]
         assert len(d) == 2 and d[0] > d[1]
+
+    def test_convergence_noise_free_is_one_path_per_level(self, tmp_path):
+        path, _ = write_config(
+            tmp_path, levels=3, flux={"kind": "p_laplace"}, p=3.0,
+            mesh={"kind": "interval", "n_cells": 4}, time={"T": 0.25, "n_steps": 4},
+            noise={"k_max": 4, "f0": "zero"},
+        )
+        out = tmp_path / "conv0"
+        assert main(["convergence", "--config", str(path), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[1:]]
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(summary["orders"]) == 1
+        # each difference against two paths of the noise-free scheme
+        cfg = load_config(path)
+        levels = build_levels(cfg)
+        trajs = [
+            run_trajectory(sgd, build_flux(cfg), build_noise_model(cfg, mesh), build_u0(cfg, mesh, gd), 42, 0)
+            for mesh, gd, sgd in levels
+        ]
+        assert len(rows) == 2
+        for i, row in enumerate(rows):
+            want = pathwise_lp_difference(trajs[i], trajs[i + 1], 3.0)
+            assert row[0] == str(i) and float(row[1]) == levels[i][0].h and row[3:] == ["0", "1"]
+            assert abs(float(row[2]) - want) <= 1e-13 * want
+            assert summary["differences"][i] == float(row[2])
+
+    def test_convergence_records_a_failed_step(self, tmp_path):
+        path, _ = write_config(
+            tmp_path, n_samples=4, flux={"kind": "p_laplace"}, p=3.0,
+            solver={"max_newton": 1, "max_fixed_point": 1},
+        )
+        for workers in (1, 2):
+            out = tmp_path / f"fail{workers}"
+            assert main(["convergence", "--config", str(path), "--out", str(out), "--workers", str(workers)]) == 1
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["ok"] is False
+            (failure,) = summary["failures"]
+            assert (failure["pair"], failure["sample"], failure["step"]) == (0, 0, 0)
+            assert failure["residual"] > 0.0
+            assert (out / "convergence.csv").read_text().splitlines() == ["pair,h_coarse,mean_diff,se,n_samples"]
+            assert (out / "manifest.json").exists()
+
+    def test_convergence_byte_identical_across_workers(self, tmp_path):
+        path, _ = write_config(
+            tmp_path, levels=3, n_samples=20, flux={"kind": "p_laplace"}, p=3.0,
+            mesh={"kind": "interval", "n_cells": 4}, time={"T": 0.25, "n_steps": 4},
+        )
+        outs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert main(["convergence", "--config", str(path), "--out", str(out), "--workers", str(workers)]) == 0
+            outs.append((out / "convergence.csv").read_bytes())
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 3
 
     def test_bad_config_exit_code(self, tmp_path):
         path, _ = write_config(tmp_path, n_samples=0)

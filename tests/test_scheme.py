@@ -1,6 +1,7 @@
 """Implicit Euler steps, full trajectories and their pathwise identities."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -537,6 +538,22 @@ class TestBlocks:
         assert (exc.value.sample_index, exc.value.step_index) == (9, 1)
         assert "sample 9" in str(exc.value) and "step 1" in str(exc.value)
         assert exc.value.best_iterate.shape == (sgd.gd.n_dofs,)
+
+    def test_failure_survives_pickling(self, setup16):
+        # a pool worker's failure reaches the parent process pickled
+        sgd, _ = setup16
+        noise = make_noise(sgd.gd.mesh.bounding_box, 4, f0="constant")
+        increments = np.zeros((2, sgd.n_steps, 4))
+        increments[1, 2] = 5.0
+        with pytest.raises(StepFailure) as exc:
+            run_block(sgd, p_laplace(3.0), noise, zero_field, 1, [4, 5], SolverConfig(max_newton=1, max_fixed_point=1), increments)
+        exc.value.level = 2
+        again = pickle.loads(pickle.dumps(exc.value))
+        assert type(again) is StepFailure and str(again) == str(exc.value)
+        assert vars(again).keys() == vars(exc.value).keys()
+        assert (again.level, again.sample_index, again.step_index, again.block_row) == (2, 5, 2, 1)
+        assert again.residual_norm == exc.value.residual_norm
+        np.testing.assert_array_equal(again.best_iterate, exc.value.best_iterate)
 
     def test_ensemble_failure_names_its_sample(self, setup16):
         sgd, noise = setup16
