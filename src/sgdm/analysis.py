@@ -1,12 +1,13 @@
 """Monte Carlo estimator suite: energy and moment estimators, time-translate
 and dual-norm increment statistics, fractional time-regularity norms of
-piecewise-constant paths, noise-accumulator statistics, coupled refinement
-studies, and the exact single-unknown linear-scheme oracle.
+piecewise-constant paths, noise-accumulator (martingale) statistics from
+each path's states and increments, coupled refinement studies, and the exact
+single-unknown linear-scheme oracle.
 
 Every Monte Carlo path runs through one block driver, ``map_blocks``: it
 maps a task, built once with the steppers and whatever else it reuses, over
-fixed lockstep blocks of sample indices (see ``iter_trajectories``), in
-this process or on a fork pool. ``run_ensemble``'s task summarises a
+fixed lockstep blocks of sample indices (``_sample_blocks``), in this
+process or on a fork pool. ``run_ensemble``'s task summarises a
 block's paths in one ``EnsembleAccumulator.summarize`` call, arrays with a
 leading sample axis; ``coupled_refinement_study``'s runs the block on every
 refinement level and gives its rows of coarse-to-fine differences. The rows
@@ -110,71 +111,25 @@ def loglog_slope(x, y):
 # -- piecewise-constant-in-time paths ------------------------------------------
 
 
-@dataclass
-class TimePath:
-    """Function (0, T] -> L^2 that is constant on N uniform intervals.
-
-    ``values[n]`` are the quadrature-point values on (n dt, (n+1) dt];
-    ``weights`` are the spatial quadrature weights.
-    """
-
-    dt: float
-    values: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def n_intervals(self):
-        return self.values.shape[0]
-
-    @property
-    def T(self):
-        return self.dt * self.n_intervals
-
-    def sq_distance_matrix(self):
-        """Pairwise squared L^2 distances of the interval values."""
-        g = (self.values * self.weights) @ self.values.T
-        d = np.diag(g)
-        return np.maximum(d[:, None] + d[None, :] - 2.0 * g, 0.0)
+def translate_at_lags(dist, dt):
+    """The translate integral phi(rho) = int_0^{T-rho} ||g(s+rho) - g(s)||^q ds
+    of a path g constant on N intervals of length dt, at the grid lags
+    rho = ell dt, ell = 0..N, from dist[i, j] = ||g_i - g_j||^q: dt times the
+    sum of the ell-th subdiagonal of dist (0 at ell = N). Between the grid
+    lags phi is linear in rho."""
+    return dt * np.array([dist.diagonal(-ell).sum() for ell in range(len(dist))] + [0.0])
 
 
-def u_path(traj):
-    """Time path of the scheme solution (value u^(n+1) on interval n)."""
-    gd = traj.sgd.gd
-    vals = (gd.P @ traj.u[1:].T).T
-    return TimePath(traj.sgd.dt, vals, gd.quad_w)
-
-
-def m_path(traj):
-    """Time path of the accumulated noise sums."""
-    return TimePath(traj.sgd.dt, traj.m_partial, traj.sgd.gd.quad_w)
-
-
-def continuous_translate(path, rho):
-    """Exact value of int_0^{T-rho} ||g(t+rho) - g(t)||^2 dt for a
-    piecewise-constant path, from the overlap structure of the intervals."""
-    T, dt, N = path.T, path.dt, path.n_intervals
-    if not 0.0 < rho < T:
-        raise ValueError(f"rho must lie in (0, T), got {rho}")
-    D2 = path.sq_distance_matrix()
-    ell = min(int(rho / dt), N - 1)
-    r = rho - ell * dt
-    if r >= dt:  # floating point at an interval boundary
-        ell, r = ell + 1, 0.0
-    total = 0.0
-    for n in range(N - ell - 1):
-        total += (dt - r) * D2[n + ell, n] + r * D2[n + ell + 1, n]
-    total += (dt - r) * D2[N - 1, N - 1 - ell]
-    return float(total)
-
-
-def fractional_norm(path, beta, q_exp=2.0):
+def fractional_norm(sq_dist, dt, beta, q_exp=2.0):
     """Slobodeckij-type time-regularity integral of a piecewise-constant path:
 
         int_0^T ( int_0^{T-rho} ||g(s+rho) - g(s)||^q ds ) rho^(-1-beta q) drho
 
-    i.e. the q-th power of the fractional norm. The inner integral is a
-    piecewise-linear function of rho whose breakpoints are the time-grid
-    lags; each piece is integrated exactly with the antiderivatives of
+    i.e. the q-th power of the fractional norm, for a path constant on
+    intervals of length ``dt`` with squared distances
+    ``sq_dist[i, j] = ||g_i - g_j||^2`` between its values. The inner integral
+    is linear in rho between the grid lags (``translate_at_lags``); each
+    piece is integrated exactly with the antiderivatives of
     rho^(-1-beta q) and rho^(-beta q).
     """
     if not 0.0 < beta < 0.5:
@@ -184,38 +139,27 @@ def fractional_norm(path, beta, q_exp=2.0):
     c = beta * q_exp
     if c >= 1.0:
         raise ValueError(f"beta * q must be < 1 for piecewise-constant paths, got {c}")
-    N, dt = path.n_intervals, path.dt
-    D = path.sq_distance_matrix() ** (q_exp / 2.0)
-
-    total = 0.0
-    for ell in range(N):
-        idx = np.arange(N - ell)
-        A = dt * float(np.sum(D[idx + ell, idx])) if ell > 0 else 0.0
-        head = np.arange(N - ell - 1)
-        B = float(np.sum(D[head + ell + 1, head] - D[head + ell, head])) - D[N - 1, N - 1 - ell]
-        a, b = ell * dt, (ell + 1) * dt
-        I2 = (b ** (1.0 - c) - a ** (1.0 - c)) / (1.0 - c)
-        if ell == 0:
-            total += B * I2
-        else:
-            I1 = (a ** (-c) - b ** (-c)) / c
-            total += A * I1 + B * (I2 - a * I1)
-    return float(total)
+    phi = translate_at_lags(np.asarray(sq_dist) ** (q_exp / 2.0), dt)
+    slope = np.diff(phi) / dt
+    a = dt * np.arange(len(slope))  # the pieces [a, a + dt]
+    b = a + dt
+    I2 = (b ** (1.0 - c) - a ** (1.0 - c)) / (1.0 - c)
+    # the first piece starts at phi(0) = 0, where rho^(-1-c) is not integrable
+    I1 = (a[1:] ** (-c) - b[1:] ** (-c)) / c
+    return float(slope[0] * I2[0] + np.sum(phi[1:-1] * I1 + slope[1:] * (I2[1:] - a[1:] * I1)))
 
 
 # -- dual norm of reconstructed elements ----------------------------------------
 
 
 class DualNormSolver:
-    """Computes |v|_* = sup { <v, Pi phi> : ||Pi phi||_2 + ||grad phi||_p <= 1 }
+    """Computes |v|_* = sup { <v, Pi phi> : ||Pi phi||_2 + ||grad phi||_2 <= 1 }
     for elements v = Pi w of the reconstructed space.
 
-    For p = 2 the maximizer lies on the one-parameter path
+    The maximizer lies on the one-parameter path
     phi = (M + mu K)^(-1) M w, reducing the sup to a scalar search carried
     out in the generalized eigenbasis of (M, K); this is exact up to the
-    scalar-search resolution. For p != 2 a reweighted sequence of such
-    solves is used and the best feasible ratio found is returned (a certified
-    lower bound).
+    scalar-search resolution.
     """
 
     _MU_GRID = np.logspace(-9.0, 9.0, 181)
@@ -225,10 +169,8 @@ class DualNormSolver:
     _GOLDEN_STEPS = 34
     _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-    def __init__(self, gd, p=2.0):
-        self.gd = gd
-        self.p = p
-        self.lam, self.Y, self.YM = gd.eigenbasis
+    def __init__(self, gd):
+        self.lam, _, self.YM = gd.eigenbasis
         # n x grid tables of 1/(lam+mu), lam/(lam+mu)^2 and 1/(lam+mu)^2
         r = 1.0 / (self.lam[:, None] + self._MU_GRID[None, :])
         self._grid_r = r
@@ -253,7 +195,7 @@ class DualNormSolver:
         return self._ratio(e2 @ self._grid_r, e2 @ self._grid_lr2, e2 @ self._grid_r2)
 
     def batch(self, W):
-        """Dual norms of the rows of W (DOF coefficients), p = 2 only.
+        """Dual norms of the rows of W (DOF coefficients).
 
         The ratio is evaluated on the whole mu-grid, then refined by golden
         section on log(mu) around each row's best grid point. The result is
@@ -261,8 +203,6 @@ class DualNormSolver:
         below the grid maximum, and the refinement assumes no more than that
         the ratio is unimodal within the bracket around that point.
         """
-        if self.p != 2.0:
-            raise ValueError("batch path implemented for p = 2")
         W = np.atleast_2d(np.asarray(W, dtype=float))
         e2 = (W @ self.YM.T) ** 2
         grid = self._MU_GRID
@@ -291,73 +231,6 @@ class DualNormSolver:
             )
         return best
 
-    def value(self, w):
-        """Dual norm of a single element given by DOF coefficients w."""
-        w = np.asarray(w, dtype=float)
-        if np.linalg.norm(w) == 0.0:
-            return 0.0
-        if self.p == 2.0:
-            return float(self.batch(w[None, :])[0])
-        return self._value_general(w)
-
-    def _value_general(self, w, n_iter=40):
-        from .indicators import _ascend_ratio, _grad_power
-
-        gd = self.gd
-        c = gd.mass @ w
-
-        def ratio(phi):
-            den = gd.lp_norm(phi, 2.0) + gd.grad_lp_norm(phi, self.p)
-            return abs(c @ phi) / den if den > 0 else 0.0
-
-        # start from the p=2 maximizer
-        e2 = (w @ self.YM.T)[None, :] ** 2
-        mu0 = self._MU_GRID[self._grid_values(e2)[0].argmax()]
-        phi = self.Y @ ((self.Y.T @ c) / (self.lam + mu0))
-        phi /= np.linalg.norm(phi)
-        best = ratio(phi)
-        mass_vals = gd.form_values_of(gd.mass)
-        for _ in range(n_iter):
-            s = gd.lp_norm(phi, 2.0)
-            t = gd.grad_lp_norm(phi, self.p)
-            if s <= 0 or t <= 0:
-                break
-            g = (gd.G @ phi).reshape(gd.mesh.n_cells, gd.dim)
-            mag = np.linalg.norm(g, axis=1)
-            eps = 1e-14 * max(mag.max(), 1e-300)
-            wcell = gd.mesh.cell_measures * (mag + eps) ** (self.p - 2.0)
-            H = mass_vals / s + gd.form_values(wcell) * t ** (1.0 - self.p)
-            phi_new = gd.form_solver(H)(c)
-            # phi -> phi_new is 1-homogeneous, so unnormalised iterates shrink
-            # geometrically at p=3 until ||grad phi||_p^p underflows to 0
-            phi_new /= np.linalg.norm(phi_new)
-            move = np.linalg.norm(phi_new - phi)
-            phi = phi_new
-            best = max(best, ratio(phi))
-            if move < 1e-10:
-                break
-
-        # gradient-ascent polish on the ratio itself
-        def grad_log_ratio(v):
-            s = gd.lp_norm(v, 2.0)
-            t_p, gden = _grad_power(gd, v, self.p)
-            t = t_p ** (1.0 / self.p)
-            dden = (gd.mass @ v) / max(s, 1e-300) + gden * max(t, 1e-300) ** (1.0 - self.p)
-            return c / (c @ v) - dden / max(s + t, 1e-300)
-
-        val, _ = _ascend_ratio(
-            phi if c @ phi > 0 else -phi,
-            lambda v: abs(c @ v) / (gd.lp_norm(v, 2.0) + gd.grad_lp_norm(v, self.p)),
-            grad_log_ratio,
-            n_iter=200,
-        )
-        return float(max(best, val))
-
-
-def dual_norm(gd, w, p=2.0):
-    """Dual norm of the reconstructed element Pi w (w are DOF coefficients)."""
-    return DualNormSolver(gd, p).value(np.asarray(w, dtype=float))
-
 
 # -- ensemble estimators ---------------------------------------------------------
 
@@ -368,7 +241,7 @@ class EstimatorReport:
 
     ``dual_increment_table`` maps (ell, r) to the mean over samples and n of
     |Pi u^(n+ell) - Pi u^(n)|_*^r, where |.|_* is always the p = 2 dual norm
-    (``DualNormSolver(gd, 2.0)``), whatever the ensemble's ``p``.
+    (``DualNormSolver``), whatever the ensemble's ``p``.
     """
 
     n_samples: int = 0
@@ -439,7 +312,7 @@ class EnsembleAccumulator:
         self.martingale_r = martingale_r
         self.with_dual = with_dual
         self.with_martingale = with_martingale
-        self._dual = DualNormSolver(sgd.gd, 2.0) if with_dual else None
+        self._dual = DualNormSolver(sgd.gd) if with_dual else None
         gd = sgd.gd
         self._phi_quad = None
         if gd.n_dofs:
@@ -464,18 +337,19 @@ class EnsembleAccumulator:
         self.pair_mean = RunningStat()
         self.n_samples = 0
 
-    def summarize(self, trajs):
+    def summarize(self, trajs, stepper):
         """Pathwise quantities of a block of trajectories on this space-time
         grid, each with a leading sample axis (row b for ``trajs[b]``);
         ``add_summary`` reduces the rows strictly in sample order, so reports
         do not depend on the worker count.
 
         The energy-type rows come from the whole block at once
-        (``_energy_rows``). The dual-norm search, the martingale's
-        fractional norm and ``extra_fn`` run per sample."""
+        (``_energy_rows``). The dual-norm search, the martingale statistics
+        (``_martingale_rows``) and ``extra_fn`` run per sample. ``stepper``
+        is the ``Stepper`` that ran the paths, whose noise basis values the
+        martingale statistics reuse."""
         sgd, gd = self.sgd, self.sgd.gd
         N = sgd.n_steps
-        w = gd.quad_w
         U = np.stack([traj.u for traj in trajs])  # (B, N+1, n)
         out = self._energy_rows(U)
         if self.with_dual and gd.n_dofs and self.dual_ells:
@@ -488,18 +362,33 @@ class EnsembleAccumulator:
             per_lag = np.split(powers, np.cumsum([N - ell for ell in self.dual_ells])[:-1], axis=1)
             out["dual"] = {ell: np.mean(x, axis=1) for ell, x in zip(self.dual_ells, per_lag)}
         if self.with_martingale:
-            # per sample: a block of noise sums at the quadrature points
-            # would be the largest array of the summary
-            out["mart_h"] = np.array([fractional_norm(m_path(traj), self.beta, 2.0) for traj in trajs])
-            m_norms_sq = np.array([np.einsum("nq,nq,q->n", t.m_partial, t.m_partial, w) for t in trajs])
-            out["m_sq"] = m_norms_sq
-            out["mart_sup"] = m_norms_sq.max(axis=1) ** (self.martingale_r / 2.0)
+            rows = [self._martingale_rows(stepper, traj) for traj in trajs]
+            out["mart_h"], out["m_sq"], pairs = (np.array(col) for col in zip(*rows))
+            out["mart_sup"] = out["m_sq"].max(axis=1) ** (self.martingale_r / 2.0)
             if self._phi_quad is not None:
-                v = w * self._phi_quad
-                out["pairs"] = np.array([np.diff(t.m_partial, axis=0, prepend=0.0) @ v for t in trajs])
+                out["pairs"] = pairs
         if self.extra_fn is not None:
             out["extra"] = np.array([np.asarray(self.extra_fn(traj), dtype=float) for traj in trajs])
         return out
+
+    def _martingale_rows(self, stepper, traj):
+        """The fractional norm of one path's discrete martingale
+        M_n = z_0 + ... + z_n, its squared L^2 norms (N,), and the pairs
+        <z_n, Pi e_0> (N,) (None without unknowns), from the path's noise
+        terms z_n = f0(Pi u^(n)) dW_n at the quadrature points.
+
+        The z_n are recomputed from the path's states and increments, one
+        sample at a time, since a block of them is the largest temporary of
+        the summary. Only their weighted Gram F = (z_k, z_l) enters: the Gram
+        of the M_n is the cumulative sum of F along both axes, and the
+        squared distances ||M_i - M_j||^2 follow from it."""
+        Z = stepper.noise_values(traj.u[:-1], traj.increments)  # (N, n_q)
+        w = self.sgd.gd.quad_w
+        gram = np.cumsum(np.cumsum((Z * w) @ Z.T, axis=0), axis=1)
+        m_sq = np.diag(gram)
+        sq_dist = np.maximum(m_sq[:, None] + m_sq[None, :] - 2.0 * gram, 0.0)
+        pairs = Z @ (w * self._phi_quad) if self._phi_quad is not None else None
+        return fractional_norm(sq_dist, self.sgd.dt, self.beta, 2.0), m_sq, pairs
 
     def _energy_rows(self, U):
         """Max L^2 norm, gradient p-power, increment sum and translates of a
@@ -582,16 +471,16 @@ class EnsembleAccumulator:
         return rep
 
 
-# Samples advance in blocks of consecutive indices (see iter_trajectories),
-# and a block holds the full paths of its samples at once. Measured with
+# Samples advance in blocks of consecutive indices (_sample_blocks), and a
+# block holds the full paths of its samples at once. Measured with
 # run_ensemble of 32 samples at B = 1, 4, 8, 16, 32 (2-vCPU VM): 63
 # unknowns, 64 steps ran 10, 20, 29, 33-37, 37 samples/s; P1 20x20, 16
 # steps ran 12, 17-20, 19-20, 19-23, 17-18/s; hence at most 16 rows. On
-# 20x20 at 64 steps more rows buy nothing past 8 but memory: P1 (5.1 MB a
-# path) ran 3.5, 4.4-5.1, 5.1-5.7, 5.3/s at B up to 16 as peak RSS went
-# 103 -> 241 MB, p1_lumped (30 MB a path) 2.3-2.6/s at any B up to 16 as it
-# went 231 -> 629 MB. A budget of 32 MiB of paths keeps 16 rows on the
-# first two and gives 6 and 1 on these (see ensemble_block).
+# 20x20 at 64 steps more rows bought nothing past 8: P1 ran 3.5, 4.4-5.1,
+# 5.1-5.7, 5.3/s at B up to 16, p1_lumped 2.3-2.6/s at any B up to 16. A
+# path holds its states, increments, residuals and iteration counts, 0.19 MB
+# on 20x20 at 64 steps, so the budget of 32 MiB of paths (see
+# ensemble_block) caps the block only on far larger problems.
 ENSEMBLE_BLOCK = 16
 BLOCK_PATH_BYTES = 32 * 2**20
 
@@ -600,47 +489,24 @@ def ensemble_block(noise, *sgds):
     """Samples per block when each sample holds one path on every
     space-time grid of ``sgds`` (one grid for an ensemble, every level for
     a coupled study): ``ENSEMBLE_BLOCK``, or fewer when those paths
-    (``scheme.run_block`` stores per sample N+1 states, N rows of noise
-    sums at the quadrature points, N increments, residuals and iteration
-    counts) would pass ``BLOCK_PATH_BYTES``; at least one."""
+    (``scheme.run_block`` stores per sample N+1 states, N increments,
+    residuals and iteration counts) would pass ``BLOCK_PATH_BYTES``; at
+    least one."""
     path_bytes = sum(
-        8 * ((sgd.n_steps + 1) * sgd.gd.n_dofs + sgd.n_steps * (len(sgd.gd.quad_w) + noise.k_max + 2))
-        for sgd in sgds
+        8 * ((sgd.n_steps + 1) * sgd.gd.n_dofs + sgd.n_steps * (noise.k_max + 2)) for sgd in sgds
     )
     return int(max(1, min(ENSEMBLE_BLOCK, BLOCK_PATH_BYTES // path_bytes)))
 
 
 def _sample_blocks(start, n_samples, B):
     """The blocks [kB, (k+1)B) ∩ [start, start + n_samples), in order, as
-    ranges of sample indices."""
+    ranges of sample indices. The boundaries depend only on the sample
+    indices and B, so a sample's path is a deterministic function of
+    (master_seed, sample, its block), however the blocks are spread over
+    workers."""
     stop = start + n_samples
     blocks = (range(max(k * B, start), min((k + 1) * B, stop)) for k in range(start // B, -(-stop // B)))
     return [block for block in blocks if block]
-
-
-def iter_trajectories(sgd, flux_model, noise, u0, master_seed, n_samples, cfg=None, start=0):
-    """Generate trajectories for consecutive sample indices, one per sample
-    and in order, reusing one stepper (its stored operators, the mass in the
-    form's slots, and the factorised operator of a linear flux) across the
-    whole ensemble.
-
-    Samples advance in lockstep blocks of sample indices
-    [kB, (k+1)B) ∩ [start, start + n_samples) with B =
-    ``ensemble_block(noise, sgd)`` (``scheme.run_block``). The boundaries
-    depend only on the sample indices and the problem's sizes, so a
-    sample's path is a deterministic function of (master_seed, sample, its
-    block), and bit-identical however the blocks are spread over workers.
-    Its noise is bit-identical to the stream of (master_seed, sample, step)
-    drawn alone; its states agree with ``run_trajectory`` for that sample
-    alone up to the rounding of the block's row arithmetic.
-
-    A ``StepFailure`` in a block ends the generator before any sample of
-    that block is yielded: the samples of earlier blocks have been
-    yielded, the failing block's earlier samples are discarded with it."""
-    u0_vec = sgd.gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)
-    stepper = Stepper(sgd, flux_model, noise, cfg)
-    for block in _sample_blocks(start, n_samples, ensemble_block(noise, sgd)):
-        yield from run_block(sgd, flux_model, noise, u0_vec, master_seed, block, cfg, _stepper=stepper)
 
 
 # -- the block driver --------------------------------------------------------------
@@ -679,11 +545,17 @@ def map_blocks(task, blocks, workers):
 def run_ensemble(sgd, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=None, cfg=None, workers=1):
     """Run a sample ensemble and reduce it to an EstimatorReport.
 
-    Samples advance in the fixed blocks of ``iter_trajectories``, run by
-    ``map_blocks`` on one stepper, each block summarised in one
-    ``EnsembleAccumulator.summarize`` call. The summaries' rows are reduced
-    strictly in sample order, so the report is bit-identical for any worker
-    count.
+    Samples advance in fixed blocks of B = ``ensemble_block(noise, sgd)``
+    consecutive indices (``_sample_blocks``), run by ``map_blocks`` on one
+    stepper (its stored operators, noise basis values, the mass in the
+    form's slots, and the factorised operator of a linear flux), each block
+    by ``scheme.run_block`` and summarised in one
+    ``EnsembleAccumulator.summarize`` call on the same stepper. A sample's
+    noise is bit-identical to the stream of (master_seed, sample, step)
+    drawn alone; its states agree with ``run_trajectory`` for that sample
+    alone up to the rounding of the block's row arithmetic. The summaries'
+    rows are reduced strictly in sample order, so the report is
+    bit-identical for any worker count.
     """
     acc_kwargs = dict(acc_kwargs or {})
     acc_kwargs.setdefault("p", flux_model.p)
@@ -692,7 +564,8 @@ def run_ensemble(sgd, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=
     stepper = Stepper(sgd, flux_model, noise, cfg)
 
     def summarize(block):
-        return acc.summarize(run_block(sgd, flux_model, noise, u0_vec, master_seed, block, cfg, _stepper=stepper))
+        trajs = run_block(sgd, flux_model, noise, u0_vec, master_seed, block, cfg, _stepper=stepper)
+        return acc.summarize(trajs, stepper)
 
     for summary in map_blocks(summarize, _sample_blocks(0, n_samples, ensemble_block(noise, sgd)), workers):
         acc.add_summary(summary)

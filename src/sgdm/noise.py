@@ -308,31 +308,23 @@ class NoiseIncrement:
     coeffs: np.ndarray
     dt: float
 
-    @property
-    def k_norm_sq(self):
-        """Squared norm of the increment in the covariance space (per row)."""
-        return np.sum(self.coeffs**2, axis=-1)
 
+def sample_increment(noise, stream, dt):
+    """Draw a Q-Wiener increment over a step of length dt from an
+    ``RngStream``.
 
-def sample_increment(noise, rng, dt):
-    """Draw a Q-Wiener increment over a step of length dt from a stream.
-
-    ``rng`` is an ``RngStream`` or a numpy generator. A stream of index
-    arrays gives coeffs of the broadcast shape of its sample and time
-    indices plus a last axis of k_max, one increment per stream (master
-    seed, s, n), each bit-identical to the increment of that stream drawn
-    alone: one call keys a block's whole path, (B, N, k_max) for a (B, 1)
-    column of samples and N steps. The keys are hashed in one pass
-    (``stream_keys``); each stream's normals are then drawn from the reused
-    Philox with that key."""
+    A stream of index arrays gives coeffs of the broadcast shape of its
+    sample and time indices plus a last axis of k_max, one increment per
+    stream (master seed, s, n), each bit-identical to the increment of that
+    stream drawn alone: one call keys a block's whole path, (B, N, k_max)
+    for a (B, 1) column of samples and N steps. The keys are hashed in one
+    pass (``stream_keys``); each stream's normals are then drawn from the
+    reused Philox with that key."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if isinstance(rng, RngStream):
-        keys = stream_keys(rng.master_seed, rng.sample_index, rng.time_index)
-        xi = np.array([_keyed_normals(key, noise.k_max) for key in keys.reshape(-1, 2)])
-        xi = xi.reshape(keys.shape[:-1] + (noise.k_max,))
-    else:
-        xi = rng.standard_normal(noise.k_max)
+    keys = stream_keys(stream.master_seed, stream.sample_index, stream.time_index)
+    xi = np.array([_keyed_normals(key, noise.k_max) for key in keys.reshape(-1, 2)])
+    xi = xi.reshape(keys.shape[:-1] + (noise.k_max,))
     return NoiseIncrement(noise.q * np.sqrt(dt) * xi, float(dt))
 
 

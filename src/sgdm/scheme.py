@@ -110,21 +110,21 @@ class StepFailure(RuntimeError):
 class Trajectory:
     """One sample path of the scheme.
 
-    ``u`` holds the N+1 DOF vectors u^(0..N); ``m_partial`` holds the running
-    noise sums evaluated at the quadrature points, one row per time interval
-    (row n is the value of the discrete martingale on (t_n, t_{n+1}]).
+    ``u`` holds the N+1 DOF vectors u^(0..N) and ``increments`` the (N,
+    k_max) spectral increment coefficients that drove them. Step n's noise
+    term f0(Pi u^(n)) dW_n is a function of the two
+    (``Stepper.noise_values``), so the path stores no noise values.
     """
 
     sgd: SpaceTimeGD
     flux: object
     noise: object
     u: np.ndarray
-    m_partial: np.ndarray
+    increments: np.ndarray
     master_seed: int
     sample_index: int
     per_step_residuals: np.ndarray
     per_step_newton_iters: np.ndarray
-    increments: np.ndarray = None
 
 
 def _rows(A, X):
@@ -283,8 +283,7 @@ class Stepper:
     def step(self, U_n, C):
         """Advance a block one step: states U_n (B, n) and increment
         coefficients C (B, k_max). Returns (U, residual norms (B,),
-        iterations (B,), Z) where Z (B, n_q) is the sampled noise term at the
-        quadrature points.
+        iterations (B,)).
 
         Damped Newton runs on the rows not yet converged; a row whose line
         search fails, or that is still unconverged after ``max_newton``
@@ -293,14 +292,13 @@ class Stepper:
         such row (``block_row``)."""
         cfg = self.cfg
         tol = cfg.newton_tol
-        Z = self.noise_values(U_n, C)
-        b_noise = _rows(self._PTw, Z)
+        b_noise = _rows(self._PTw, self.noise_values(U_n, C))
         rhs = _rows(self._M, U_n) + b_noise
         B = len(U_n)
 
         if self._linear_solve is not None:
             U = self._linear_solve(rhs.T).T
-            return U, np.linalg.norm(_rows(self._A_lin, U) - rhs, axis=1), np.ones(B, dtype=int), Z
+            return U, np.linalg.norm(_rows(self._A_lin, U) - rhs, axis=1), np.ones(B, dtype=int)
 
         U = U_n.copy()
         R = self.residual(U, U_n, b_noise)
@@ -354,13 +352,13 @@ class Stepper:
                 best_nr[row],
                 block_row=row,
             )
-        return U, nr, iters, Z
+        return U, nr, iters
 
 
 def solve_step(sgd, flux_model, noise, u_n, inc, cfg=None):
     """Single implicit step from u_n with a given noise increment."""
     stepper = Stepper(sgd, flux_model, noise, cfg)
-    U, res, iters, _ = stepper.step(np.asarray(u_n, dtype=float)[None], np.asarray(inc.coeffs, dtype=float)[None])
+    U, res, iters = stepper.step(np.asarray(u_n, dtype=float)[None], np.asarray(inc.coeffs, dtype=float)[None])
     return U[0], res[0], iters[0]
 
 
@@ -377,8 +375,9 @@ def run_block(sgd, flux_model, noise, u0, master_seed, samples, cfg=None, increm
     ``StepFailure`` naming the first step at which a sample fails and the
     first such sample of the block; no path of the block is returned then.
 
-    The block holds the full paths of all its samples until it returns;
-    ``analysis.ensemble_block`` bounds its size by that memory.
+    The block holds the full paths of all its samples until it returns:
+    their states, increments, residuals and iteration counts, which
+    ``analysis.ensemble_block`` counts to bound its size.
     """
     gd = sgd.gd
     N = sgd.n_steps
@@ -391,19 +390,17 @@ def run_block(sgd, flux_model, noise, u0, master_seed, samples, cfg=None, increm
     used = np.array(increments, dtype=float).reshape(B, N, noise.k_max)
     u = np.zeros((B, N + 1, gd.n_dofs))
     u[:, 0] = gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)
-    m_partial = np.zeros((B, N, len(gd.quad_w)))
     residuals = np.zeros((B, N))
     newton_iters = np.zeros((B, N), dtype=int)
     for n in range(N):
         try:
-            u[:, n + 1], residuals[:, n], newton_iters[:, n], z = stepper.step(u[:, n], used[:, n])
+            u[:, n + 1], residuals[:, n], newton_iters[:, n] = stepper.step(u[:, n], used[:, n])
         except StepFailure as exc:
             exc.step_index = n
             exc.sample_index = samples[exc.block_row]
             raise
-        m_partial[:, n] = (m_partial[:, n - 1] if n > 0 else 0.0) + z
     return [
-        Trajectory(sgd, flux_model, noise, u[b], m_partial[b], master_seed, s, residuals[b], newton_iters[b], used[b])
+        Trajectory(sgd, flux_model, noise, u[b], used[b], master_seed, s, residuals[b], newton_iters[b])
         for b, s in enumerate(samples)
     ]
 
@@ -429,11 +426,12 @@ def energy_identity_residual(traj):
     1/2||Pi u^(n+1)||^2 + 1/2||Pi(u^(n+1)-u^(n))||^2 + dt<a, grad u^(n+1)>
         = 1/2||Pi u^(n)||^2 + <f dW, Pi u^(n+1)>."""
     gd = traj.sgd.gd
-    flux_terms = Stepper(traj.sgd, traj.flux, traj.noise)._flux_vector(traj.u[1:])
+    stepper = Stepper(traj.sgd, traj.flux, traj.noise)
+    flux_terms = stepper._flux_vector(traj.u[1:])
+    noise_terms = stepper.noise_values(traj.u[:-1], traj.increments)
     worst = 0.0
-    for n in range(traj.sgd.n_steps):
+    for n, z in enumerate(noise_terms):
         u_new, u_old = traj.u[n + 1], traj.u[n]
-        z = traj.m_partial[n] - (traj.m_partial[n - 1] if n > 0 else 0.0)
         lhs = (
             0.5 * gd.l2_inner(u_new, u_new)
             + 0.5 * gd.l2_inner(u_new - u_old, u_new - u_old)

@@ -16,11 +16,8 @@ import pytest
 from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation, refine
 from sgdm.analysis import (
     DualNormSolver,
-    TimePath,
-    continuous_translate,
     coupled_refinement_study,
     deterministic_errors,
-    fractional_norm,
     loglog_slope,
     ou_exact_moments,
     run_ensemble,
@@ -208,11 +205,11 @@ def test_criterion_5_time_translates(p2_base_report):
     slope = rep.translate_slope(sgd.dt)
     # independent brute-force check of the continuous translate quadrature
     rng = np.random.default_rng(0)
-    path = TimePath(0.125, rng.standard_normal((8, 6)), rng.uniform(0.1, 0.2, 6))
-    from test_analysis import brute_force_translate
+    from test_analysis import StepPath, brute_force_translate
 
+    path = StepPath(0.125, rng.standard_normal((8, 6)), rng.uniform(0.1, 0.2, 6))
     quad_ok = all(
-        abs(continuous_translate(path, rho) - brute_force_translate(path, rho)) <= 1e-8
+        abs(path.translate(rho) - brute_force_translate(path, rho)) <= 1e-8
         for rho in (0.07, 0.125, 0.4, 0.81)
     )
     _report(
@@ -230,7 +227,7 @@ def test_criterion_6_dual_norm_increments(p2_base_report):
     target = 0.8 * 0.5 * 2
     # dense oracle agreement on a small instance
     gd = build_gd(build_uniform_interval(6, 0.0, 1.0), "p1")
-    solver = DualNormSolver(gd, 2.0)
+    solver = DualNormSolver(gd)
     rng = np.random.default_rng(5)
     from scipy.optimize import minimize
 
@@ -248,7 +245,7 @@ def test_criterion_6_dual_norm_increments(p2_base_report):
             res = minimize(neg, rng.standard_normal(gd.n_dofs), method="Nelder-Mead",
                            options=dict(xatol=1e-13, fatol=1e-15, maxfev=8000, maxiter=8000))
             best = max(best, -res.fun)
-        oracle_ok = oracle_ok and abs(solver.value(w) - best) <= 1e-6
+        oracle_ok = oracle_ok and abs(solver.batch(w)[0] - best) <= 1e-6
     _report(
         6,
         slope >= target and oracle_ok,

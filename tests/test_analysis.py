@@ -1,5 +1,7 @@
 """Path norms, dual norms, Monte Carlo estimators and oracles."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -12,28 +14,52 @@ from sgdm.analysis import (
     ENSEMBLE_BLOCK,
     DualNormSolver,
     EnsembleAccumulator,
-    TimePath,
     RunningStat,
-    continuous_translate,
     coupled_increments,
     coupled_refinement_study,
-    dual_norm,
     ensemble_block,
     fractional_norm,
-    iter_trajectories,
     loglog_slope,
-    m_path,
+    map_blocks,
     ou_exact_moments,
     pathwise_lp_difference,
     run_ensemble,
-    u_path,
+    translate_at_lags,
 )
 from sgdm.analysis import _sample_blocks
 from sgdm.flux import linear_diffusion, p_laplace
 from sgdm.noise import RngStream, make_noise, sample_increment
-from sgdm.scheme import SpaceTimeGD, run_block, run_trajectory
+from sgdm.scheme import SpaceTimeGD, Stepper, run_block, run_trajectory
 
 from conftest import sin_pi, sin_product, zero_field
+
+
+@dataclass
+class StepPath:
+    """A path constant on N intervals of length dt: ``values[n]`` at the
+    quadrature points on interval n, ``weights`` the quadrature weights."""
+
+    dt: float
+    values: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def n_intervals(self):
+        return len(self.values)
+
+    @property
+    def T(self):
+        return self.dt * self.n_intervals
+
+    def sq_distances(self):
+        """||g_i - g_j||^2 for every pair of interval values, by differences."""
+        diff = self.values[:, None, :] - self.values[None, :, :]
+        return np.einsum("ijq,ijq,q->ij", diff, diff, self.weights)
+
+    def translate(self, rho):
+        """The translate integral at rho, linear between the grid lags."""
+        lags = self.dt * np.arange(self.n_intervals + 1)
+        return float(np.interp(rho, lags, translate_at_lags(self.sq_distances(), self.dt)))
 
 
 def brute_force_translate(path, rho):
@@ -60,49 +86,56 @@ def brute_force_translate(path, rho):
 @pytest.fixture(scope="module")
 def random_path():
     rng = np.random.default_rng(4)
-    return TimePath(0.125, rng.standard_normal((8, 5)), rng.uniform(0.05, 0.3, 5))
+    return StepPath(0.125, rng.standard_normal((8, 5)), rng.uniform(0.05, 0.3, 5))
+
+
+def path_fractional_norm(path, beta, q_exp):
+    return fractional_norm(path.sq_distances(), path.dt, beta, q_exp)
 
 
 class TestContinuousTranslate:
+    """The translate integral of a piecewise-constant path, as
+    ``fractional_norm`` integrates it: exact values at the grid lags
+    (``translate_at_lags``), linear in between."""
+
     def test_rho_equal_dt_case(self, random_path):
         path = random_path
         jumps = sum(
             float(np.sum(path.weights * (path.values[n + 1] - path.values[n]) ** 2))
             for n in range(path.n_intervals - 1)
         )
-        assert abs(continuous_translate(path, path.dt) - path.dt * jumps) <= 1e-12
+        assert abs(path.translate(path.dt) - path.dt * jumps) <= 1e-12
 
     def test_constant_path_zero(self):
-        path = TimePath(0.25, np.ones((4, 3)), np.ones(3))
+        path = StepPath(0.25, np.ones((4, 3)), np.ones(3))
         for rho in (0.1, 0.25, 0.5, 0.9):
-            assert continuous_translate(path, rho) == 0.0
+            assert path.translate(rho) == 0.0
 
     @pytest.mark.parametrize("rho", [0.037, 0.125, 0.2, 0.44, 0.61, 0.93])
     def test_brute_force_quadrature_oracle(self, random_path, rho):
-        got = continuous_translate(random_path, rho)
+        got = random_path.translate(rho)
         assert abs(got - brute_force_translate(random_path, rho)) <= 1e-8
 
-    def test_rho_out_of_range(self, random_path):
-        with pytest.raises(ValueError):
-            continuous_translate(random_path, 0.0)
-        with pytest.raises(ValueError):
-            continuous_translate(random_path, random_path.T)
+    def test_vanishes_at_zero_and_full_lag(self, random_path):
+        lags = translate_at_lags(random_path.sq_distances(), random_path.dt)
+        assert len(lags) == random_path.n_intervals + 1
+        assert lags[0] == 0.0 and lags[-1] == 0.0 and np.all(lags[1:-1] > 0.0)
 
 
 class TestFractionalNorm:
     def test_constant_path_zero(self):
-        path = TimePath(0.25, 3.0 * np.ones((4, 2)), np.ones(2))
-        assert fractional_norm(path, 0.25, 2.0) == 0.0
+        path = StepPath(0.25, 3.0 * np.ones((4, 2)), np.ones(2))
+        assert path_fractional_norm(path, 0.25, 2.0) == 0.0
 
     def test_two_interval_jump_analytic(self):
         # unit L2 jump at t = 1/2 on (0,1), beta = 1/4, q = 2:
         # integral of min-overlap formula gives 4 sqrt(2) - 4
-        path = TimePath(0.5, np.array([[0.0], [1.0]]), np.array([1.0]))
-        got = fractional_norm(path, 0.25, 2.0)
+        path = StepPath(0.5, np.array([[0.0], [1.0]]), np.array([1.0]))
+        got = path_fractional_norm(path, 0.25, 2.0)
         assert abs(got - (4.0 * np.sqrt(2.0) - 4.0)) <= 1e-12
 
     def test_two_interval_jump_dblquad_oracle(self):
-        path = TimePath(0.5, np.array([[0.0], [1.0]]), np.array([1.0]))
+        path = StepPath(0.5, np.array([[0.0], [1.0]]), np.array([1.0]))
 
         def inner(rho):
             # phi(rho) = measure of {s : s <= 1/2 < s + rho, 0 < s < 1 - rho}
@@ -112,7 +145,7 @@ class TestFractionalNorm:
             lambda rho: inner(rho) * rho ** (-1.5), 0.0, 1.0, points=[0.5], limit=200
         )
         assert err < 1e-9
-        assert abs(fractional_norm(path, 0.25, 2.0) - oracle) <= 1e-6
+        assert abs(path_fractional_norm(path, 0.25, 2.0) - oracle) <= 1e-6
 
     def test_random_path_dblquad_oracle(self, random_path):
         path = random_path
@@ -128,75 +161,63 @@ class TestFractionalNorm:
             points=list(path.dt * np.arange(1, path.n_intervals)),
             limit=400,
         )
-        got = fractional_norm(path, beta, q)
+        got = path_fractional_norm(path, beta, q)
         assert abs(got - oracle) <= 1e-6 * max(1.0, oracle)
 
     def test_homogeneity(self, random_path):
         lam = 2.37
         q = 2.0
-        scaled = TimePath(random_path.dt, lam * random_path.values, random_path.weights)
-        a = fractional_norm(scaled, 0.25, q)
-        b = fractional_norm(random_path, 0.25, q)
+        scaled = StepPath(random_path.dt, lam * random_path.values, random_path.weights)
+        a = path_fractional_norm(scaled, 0.25, q)
+        b = path_fractional_norm(random_path, 0.25, q)
         assert abs(a - lam**q * b) <= 1e-10 * max(1.0, abs(a))
 
     def test_vanishes_iff_constant(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             vals = rng.standard_normal((6, 3))
-            path = TimePath(0.1, vals, np.ones(3))
-            norm = fractional_norm(path, 0.3, 2.0)
+            path = StepPath(0.1, vals, np.ones(3))
+            norm = path_fractional_norm(path, 0.3, 2.0)
             constant = np.allclose(vals, vals[0])
             assert (norm <= 1e-12) == constant
 
     def test_invalid_parameters(self, random_path):
         with pytest.raises(ValueError):
-            fractional_norm(random_path, 0.6, 2.0)
+            path_fractional_norm(random_path, 0.6, 2.0)
         with pytest.raises(ValueError):
-            fractional_norm(random_path, 0.3, 4.0)  # beta q >= 1
+            path_fractional_norm(random_path, 0.3, 4.0)  # beta q >= 1
+        with pytest.raises(ValueError):
+            path_fractional_norm(random_path, 0.3, 0.5)  # q < 1
 
 
 class TestDualNorm:
     def test_zero_element(self, gd_interval_16):
-        assert dual_norm(gd_interval_16, np.zeros(gd_interval_16.n_dofs), 2.0) == 0.0
+        assert DualNormSolver(gd_interval_16).batch(np.zeros(gd_interval_16.n_dofs))[0] == 0.0
 
     def test_single_dof_closed_form(self, single_dof_gd):
         gd = single_dof_gd
         w = np.array([2.0])
-        # ratio <v, Pi e> / (||Pi e||_2 + ||grad e||_p) at the only direction
+        # ratio <v, Pi e> / (||Pi e||_2 + ||grad e||_2) at the only direction
         e = np.array([1.0])
-        expected = gd.l2_inner(w, e) / (gd.lp_norm(e, 2.0) + gd.grad_lp_norm(e, 3.0))
-        assert abs(dual_norm(gd, w, 3.0) - expected) <= 1e-10
+        expected = gd.l2_inner(w, e) / (gd.lp_norm(e, 2.0) + gd.grad_lp_norm(e, 2.0))
+        assert abs(DualNormSolver(gd).batch(w)[0] - expected) <= 1e-10
 
     def test_bounded_by_l2_norm(self, gd_interval_16):
         gd = gd_interval_16
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            w = rng.standard_normal(gd.n_dofs)
-            assert dual_norm(gd, w, 2.0) <= gd.lp_norm(w, 2.0) + 1e-10
+        W = np.random.default_rng(3).standard_normal((20, gd.n_dofs))
+        got = DualNormSolver(gd).batch(W)
+        assert np.all(got <= [gd.lp_norm(w, 2.0) + 1e-10 for w in W])
 
-    def test_p3_below_p2_on_trajectory_increments(self):
-        # on a domain of measure 1, ||grad phi||_3 >= ||grad phi||_2, so the
-        # p=3 dual norm cannot exceed the p=2 one; unnormalised reweighting
-        # iterates underflowed on 4 of these rows and returned a bare L2 ratio
-        gd = build_gd(build_uniform_interval(64, 0.0, 1.0), "p1")
-        sgd = SpaceTimeGD(gd, T=0.25, n_steps=64)
-        noise = make_noise(gd.mesh.bounding_box, 8, f0="tanh")
-        traj = run_trajectory(sgd, p_laplace(3.0), noise, sin_pi, master_seed=11, sample_index=0)
-        for k in range(0, 61, 6):
-            w = traj.u[k + 1] - traj.u[k]
-            assert dual_norm(gd, w, 3.0) <= dual_norm(gd, w, 2.0)
-
-    @pytest.mark.parametrize("p", [2.0, 3.0])
-    def test_dense_oracle_small(self, p):
+    def test_dense_oracle_small(self):
         gd = build_gd(build_uniform_interval(6, 0.0, 1.0), "p1")
         rng = np.random.default_rng(14)
-        solver = DualNormSolver(gd, p)
+        solver = DualNormSolver(gd)
         for _ in range(5):
             w = rng.standard_normal(gd.n_dofs)
             c = gd.mass @ w
 
             def neg_ratio(phi):
-                den = gd.lp_norm(phi, 2.0) + gd.grad_lp_norm(phi, p)
+                den = gd.lp_norm(phi, 2.0) + gd.grad_lp_norm(phi, 2.0)
                 return -abs(c @ phi) / den if den > 1e-14 else 0.0
 
             best = 0.0
@@ -204,7 +225,7 @@ class TestDualNorm:
                 res = minimize(neg_ratio, rng.standard_normal(gd.n_dofs), method="Nelder-Mead",
                                options=dict(xatol=1e-13, fatol=1e-15, maxiter=8000, maxfev=8000))
                 best = max(best, -res.fun)
-            got = solver.value(w)
+            got = solver.batch(w)[0]
             assert got >= best - 1e-6
             assert got <= best + 1e-6
 
@@ -253,7 +274,7 @@ def p3_trajectory(gd, n_steps=16):
     sgd = SpaceTimeGD(gd, T=0.25, n_steps=n_steps)
     noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
     u0 = sin_product if gd.dim == 2 else sin_pi
-    return next(iter_trajectories(sgd, p_laplace(3.0), noise, u0, 17, 1))
+    return run_block(sgd, p_laplace(3.0), noise, u0, 17, [0])[0]
 
 
 class TestDualNormSearch:
@@ -269,7 +290,8 @@ class TestDualNormSearch:
         traj = p3_trajectory(gd)
         N = traj.sgd.n_steps
         acc = EnsembleAccumulator(traj.sgd, 3.0, dual_ells=(1, 2, 4, 8), dual_r=4)
-        got = {ell: vals[0] for ell, vals in acc.summarize([traj])["dual"].items()}
+        stepper = Stepper(traj.sgd, traj.flux, traj.noise)
+        got = {ell: vals[0] for ell, vals in acc.summarize([traj], stepper)["dual"].items()}
         assert set(got) == {1, 2, 4, 8}
         rows_all, ref_all = [], []
         for ell in (1, 2, 4, 8):
@@ -280,13 +302,13 @@ class TestDualNormSearch:
             assert abs(got[ell] - np.mean(ref**4)) <= 1e-13 * np.mean(ref**4)
             rows_all.append(rows)
             ref_all.append(ref)
-        new = DualNormSolver(gd, 2.0).batch(np.concatenate(rows_all))
+        new = DualNormSolver(gd).batch(np.concatenate(rows_all))
         np.testing.assert_allclose(new, np.concatenate(ref_all), rtol=1e-13, atol=0.0)
 
     def test_zero_row_in_batch(self):
         gd = build_gd(build_uniform_interval(32, 0.0, 1.0), "p1")
         rows = np.diff(p3_trajectory(gd).u[1:], axis=0)
-        solver = DualNormSolver(gd, 2.0)
+        solver = DualNormSolver(gd)
         alone = solver.batch(rows)
         mixed = solver.batch(np.insert(rows, 3, 0.0, axis=0))
         assert mixed[3] == 0.0
@@ -298,7 +320,7 @@ class TestDualNormSearch:
         assert gd.eigenbasis[1] is Y
         np.testing.assert_allclose(Y.T @ gd.stiffness.toarray() @ Y, np.eye(gd.n_dofs), atol=1e-12)
         np.testing.assert_allclose(YM @ Y, np.diag(lam), atol=1e-12)
-        assert DualNormSolver(gd, 2.0).Y is Y
+        assert DualNormSolver(gd).YM is YM
 
 
 @pytest.fixture(scope="module")
@@ -307,14 +329,14 @@ def small_ensemble():
     sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
     noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
     flux = linear_diffusion()
-    trajs = list(iter_trajectories(sgd, flux, noise, sin_pi, 41, 16))
+    trajs = run_block(sgd, flux, noise, sin_pi, 41, range(16))
     return sgd, flux, noise, trajs
 
 
 def reduce_block(trajs, p, **acc_kwargs):
     """The report of one accumulator over the trajectories as one block."""
     acc = EnsembleAccumulator(trajs[0].sgd, p, **acc_kwargs)
-    acc.add_summary(acc.summarize(trajs))
+    acc.add_summary(acc.summarize(trajs, Stepper(trajs[0].sgd, trajs[0].flux, trajs[0].noise)))
     return acc.report()
 
 
@@ -326,7 +348,7 @@ class TestEstimators:
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
-        trajs = list(iter_trajectories(sgd, linear_diffusion(), noise, sin_pi, 0, 3))
+        trajs = run_block(sgd, linear_diffusion(), noise, sin_pi, 0, range(3))
         rep = reduce_block(trajs, 2.0, **ENERGY_ONLY)
         assert rep.energy_max_l2_sq.se == 0.0
         single = np.sum(gd.quad_w * (gd.P @ trajs[0].u[1]) ** 2)
@@ -336,7 +358,7 @@ class TestEstimators:
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
-        trajs = list(iter_trajectories(sgd, linear_diffusion(), noise, zero_field, 0, 2))
+        trajs = run_block(sgd, linear_diffusion(), noise, zero_field, 0, range(2))
         rep = reduce_block(trajs, 2.0, **ENERGY_ONLY)
         assert rep.energy_max_l2_sq.mean == 0.0
         assert rep.grad_lp_p.mean == 0.0
@@ -347,7 +369,7 @@ class TestEstimators:
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
         # zero initial data and no noise: path constant in time
-        trajs = list(iter_trajectories(sgd, linear_diffusion(), noise, zero_field, 0, 2))
+        trajs = run_block(sgd, linear_diffusion(), noise, zero_field, 0, range(2))
         table = reduce_block(trajs, 2.0, **dict(ENERGY_ONLY, translate_ells=(1, 2, 4))).translate_table
         assert set(table) == {1, 2, 4}
         assert all(v.mean == 0.0 for v in table.values())
@@ -356,7 +378,7 @@ class TestEstimators:
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
-        trajs = list(iter_trajectories(sgd, linear_diffusion(), noise, sin_pi, 0, 1))
+        trajs = run_block(sgd, linear_diffusion(), noise, sin_pi, 0, range(1))
         table = reduce_block(trajs, 2.0, **dict(ENERGY_ONLY, translate_ells=(2,))).translate_table
         traj = trajs[0]
         direct = sgd.dt * sum(
@@ -378,7 +400,7 @@ class TestEstimators:
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
-        trajs = list(iter_trajectories(sgd, linear_diffusion(), noise, zero_field, 0, 2))
+        trajs = run_block(sgd, linear_diffusion(), noise, zero_field, 0, range(2))
         table = reduce_block(trajs, 2.0, translate_ells=(), dual_ells=(1, 2), with_martingale=False).dual_increment_table
         assert all(v.mean == 0.0 for v in table.values())
 
@@ -386,12 +408,12 @@ class TestEstimators:
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
-        trajs = list(iter_trajectories(sgd, p_laplace(3.0), noise, sin_pi, 23, 4))
+        trajs = run_block(sgd, p_laplace(3.0), noise, sin_pi, 23, range(4))
         table = reduce_block(trajs, 3.0, translate_ells=(), dual_ells=(1, 2), with_martingale=False).dual_increment_table
-        solver = DualNormSolver(gd, 2.0)
+        solver = DualNormSolver(gd)
         for ell in (1, 2):
             per_sample = [
-                np.mean([solver.value(t.u[n + ell] - t.u[n]) ** 2 for n in range(1, 9 - ell)])
+                np.mean([solver.batch(t.u[n + ell] - t.u[n])[0] ** 2 for n in range(1, 9 - ell)])
                 for t in trajs
             ]
             want = np.mean(per_sample)
@@ -401,7 +423,7 @@ class TestEstimators:
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
-        trajs = list(iter_trajectories(sgd, linear_diffusion(), noise, sin_pi, 0, 2))
+        trajs = run_block(sgd, linear_diffusion(), noise, sin_pi, 0, range(2))
         rep = reduce_block(trajs, 2.0, translate_ells=(), dual_ells=(), with_dual=False)
         assert rep.martingale_h_beta.mean == 0.0
         assert rep.martingale_sup_r.mean == 0.0
@@ -428,34 +450,44 @@ class TestBlocks:
     def test_block_size_bounded_by_the_paths_it_holds(self, small_ensemble, monkeypatch):
         sgd, flux, noise, _ = small_ensemble
         (traj,) = run_block(sgd, flux, noise, sin_pi, 41, [0])
-        fields = (traj.u, traj.m_partial, traj.increments, traj.per_step_residuals, traj.per_step_newton_iters)
+        fields = (traj.u, traj.increments, traj.per_step_residuals, traj.per_step_newton_iters)
         path = sum(a.nbytes for a in fields)
         assert ensemble_block(noise, sgd) == ENSEMBLE_BLOCK
         for budget, B in ((3 * path, 3), (4 * path - 1, 3), (path - 1, 1)):
             monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", budget)
             assert ensemble_block(noise, sgd) == B
 
-    def test_p1_lumped_paths_shrink_the_block(self):
-        # 57,600 quadrature points on 20 x 20: one path of 64 steps holds
-        # about 30 MB of noise sums
+    def test_p1_lumped_paths_shrink_the_block(self, monkeypatch):
+        # 57,600 quadrature points on 20 x 20, but a path of 64 steps holds
+        # only its 361-unknown states and its increments: 0.19 MB, so the
+        # block is full; a budget below two paths still shrinks it
         gd = build_gd(build_uniform_triangulation(20, 20), "p1_lumped")
         sgd = SpaceTimeGD(gd, T=0.25, n_steps=64)
-        B = ensemble_block(make_noise(gd.mesh.bounding_box, 16, f0="tanh"), sgd)
-        assert 1 <= B < ENSEMBLE_BLOCK
-        assert B * 8 * 64 * len(gd.quad_w) <= analysis.BLOCK_PATH_BYTES
+        noise = make_noise(gd.mesh.bounding_box, 16, f0="tanh")
+        path = 8 * (65 * gd.n_dofs + 64 * (16 + 2))
+        assert len(gd.quad_w) == 57_600 and path < 200_000
+        assert ensemble_block(noise, sgd) == ENSEMBLE_BLOCK
+        monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", 2 * path - 1)
+        assert ensemble_block(noise, sgd) == 1
 
-    def test_iter_trajectories_runs_the_fixed_blocks(self, small_ensemble, monkeypatch):
+    def test_map_blocks_runs_the_fixed_blocks(self, small_ensemble, monkeypatch):
         sgd, flux, noise, _ = small_ensemble
+
+        def paths(block):
+            return np.stack([t.u for t in run_block(sgd, flux, noise, sin_pi, 41, block)])
+
         for budget in (analysis.BLOCK_PATH_BYTES, 1):  # blocks of ENSEMBLE_BLOCK, then of 1
             monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", budget)
             B = ensemble_block(noise, sgd)
             start, n = B + 1 - min(B, 3), 7
-            trajs = list(iter_trajectories(sgd, flux, noise, sin_pi, 41, n, start=start))
-            assert [t.sample_index for t in trajs] == list(range(start, start + n))
-            blocks = [run_block(sgd, flux, noise, sin_pi, 41, block) for block in _sample_blocks(start, n, B)]
-            for got, want in zip(trajs, [t for block in blocks for t in block], strict=True):
-                np.testing.assert_array_equal(got.u, want.u)
-                np.testing.assert_array_equal(got.m_partial, want.m_partial)
+            blocks = _sample_blocks(start, n, B)
+            assert [s for block in blocks for s in block] == list(range(start, start + n))
+            want = [paths(block) for block in blocks]
+            for workers in (1, 2):
+                got = list(map_blocks(paths, blocks, workers))
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
 
     def test_reports_identical_across_workers_over_several_blocks(self, single_dof_gd):
         sgd = SpaceTimeGD(single_dof_gd, T=0.5, n_steps=4)
@@ -493,6 +525,22 @@ def _report_fields(rep):
     return fields
 
 
+def reference_martingale(stepper, traj, beta, r):
+    """The martingale statistics of one path from its noise sums at the
+    quadrature points, as paths once stored them: M_n = z_0 + ... + z_n with
+    z_n the noise term of step n alone (``Stepper.noise_values``), then the
+    fractional norm of M on the squared distances of its values, the sup of
+    ||M_n||^r and the pairs <z_n, Pi e_0>."""
+    gd, dt = stepper.gd, stepper.dt
+    Z = np.array([stepper.noise_values(u[None], c[None])[0] for u, c in zip(traj.u[:-1], traj.increments)])
+    M = np.cumsum(Z, axis=0)
+    m_sq = M**2 @ gd.quad_w
+    e0 = np.zeros(gd.n_dofs)
+    e0[0] = 1.0
+    h = fractional_norm(StepPath(dt, M, gd.quad_w).sq_distances(), dt, beta, 2.0)
+    return h, m_sq, m_sq.max() ** (r / 2.0), Z @ (gd.quad_w * (gd.P @ e0))
+
+
 class TestBlockSummaries:
     ESTIMATORS = dict(
         translate_ells=(1, 2, 4), dual_ells=(1, 2, 4), dual_r=2, with_dual=True, with_martingale=True,
@@ -505,8 +553,9 @@ class TestBlockSummaries:
         noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
         trajs = run_block(sgd, p_laplace(3.0), noise, sin_pi, 29, range(5))
         acc = EnsembleAccumulator(sgd, 3.0, **self.ESTIMATORS)
-        block = _summary_columns(acc.summarize(trajs))
-        singles = [_summary_columns(acc.summarize([traj])) for traj in trajs]
+        stepper = Stepper(sgd, p_laplace(3.0), noise)
+        block = _summary_columns(acc.summarize(trajs, stepper))
+        singles = [_summary_columns(acc.summarize([traj], stepper)) for traj in trajs]
         assert set(block) == {
             "max_sq", "grad_total", "incr_sum", "translate.1", "translate.2", "translate.4", "dual.1", "dual.2",
             "dual.4", "mart_h", "m_sq", "mart_sup", "pairs", "extra",
@@ -529,11 +578,31 @@ class TestBlockSummaries:
                 lagged = dt * sum(gd.l2_inner(v, v) for v in diffs)
                 assert abs(block[f"translate.{ell}"][b] - lagged) <= 1e-12 * dt * sum(sq)
 
+    @pytest.mark.parametrize(
+        "mesh, kind",
+        [(lambda: build_uniform_interval(16, 0.0, 1.0), "p1"), (lambda: build_uniform_triangulation(4, 4), "p1_lumped")],
+        ids=["interval_p1", "square_p1_lumped"],
+    )
+    def test_martingale_matches_quadrature_point_sums(self, mesh, kind):
+        gd = build_gd(mesh(), kind)
+        sgd = SpaceTimeGD(gd, T=0.25, n_steps=12)
+        noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
+        trajs = run_block(sgd, p_laplace(3.0), noise, sin_product if gd.dim == 2 else sin_pi, 31, range(5))
+        acc = EnsembleAccumulator(sgd, 3.0, beta=0.3, martingale_r=3, **ENERGY_ONLY | dict(with_martingale=True))
+        stepper = Stepper(sgd, p_laplace(3.0), noise)
+        got = acc.summarize(trajs, stepper)
+        ref = [reference_martingale(stepper, traj, 0.3, 3) for traj in trajs]
+        for key, want in zip(("mart_h", "m_sq", "mart_sup", "pairs"), zip(*ref)):
+            want = np.array(want)
+            assert got[key].shape == want.shape
+            assert np.all(want != 0.0)
+            np.testing.assert_allclose(got[key], want, rtol=1e-12, atol=0.0, err_msg=key)
+
     def test_reports_identical_across_workers_over_blocks_of_three(self, monkeypatch):
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
-        path_bytes = 8 * ((sgd.n_steps + 1) * gd.n_dofs + sgd.n_steps * (len(gd.quad_w) + noise.k_max + 2))
+        path_bytes = 8 * ((sgd.n_steps + 1) * gd.n_dofs + sgd.n_steps * (noise.k_max + 2))
         monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", 3 * path_bytes)
         assert ensemble_block(noise, sgd) == 3
         reports = [
@@ -662,7 +731,7 @@ class TestCoupledStudy:
             mesh = refine(mesh)
         noise = make_noise(mesh.bounding_box, 4, f0="tanh")
         path_bytes = sum(
-            8 * ((s.n_steps + 1) * s.gd.n_dofs + s.n_steps * (len(s.gd.quad_w) + noise.k_max + 2)) for s in sgds
+            8 * ((s.n_steps + 1) * s.gd.n_dofs + s.n_steps * (noise.k_max + 2)) for s in sgds
         )
         monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", 3 * path_bytes)
         assert ensemble_block(noise, *sgds) == 3

@@ -17,7 +17,7 @@ from sgdm.flux import (
     p_laplace,
     regularized_p_laplace,
 )
-from sgdm.analysis import iter_trajectories
+from sgdm.analysis import _sample_blocks, ensemble_block, map_blocks
 from sgdm.noise import NoiseIncrement, RngStream, make_noise, sample_increment
 from sgdm.scheme import (
     SolverConfig,
@@ -135,7 +135,7 @@ class TestTrajectory:
         a = run_trajectory(sgd, p_laplace(3.0), noise, sin_pi, 21, 4)
         b = run_trajectory(sgd, p_laplace(3.0), noise, sin_pi, 21, 4)
         np.testing.assert_array_equal(a.u, b.u)
-        np.testing.assert_array_equal(a.m_partial, b.m_partial)
+        np.testing.assert_array_equal(a.increments, b.increments)
 
     def test_initial_value_is_interpolant(self, setup16):
         sgd, noise = setup16
@@ -174,7 +174,8 @@ class TestTrajectory:
         gd = sgd.gd
         inc = sample_increment(noise, RngStream(17, 2, 1), sgd.dt)
         z0 = noise.f0(gd.reconstruct(traj.u[0])) * (noise.basis.values(gd.quad_x) @ inc.coeffs)
-        np.testing.assert_allclose(traj.m_partial[0], z0, atol=1e-14)
+        z = Stepper(sgd, p_laplace(3.0), noise).noise_values(traj.u[:-1], traj.increments)
+        np.testing.assert_allclose(z[0], z0, atol=1e-14)
 
     def test_energy_identity_residual_small(self, setup16):
         sgd, noise = setup16
@@ -206,18 +207,14 @@ class TestTrajectory:
             norms_sq = np.sum(gd.quad_w * VV**2, axis=1)
             incs_sq = np.sum(gd.quad_w * np.diff(VV, axis=0) ** 2, axis=1)
             grads = np.array([gd.grad_lp_norm(traj.u[n + 1], 3.0) ** 3 for n in range(sgd.n_steps)])
-            # noise terms reconstructed from the stored path
+            # noise terms recomputed from the stored states and increments
             used = traj.increments
+            Z = Stepper(sgd, flux, noise).noise_values(traj.u[:-1], used)
             fnorm_sq = np.array(
                 [noise.F1 * norms_sq[n] + noise.F2 for n in range(sgd.n_steps)]
             )
             dw_sq = np.sum(used**2, axis=1)
-            pair = np.array(
-                [
-                    np.sum(gd.quad_w * (traj.m_partial[n] - (traj.m_partial[n - 1] if n else 0.0)) * VV[n])
-                    for n in range(sgd.n_steps)
-                ]
-            )
+            pair = np.sum(gd.quad_w * Z * VV[:-1], axis=1)
             for k in range(sgd.n_steps):
                 lhs = (
                     0.5 * norms_sq[k + 1]
@@ -272,8 +269,8 @@ def _reference_jacobian(stepper, u):
 
 def _step(stepper, u, inc):
     """One step of the single state u, as a block of one."""
-    U, res, iters, z = stepper.step(u[None], inc.coeffs[None])
-    return U[0], res[0], iters[0], z[0]
+    U, res, iters = stepper.step(u[None], inc.coeffs[None])
+    return U[0], res[0], iters[0]
 
 
 def _array(A):
@@ -377,8 +374,8 @@ class TestAssembly:
         kacanov = _stepper(
             monkeypatch, assembly_case, storage, p_laplace(3.0), SolverConfig(max_newton=0)
         )
-        u_newton, res_newton, _, _ = _step(newton, u, inc)
-        u_kacanov, res_kacanov, iters, _ = _step(kacanov, u, inc)
+        u_newton, res_newton, _ = _step(newton, u, inc)
+        u_kacanov, res_kacanov, iters = _step(kacanov, u, inc)
         assert res_newton <= 1e-10 and res_kacanov <= 1e-10
         assert iters >= 1
         np.testing.assert_allclose(u_kacanov, u_newton, rtol=0, atol=1e-8 * np.abs(u_newton).max())
@@ -461,8 +458,8 @@ def test_kacanov_fallback_converges_for_value_dependent_flux():
     u = 1.5 * rng.standard_normal(gd.n_dofs)
     inc = NoiseIncrement(0.3 * rng.standard_normal(4), sgd.dt)
     flux = _value_dependent_flux()
-    u_newton, res_newton, _, _ = _step(Stepper(sgd, flux, noise), u, inc)
-    u_kacanov, res_kacanov, _, _ = _step(Stepper(sgd, flux, noise, SolverConfig(max_newton=0)), u, inc)
+    u_newton, res_newton, _ = _step(Stepper(sgd, flux, noise), u, inc)
+    u_kacanov, res_kacanov, _ = _step(Stepper(sgd, flux, noise, SolverConfig(max_newton=0)), u, inc)
     assert res_newton <= 1e-10 and res_kacanov <= 1e-10
     np.testing.assert_allclose(u_kacanov, u_newton, rtol=0, atol=1e-12 * np.abs(u_newton).max())
 
@@ -498,7 +495,6 @@ class TestBlocks:
             assert traj.sample_index == s
             np.testing.assert_array_equal(traj.increments, alone.increments)
             assert np.abs(traj.u - alone.u).max() <= 1e-12 * np.abs(alone.u).max()
-            assert np.abs(traj.m_partial - alone.m_partial).max() <= 1e-12 * np.abs(alone.m_partial).max()
             np.testing.assert_array_equal(traj.per_step_newton_iters, alone.per_step_newton_iters)
 
     def test_rows_stop_at_their_own_iteration_counts(self, assembly_case):
@@ -506,12 +502,12 @@ class TestBlocks:
         stepper = Stepper(sgd, p_laplace(3.0), noise)
         U = np.array([0.0, 0.01, 0.3, 1.0, 4.0])[:, None] * u
         C = np.array([0.0, 0.5, 1.0, 1.0, 2.0])[:, None] * inc.coeffs
-        U1, res, iters, Z = stepper.step(U, C)
-        singles = [_step(stepper, U[b], NoiseIncrement(C[b], sgd.dt))[:3] for b in range(len(U))]
+        U1, res, iters = stepper.step(U, C)
+        singles = [_step(stepper, U[b], NoiseIncrement(C[b], sgd.dt)) for b in range(len(U))]
         _assert_rows_match_alone(U1, res, iters, singles)
         assert iters[0] == 0 and len(set(iters.tolist())) >= 3
         z = stepper.noise_values(U[2:3], C[2:3])[0]
-        assert np.abs(Z[2] - z).max() <= 1e-14 * np.abs(z).max()
+        assert np.abs(stepper.noise_values(U, C)[2] - z).max() <= 1e-14 * np.abs(z).max()
 
     def test_rows_through_the_kacanov_fallback(self, assembly_case):
         # at dt = 0.001 one Newton iteration leaves the larger rows short of the
@@ -521,8 +517,8 @@ class TestBlocks:
         stepper = Stepper(short, p_laplace(3.0), noise, SolverConfig(max_newton=1))
         U = np.array([0.0, 0.1, 0.5, 1.0, 2.0])[:, None] * u
         C = np.array([0.0, 1.0, 1.0, 1.0, 1.0])[:, None] * inc.coeffs
-        U1, res, iters, _ = stepper.step(U, C)
-        singles = [_step(stepper, U[b], NoiseIncrement(C[b], short.dt))[:3] for b in range(len(U))]
+        U1, res, iters = stepper.step(U, C)
+        singles = [_step(stepper, U[b], NoiseIncrement(C[b], short.dt)) for b in range(len(U))]
         _assert_rows_match_alone(U1, res, iters, singles)
         assert iters[0] == 0 and np.all(iters[1:] > 1)
 
@@ -558,7 +554,12 @@ class TestBlocks:
     def test_ensemble_failure_names_its_sample(self, setup16):
         sgd, noise = setup16
         cfg = SolverConfig(max_newton=1, max_fixed_point=1)
+        blocks = _sample_blocks(18, 3, ensemble_block(noise, sgd))
+
+        def paths(block):
+            return run_block(sgd, p_laplace(3.0), noise, sin_pi, 1, block, cfg)
+
         with pytest.raises(StepFailure) as exc:
-            list(iter_trajectories(sgd, p_laplace(3.0), noise, sin_pi, 1, 3, cfg, start=18))
+            list(map_blocks(paths, blocks, 1))
         assert (exc.value.sample_index, exc.value.step_index) == (18, 0)
         assert "sample 18" in str(exc.value)
