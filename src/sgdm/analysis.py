@@ -8,11 +8,13 @@ Every Monte Carlo path runs through one block driver, ``map_blocks``: it
 maps a task, built once with the steppers and whatever else it reuses, over
 fixed lockstep blocks of sample indices (``_sample_blocks``), in this
 process or on a fork pool. ``run_ensemble``'s task summarises a
-block's paths in one ``EnsembleAccumulator.summarize`` call, arrays with a
-leading sample axis; ``coupled_refinement_study``'s runs the block on every
-refinement level and gives its rows of coarse-to-fine differences. The rows
-are reduced strictly in sample order, so results are bit-identical however
-the blocks were spread over workers.
+block's paths in one ``EnsembleAccumulator.summarize`` call, a table with a
+row per sample; ``coupled_refinement_study``'s runs the block on every
+refinement level and gives its rows of coarse-to-fine differences.
+
+Every Monte Carlo reduction is one streaming statistic, ``RunningVector``:
+Welford's update applied to whole rows, strictly in sample order, so results
+are bit-identical however the blocks were spread over workers.
 """
 
 import math
@@ -33,71 +35,59 @@ class MeanSE:
     n: int
 
 
-class RunningStat:
-    """Streaming mean and standard error, by Welford's update: a run of
-    equal values has exactly that mean and zero spread, which the plain sums
-    of x and x^2 do not give."""
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0  # sum of squared deviations from the running mean
-
-    def add(self, x):
-        x = float(x)
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
-
-    def result(self):
-        if self.n == 0:
-            return MeanSE(math.nan, math.nan, 0)
-        if self.n == 1:
-            return MeanSE(self.mean, 0.0, 1)
-        var = max(self.m2, 0.0) / (self.n - 1)
-        return MeanSE(self.mean, math.sqrt(var / self.n), self.n)
-
-
 class RunningVector:
-    """Streaming elementwise mean, standard error, sample variance and max."""
+    """Streaming elementwise mean, standard error, sample variance and max of
+    a stream of equal-length vectors, by Welford's update applied to every
+    element: a column of equal values has exactly that mean and zero
+    spread, which the plain sums of x and x^2 do not give. Each element
+    takes the same operations as a scalar update, so it is bit for bit the
+    scalar statistic of its column."""
 
     def __init__(self, size):
         self.n = 0
-        self.s = np.zeros(size)
-        self.s2 = np.zeros(size)
+        self.mean = np.zeros(size)
+        self.m2 = np.zeros(size)  # sums of squared deviations from the running mean
         self.max = np.full(size, -np.inf)
 
     def add(self, x):
         """Add one vector, or the rows of an (m, size) block one after the
-        other: cumulative sums along the rows give the same bits as m
-        single adds."""
-        x = np.asarray(x, dtype=float).reshape(-1, len(self.s))
-        self.n += len(x)
-        self.s = np.cumsum(np.vstack([self.s, x]), axis=0)[-1]
-        self.s2 = np.cumsum(np.vstack([self.s2, x * x]), axis=0)[-1]
+        other."""
+        x = np.asarray(x, dtype=float).reshape(-1, len(self.mean))
+        for row in x:
+            self.n += 1
+            delta = row - self.mean
+            self.mean += delta / self.n
+            self.m2 += delta * (row - self.mean)
         self.max = np.maximum(self.max, x.max(axis=0, initial=-np.inf))
 
-    @property
-    def mean(self):
-        return self.s / self.n
-
-    @property
-    def se(self):
-        if self.n < 2:
-            return np.zeros_like(self.s)
-        return np.sqrt(self.variance / self.n)
+    def __getitem__(self, cols):
+        """The statistic of the columns ``cols`` (an index array or slice),
+        as it stands now."""
+        part = RunningVector(0)
+        part.n = self.n
+        part.mean, part.m2, part.max = (a[cols].copy() for a in (self.mean, self.m2, self.max))
+        return part
 
     @property
     def variance(self):
         if self.n < 2:
-            return np.zeros_like(self.s)
-        return np.maximum(self.s2 - self.n * self.mean**2, 0.0) / (self.n - 1)
+            return np.zeros_like(self.mean)
+        return np.maximum(self.m2, 0.0) / (self.n - 1)
+
+    @property
+    def se(self):
+        return np.sqrt(self.variance / max(self.n, 1))
 
     @property
     def variance_se(self):
         """Standard error of the sample variance under approximate normality."""
         return self.variance * np.sqrt(2.0 / max(self.n - 1, 1))
+
+    def results(self):
+        """One MeanSE per column; NaN mean and error before the first row."""
+        if self.n == 0:
+            return [MeanSE(math.nan, math.nan, 0) for _ in self.mean]
+        return [MeanSE(m, se, self.n) for m, se in zip(self.mean.tolist(), self.se.tolist())]
 
 
 def loglog_slope(x, y):
@@ -277,8 +267,16 @@ class EnsembleAccumulator:
     """One-pass computation of the estimator suite over a trajectory stream.
 
     ``summarize`` computes the pathwise quantities of a block of
-    trajectories at once and ``add_summary`` reduces them, row by row in
-    sample order; one trajectory is a block of one.
+    trajectories at once, as one table with a row per sample, and
+    ``add_summary`` reduces its rows in sample order with one
+    ``RunningVector``; one trajectory is a block of one. The table's columns
+    are fixed here, in ``columns``, which maps each quantity's name to its
+    column (an index, or a slice for the per-step ``m_sq`` and the
+    ``extra_fn`` values): ``max_sq``, ``grad_total`` and ``incr_sum``;
+    ``moment.q`` and ``grad_moment.q`` for q in ``moment_qs``;
+    ``translate.ell`` and ``dual.ell`` for the lags; ``mart_h``,
+    ``mart_sup`` and ``m_sq`` with the martingale estimators; then
+    ``extra``, the last columns.
 
     ``p`` sets the gradient moments and the report's exponents; the dual-norm
     increment table always uses the p = 2 dual norm, with one batched search
@@ -305,54 +303,50 @@ class EnsembleAccumulator:
         self.p = p
         self.moment_qs = tuple(moment_qs)
         N = sgd.n_steps
+        gd = sgd.gd
         self.translate_ells = tuple(e for e in translate_ells if 1 <= e <= N - 1)
-        self.dual_ells = tuple(e for e in dual_ells if 1 <= e <= N - 1)
+        self.dual_ells = tuple(e for e in dual_ells if 1 <= e <= N - 1) if with_dual and gd.n_dofs else ()
         self.dual_r = dual_r
         self.beta = beta
         self.martingale_r = martingale_r
-        self.with_dual = with_dual
         self.with_martingale = with_martingale
-        self._dual = DualNormSolver(sgd.gd) if with_dual else None
-        gd = sgd.gd
+        self.extra_fn = extra_fn
+        self._dual = DualNormSolver(gd) if self.dual_ells else None
         self._phi_quad = None
         if gd.n_dofs:
             e0 = np.zeros(gd.n_dofs)
             e0[0] = 1.0
             self._phi_quad = gd.P @ e0
 
-        self.extra_fn = extra_fn
-        self.extra = None
-        self.stats = {
-            "energy": RunningStat(),
-            "grad": RunningStat(),
-            "incr": RunningStat(),
-        }
-        self.moments = {q: RunningStat() for q in self.moment_qs}
-        self.grad_moments = {q: RunningStat() for q in self.moment_qs}
-        self.translate = {e: RunningStat() for e in self.translate_ells}
-        self.dual = {e: RunningStat() for e in self.dual_ells}
-        self.mart_h = RunningStat()
-        self.mart_sup = RunningStat()
-        self.mart_sq = [RunningStat() for _ in range(N)]
-        self.pair_mean = RunningStat()
-        self.n_samples = 0
+        names = ["max_sq", "grad_total", "incr_sum"]
+        names += [f"moment.{q}" for q in self.moment_qs] + [f"grad_moment.{q}" for q in self.moment_qs]
+        names += [f"translate.{e}" for e in self.translate_ells] + [f"dual.{e}" for e in self.dual_ells]
+        names += ["mart_h", "mart_sup"] if with_martingale else []
+        self.columns = {name: k for k, name in enumerate(names)}
+        width = len(names) + (N if with_martingale else 0)
+        if with_martingale:
+            self.columns["m_sq"] = slice(len(names), width)
+        self.columns["extra"] = slice(width, None)
+        self.stat = None  # RunningVector over the table, sized by the first block
+        self.pairs = RunningVector(1)
 
     def summarize(self, trajs, stepper):
         """Pathwise quantities of a block of trajectories on this space-time
-        grid, each with a leading sample axis (row b for ``trajs[b]``);
+        grid: a (B, K) table, row b for ``trajs[b]`` in the layout of
+        ``columns``, and the pairs <z_n, Pi e_0> of every step, (B, N) (no
+        columns without the martingale estimators or unknowns).
         ``add_summary`` reduces the rows strictly in sample order, so reports
         do not depend on the worker count.
 
-        The energy-type rows come from the whole block at once
-        (``_energy_rows``). The dual-norm search, the martingale statistics
-        (``_martingale_rows``) and ``extra_fn`` run per sample. ``stepper``
-        is the ``Stepper`` that ran the paths, whose noise basis values the
-        martingale statistics reuse."""
-        sgd, gd = self.sgd, self.sgd.gd
-        N = sgd.n_steps
+        The energy-type columns come from the whole block at once
+        (``_energy_columns``). The dual-norm search, the martingale
+        statistics (``_martingale_rows``) and ``extra_fn`` run per sample.
+        ``stepper`` is the ``Stepper`` that ran the paths, whose noise basis
+        values the martingale statistics reuse."""
+        N = self.sgd.n_steps
         U = np.stack([traj.u for traj in trajs])  # (B, N+1, n)
-        out = self._energy_rows(U)
-        if self.with_dual and gd.n_dofs and self.dual_ells:
+        cols = self._energy_columns(U)
+        if self.dual_ells:
             # one search per sample over the increments of every lag, rows
             # u^(n+ell) - u^(n) for n = 1..N-ell, lag after lag
             powers = np.array([
@@ -360,21 +354,20 @@ class EnsembleAccumulator:
                 for u in U
             ]) ** self.dual_r
             per_lag = np.split(powers, np.cumsum([N - ell for ell in self.dual_ells])[:-1], axis=1)
-            out["dual"] = {ell: np.mean(x, axis=1) for ell, x in zip(self.dual_ells, per_lag)}
+            cols += [np.mean(x, axis=1) for x in per_lag]
+        pairs = np.zeros((len(trajs), 0))
         if self.with_martingale:
             rows = [self._martingale_rows(stepper, traj) for traj in trajs]
-            out["mart_h"], out["m_sq"], pairs = (np.array(col) for col in zip(*rows))
-            out["mart_sup"] = out["m_sq"].max(axis=1) ** (self.martingale_r / 2.0)
-            if self._phi_quad is not None:
-                out["pairs"] = pairs
+            mart_h, m_sq, pairs = (np.array(col) for col in zip(*rows))
+            cols += [mart_h, m_sq.max(axis=1) ** (self.martingale_r / 2.0), m_sq]
         if self.extra_fn is not None:
-            out["extra"] = np.array([np.asarray(self.extra_fn(traj), dtype=float) for traj in trajs])
-        return out
+            cols.append(np.array([np.asarray(self.extra_fn(traj), dtype=float) for traj in trajs]))
+        return np.column_stack(cols), pairs
 
     def _martingale_rows(self, stepper, traj):
         """The fractional norm of one path's discrete martingale
         M_n = z_0 + ... + z_n, its squared L^2 norms (N,), and the pairs
-        <z_n, Pi e_0> (N,) (None without unknowns), from the path's noise
+        <z_n, Pi e_0> (N,) (none without unknowns), from the path's noise
         terms z_n = f0(Pi u^(n)) dW_n at the quadrature points.
 
         The z_n are recomputed from the path's states and increments, one
@@ -387,15 +380,15 @@ class EnsembleAccumulator:
         gram = np.cumsum(np.cumsum((Z * w) @ Z.T, axis=0), axis=1)
         m_sq = np.diag(gram)
         sq_dist = np.maximum(m_sq[:, None] + m_sq[None, :] - 2.0 * gram, 0.0)
-        pairs = Z @ (w * self._phi_quad) if self._phi_quad is not None else None
+        pairs = Z @ (w * self._phi_quad) if self._phi_quad is not None else np.zeros(0)
         return fractional_norm(sq_dist, self.sgd.dt, self.beta, 2.0), m_sq, pairs
 
-    def _energy_rows(self, U):
-        """Max L^2 norm, gradient p-power, increment sum and translates of a
-        block of paths U (B, N+1, n). The squared L^2 distances come from
-        one batched Gram product U M U^T with the mass matrix, read along
-        its diagonals, and the gradient p-powers from one G product over all
-        B(N+1) states."""
+    def _energy_columns(self, U):
+        """Max L^2 norm, gradient p-power, increment sum, their moments and
+        the translates of a block of paths U (B, N+1, n), one (B,) array per
+        column. The squared L^2 distances come from one batched Gram product
+        U M U^T with the mass matrix, read along its diagonals, and the
+        gradient p-powers from one G product over all B(N+1) states."""
         sgd, gd = self.sgd, self.sgd.gd
         N, dt = sgd.n_steps, sgd.dt
         B = len(U)
@@ -414,60 +407,51 @@ class EnsembleAccumulator:
         mag_p = np.sum(g_all.reshape(gd.mesh.n_cells, gd.dim, -1), axis=1)  # (n_cells, B(N+1))
         np.power(mag_p, self.p / 2.0, out=mag_p)
         grad_p_by_node = (gd.mesh.cell_measures @ mag_p).reshape(B, N + 1)
-        return {
-            "max_sq": sq[:, 1:].max(axis=1),
-            "grad_total": dt * np.sum(grad_p_by_node[:, 1:], axis=1),
-            "incr_sum": np.sum(lag_sq(1), axis=1),
-            "translate": {ell: dt * np.sum(lag_sq(ell)[:, 1:], axis=1) for ell in self.translate_ells},
-        }
-
-    def add_summary(self, out):
-        """Reduce a block summary (``summarize``): every statistic takes the
-        block's rows one by one, in sample order."""
-        columns = [
-            (self.stats["energy"], out["max_sq"]),
-            (self.stats["grad"], out["grad_total"]),
-            (self.stats["incr"], out["incr_sum"]),
+        max_sq = sq[:, 1:].max(axis=1)
+        grad_total = dt * np.sum(grad_p_by_node[:, 1:], axis=1)
+        return [
+            max_sq,
+            grad_total,
+            np.sum(lag_sq(1), axis=1),
+            *(max_sq ** (2 ** (q - 1)) for q in self.moment_qs),
+            *(grad_total ** (2 ** (q - 1)) for q in self.moment_qs),
+            *(dt * np.sum(lag_sq(ell)[:, 1:], axis=1) for ell in self.translate_ells),
         ]
-        for q in self.moment_qs:
-            columns.append((self.moments[q], out["max_sq"] ** (2 ** (q - 1))))
-            columns.append((self.grad_moments[q], out["grad_total"] ** (2 ** (q - 1))))
-        columns += [(self.translate[ell], vals) for ell, vals in out["translate"].items()]
-        columns += [(self.dual[ell], vals) for ell, vals in out.get("dual", {}).items()]
-        if self.with_martingale and "mart_h" in out:
-            columns += [(self.mart_h, out["mart_h"]), (self.mart_sup, out["mart_sup"])]
-            columns += list(zip(self.mart_sq, out["m_sq"].T))
-            if "pairs" in out:
-                columns.append((self.pair_mean, out["pairs"].ravel()))
-        for stat, vals in columns:
-            for v in vals.tolist():
-                stat.add(v)
-        if "extra" in out:
-            if self.extra is None:
-                self.extra = RunningVector(out["extra"].shape[1])
-            self.extra.add(out["extra"])
-        self.n_samples += len(out["max_sq"])
+
+    def add_summary(self, summary):
+        """Reduce a block summary (``summarize``): one ``RunningVector``
+        update over the table's rows, in sample order, and one over the
+        pairs, sample after sample and step after step."""
+        table, pairs = summary
+        if self.stat is None:
+            self.stat = RunningVector(table.shape[1])
+        self.stat.add(table)
+        self.pairs.add(pairs.reshape(-1, 1))
 
     def report(self):
+        stat = self.stat if self.stat is not None else RunningVector(self.columns["extra"].start)
+        results = stat.results()
+        col = {name: results[k] for name, k in self.columns.items()}
         rep = EstimatorReport(
-            n_samples=self.n_samples,
+            n_samples=stat.n,
             p=self.p,
             alpha=min(0.5, 1.0 / self.p),
             beta=self.beta,
-            energy_max_l2_sq=self.stats["energy"].result(),
-            grad_lp_p=self.stats["grad"].result(),
-            increment_sum=self.stats["incr"].result(),
-            higher_moments={q: s.result() for q, s in self.moments.items()},
-            grad_moments={q: s.result() for q, s in self.grad_moments.items()},
-            translate_table={e: s.result() for e, s in self.translate.items()},
-            dual_increment_table={(e, self.dual_r): s.result() for e, s in self.dual.items()},
+            energy_max_l2_sq=col["max_sq"],
+            grad_lp_p=col["grad_total"],
+            increment_sum=col["incr_sum"],
+            higher_moments={q: col[f"moment.{q}"] for q in self.moment_qs},
+            grad_moments={q: col[f"grad_moment.{q}"] for q in self.moment_qs},
+            translate_table={e: col[f"translate.{e}"] for e in self.translate_ells},
+            dual_increment_table={(e, self.dual_r): col[f"dual.{e}"] for e in self.dual_ells},
         )
         if self.with_martingale:
-            rep.martingale_h_beta = self.mart_h.result()
-            rep.martingale_sup_r = self.mart_sup.result()
-            rep.martingale_sq_by_step = [s.result() for s in self.mart_sq]
-            rep.increment_pair_mean = self.pair_mean.result()
-        rep.extra = self.extra
+            rep.martingale_h_beta = col["mart_h"]
+            rep.martingale_sup_r = col["mart_sup"]
+            rep.martingale_sq_by_step = col["m_sq"]
+            rep.increment_pair_mean = self.pairs.results()[0]
+        if self.extra_fn is not None:
+            rep.extra = stat[self.columns["extra"]]
         return rep
 
 
@@ -498,15 +482,12 @@ def ensemble_block(noise, *sgds):
     return int(max(1, min(ENSEMBLE_BLOCK, BLOCK_PATH_BYTES // path_bytes)))
 
 
-def _sample_blocks(start, n_samples, B):
-    """The blocks [kB, (k+1)B) ∩ [start, start + n_samples), in order, as
-    ranges of sample indices. The boundaries depend only on the sample
-    indices and B, so a sample's path is a deterministic function of
-    (master_seed, sample, its block), however the blocks are spread over
-    workers."""
-    stop = start + n_samples
-    blocks = (range(max(k * B, start), min((k + 1) * B, stop)) for k in range(start // B, -(-stop // B)))
-    return [block for block in blocks if block]
+def _sample_blocks(n_samples, B):
+    """The blocks [kB, (k+1)B) ∩ [0, n_samples), in order, as ranges of
+    sample indices. The boundaries depend only on the sample indices and B,
+    so a sample's path is a deterministic function of (master_seed, sample,
+    its block), however the blocks are spread over workers."""
+    return [range(k * B, min((k + 1) * B, n_samples)) for k in range(-(-n_samples // B))]
 
 
 # -- the block driver --------------------------------------------------------------
@@ -554,8 +535,8 @@ def run_ensemble(sgd, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=
     noise is bit-identical to the stream of (master_seed, sample, step)
     drawn alone; its states agree with ``run_trajectory`` for that sample
     alone up to the rounding of the block's row arithmetic. The summaries'
-    rows are reduced strictly in sample order, so the report is
-    bit-identical for any worker count.
+    rows are reduced strictly in sample order (``add_summary``), so the
+    report is bit-identical for any worker count.
     """
     acc_kwargs = dict(acc_kwargs or {})
     acc_kwargs.setdefault("p", flux_model.p)
@@ -567,7 +548,7 @@ def run_ensemble(sgd, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=
         trajs = run_block(sgd, flux_model, noise, u0_vec, master_seed, block, cfg, _stepper=stepper)
         return acc.summarize(trajs, stepper)
 
-    for summary in map_blocks(summarize, _sample_blocks(0, n_samples, ensemble_block(noise, sgd)), workers):
+    for summary in map_blocks(summarize, _sample_blocks(n_samples, ensemble_block(noise, sgd)), workers):
         acc.add_summary(summary)
     return acc.report()
 
@@ -594,9 +575,11 @@ def ou_exact_moments(mass, stiffness, noise_gain, u0_coeff, dt, n_steps):
 
 
 def _lp_differences(E, sgd_fine, U_c, U_f, p):
-    """``pathwise_lp_difference`` of a block: coarse paths U_c (B, Nc+1,
-    n_c), fine paths U_f (B, Nf+1, n_f) on ``sgd_fine``, and E the coarse
-    reconstruction at the fine quadrature points; returns (B,)."""
+    """Space-time L^p distances of a block of piecewise-constant scheme
+    solutions on nested discretisations (the fine time grid refines the
+    coarse one): coarse paths U_c (B, Nc+1, n_c), fine paths U_f (B, Nf+1,
+    n_f) on ``sgd_fine``, and E the coarse reconstruction at the fine
+    quadrature points; returns (B,)."""
     gd_f, Nf = sgd_fine.gd, sgd_fine.n_steps
     B, Nc = len(U_c), U_c.shape[1] - 1
     if Nf % Nc != 0:
@@ -607,13 +590,6 @@ def _lp_differences(E, sgd_fine, U_c, U_f, p):
     coarse = np.repeat(coarse, Nf // Nc, axis=2).reshape(fine.shape)
     per_step = (gd_f.quad_w @ np.abs(fine - coarse) ** p).reshape(B, Nf)
     return (sgd_fine.dt * per_step.sum(axis=1)) ** (1.0 / p)
-
-
-def pathwise_lp_difference(traj_coarse, traj_fine, p):
-    """Space-time L^p distance of two piecewise-constant scheme solutions on
-    nested discretisations (fine time grid refines the coarse one)."""
-    E = traj_coarse.sgd.gd.reconstruction_matrix(traj_fine.sgd.gd.quad_x)
-    return float(_lp_differences(E, traj_fine.sgd, traj_coarse.u[None], traj_fine.u[None], p)[0])
 
 
 def coupled_increments(noise, master_seed, sample_index, n_fine, dt_fine, n_levels):
@@ -648,7 +624,8 @@ def coupled_refinement_study(sgds, flux_model, noise, u0, master_seed, n_samples
     reconstruction matrix per pair: per block, one keyed
     ``coupled_increments`` call, one ``run_block`` per level and the
     differences of all its samples at once. The rows are reduced in sample
-    order, so the result is bit-identical for any worker count. A
+    order by one ``RunningVector``, so the result is bit-identical for any
+    worker count. A
     ``StepFailure`` names the ``level`` whose step failed.
     """
     for a, b in zip(sgds[:-1], sgds[1:]):
@@ -672,12 +649,10 @@ def coupled_refinement_study(sgds, flux_model, noise, u0, master_seed, n_samples
         rows = [_lp_differences(E, sgds[i + 1], paths[i], paths[i + 1], p) for i, E in enumerate(transfers)]
         return np.reshape(rows, (len(transfers), len(block))).T
 
-    stats = [RunningStat() for _ in transfers]
-    for rows in map_blocks(differences, _sample_blocks(0, n_samples, ensemble_block(noise, *sgds)), workers):
-        for row in rows.tolist():
-            for stat, x in zip(stats, row):
-                stat.add(x)
-    return [st.result() for st in stats]
+    stat = RunningVector(len(transfers))
+    for rows in map_blocks(differences, _sample_blocks(n_samples, ensemble_block(noise, *sgds)), workers):
+        stat.add(rows)
+    return stat.results()
 
 
 def deterministic_errors(sgds, flux_model, noise, u0, exact, master_seed=0, cfg=None):

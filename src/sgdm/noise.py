@@ -328,17 +328,6 @@ def sample_increment(noise, stream, dt):
     return NoiseIncrement(noise.q * np.sqrt(dt) * xi, float(dt))
 
 
-def apply_noise(noise, gd, v, inc, points=None):
-    """Evaluate x -> f0(Pi_D v(x)) * sum_k coeffs_k e_k(x).
-
-    By default the result is sampled at the quadrature points of the
-    discretisation, ready for right-hand-side assembly.
-    """
-    pts = gd.quad_x if points is None else np.atleast_2d(points)
-    vals = gd.reconstruct(v) if points is None else gd.reconstruct(v, pts)
-    return noise.f0(vals) * (noise.basis.values(pts) @ inc.coeffs)
-
-
 @dataclass
 class GrowthReport:
     n_trials: int

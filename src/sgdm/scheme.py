@@ -355,13 +355,6 @@ class Stepper:
         return U, nr, iters
 
 
-def solve_step(sgd, flux_model, noise, u_n, inc, cfg=None):
-    """Single implicit step from u_n with a given noise increment."""
-    stepper = Stepper(sgd, flux_model, noise, cfg)
-    U, res, iters = stepper.step(np.asarray(u_n, dtype=float)[None], np.asarray(inc.coeffs, dtype=float)[None])
-    return U[0], res[0], iters[0]
-
-
 def run_block(sgd, flux_model, noise, u0, master_seed, samples, cfg=None, increments=None, _stepper=None):
     """Simulate the paths of a block of samples in lockstep; returns one
     ``Trajectory`` per entry of ``samples``, in order.

@@ -1,5 +1,6 @@
 """Path norms, dual norms, Monte Carlo estimators and oracles."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,8 @@ from sgdm.analysis import (
     ENSEMBLE_BLOCK,
     DualNormSolver,
     EnsembleAccumulator,
-    RunningStat,
+    MeanSE,
+    RunningVector,
     coupled_increments,
     coupled_refinement_study,
     ensemble_block,
@@ -22,11 +24,10 @@ from sgdm.analysis import (
     loglog_slope,
     map_blocks,
     ou_exact_moments,
-    pathwise_lp_difference,
     run_ensemble,
     translate_at_lags,
 )
-from sgdm.analysis import _sample_blocks
+from sgdm.analysis import _lp_differences, _sample_blocks
 from sgdm.flux import linear_diffusion, p_laplace
 from sgdm.noise import RngStream, make_noise, sample_increment
 from sgdm.scheme import SpaceTimeGD, Stepper, run_block, run_trajectory
@@ -91,6 +92,77 @@ def random_path():
 
 def path_fractional_norm(path, beta, q_exp):
     return fractional_norm(path.sq_distances(), path.dt, beta, q_exp)
+
+
+class ScalarWelford:
+    """The scalar streaming mean and standard error by Welford's update, one
+    value at a time: the reference for ``RunningVector``'s columns."""
+
+    def __init__(self):
+        self.n = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+
+    def add(self, x):
+        x = float(x)
+        self.n += 1
+        delta = x - self.mean
+        self.mean += delta / self.n
+        self.m2 += delta * (x - self.mean)
+
+    def result(self):
+        if self.n == 0:
+            return MeanSE(math.nan, math.nan, 0)
+        if self.n == 1:
+            return MeanSE(self.mean, 0.0, 1)
+        var = max(self.m2, 0.0) / (self.n - 1)
+        return MeanSE(self.mean, math.sqrt(var / self.n), self.n)
+
+
+def welford(values):
+    """The scalar reference statistic of a sequence of values."""
+    stat = ScalarWelford()
+    for x in values:
+        stat.add(x)
+    return stat.result()
+
+
+class TestRunningVector:
+    def test_columns_equal_the_scalar_reference_bitwise(self):
+        x = np.random.default_rng(5).standard_normal((257, 40)) * np.logspace(-3, 3, 40)
+        stat = RunningVector(40)
+        for block in np.array_split(x, [1, 17, 18, 100]):  # blocks of uneven size
+            stat.add(block)
+        assert stat.results() == [welford(col) for col in x.T]
+        assert stat.n == 257
+        np.testing.assert_array_equal(stat.max, x.max(axis=0))
+
+    def test_equal_rows_have_zero_spread(self):
+        stat = RunningVector(2)
+        stat.add(np.full((3, 2), 0.1845861140097293))
+        np.testing.assert_array_equal(stat.mean, 0.1845861140097293)
+        np.testing.assert_array_equal(stat.variance, 0.0)
+        np.testing.assert_array_equal(stat.se, 0.0)
+        np.testing.assert_array_equal(stat.variance_se, 0.0)
+
+    def test_before_two_rows(self):
+        stat = RunningVector(2)
+        empty = stat.results()
+        assert [r.n for r in empty] == [0, 0]
+        assert all(math.isnan(r.mean) and math.isnan(r.se) for r in empty)
+        stat.add([1.5, -2.0])
+        assert stat.results() == [MeanSE(1.5, 0.0, 1), MeanSE(-2.0, 0.0, 1)]
+        np.testing.assert_array_equal(stat.variance, 0.0)
+
+    def test_column_selection(self):
+        x = np.random.default_rng(6).standard_normal((9, 5))
+        stat = RunningVector(5)
+        stat.add(x)
+        part = stat[slice(2, None)]
+        assert part.n == 9
+        assert part.results() == stat.results()[2:]
+        np.testing.assert_array_equal(part.variance, stat.variance[2:])
+        np.testing.assert_array_equal(part.max, x[:, 2:].max(axis=0))
 
 
 class TestContinuousTranslate:
@@ -291,7 +363,8 @@ class TestDualNormSearch:
         N = traj.sgd.n_steps
         acc = EnsembleAccumulator(traj.sgd, 3.0, dual_ells=(1, 2, 4, 8), dual_r=4)
         stepper = Stepper(traj.sgd, traj.flux, traj.noise)
-        got = {ell: vals[0] for ell, vals in acc.summarize([traj], stepper)["dual"].items()}
+        table, _ = acc.summarize([traj], stepper)
+        got = {int(name[5:]): table[0, k] for name, k in acc.columns.items() if name.startswith("dual.")}
         assert set(got) == {1, 2, 4, 8}
         rows_all, ref_all = [], []
         for ell in (1, 2, 4, 8):
@@ -443,9 +516,9 @@ class TestEstimators:
 class TestBlocks:
     def test_block_boundaries_depend_only_on_sample_indices(self):
         B = 5
-        assert _sample_blocks(0, 2 * B + 3, B) == [range(0, B), range(B, 2 * B), range(2 * B, 2 * B + 3)]
-        assert _sample_blocks(B - 2, 4, B) == [range(B - 2, B), range(B, B + 2)]
-        assert _sample_blocks(5, 0, B) == []
+        assert _sample_blocks(2 * B + 3, B) == [range(0, B), range(B, 2 * B), range(2 * B, 2 * B + 3)]
+        assert _sample_blocks(B + 2, B) == [range(0, B), range(B, B + 2)]
+        assert _sample_blocks(0, B) == []
 
     def test_block_size_bounded_by_the_paths_it_holds(self, small_ensemble, monkeypatch):
         sgd, flux, noise, _ = small_ensemble
@@ -479,9 +552,9 @@ class TestBlocks:
         for budget in (analysis.BLOCK_PATH_BYTES, 1):  # blocks of ENSEMBLE_BLOCK, then of 1
             monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", budget)
             B = ensemble_block(noise, sgd)
-            start, n = B + 1 - min(B, 3), 7
-            blocks = _sample_blocks(start, n, B)
-            assert [s for block in blocks for s in block] == list(range(start, start + n))
+            n = B + 3  # the last block is short
+            blocks = _sample_blocks(n, B)
+            assert [s for block in blocks for s in block] == list(range(n))
             want = [paths(block) for block in blocks]
             for workers in (1, 2):
                 got = list(map_blocks(paths, blocks, workers))
@@ -499,29 +572,30 @@ class TestBlocks:
         ]
         for rep in reports:
             assert rep.n_samples == n
-        a, b = reports
-        np.testing.assert_array_equal(a.extra.s, b.extra.s)
-        np.testing.assert_array_equal(a.extra.s2, b.extra.s2)
-        assert a.translate_table == b.translate_table
-        assert a.martingale_h_beta == b.martingale_h_beta
+        a, b = (_report_fields(rep) for rep in reports)
+        for name in EXTRA_FIELDS:
+            np.testing.assert_array_equal(a[f"extra.{name}"], b[f"extra.{name}"])
+        assert a["translate_table"] == b["translate_table"]
+        assert a["martingale_h_beta"] == b["martingale_h_beta"]
 
 
-def _summary_columns(out):
-    """A block summary's arrays by flat key ("translate.2", "dual.1", ...)."""
-    flat = {}
-    for key, value in out.items():
-        if isinstance(value, dict):
-            flat.update({f"{key}.{ell}": vals for ell, vals in value.items()})
-        else:
-            flat[key] = value
+def _summary_columns(acc, summary):
+    """A block summary's columns by name ("max_sq", "translate.2", ...,
+    "m_sq", "extra"), and its pairs as "pairs"."""
+    table, pairs = summary
+    flat = {name: table[:, k] for name, k in acc.columns.items()}
+    flat["pairs"] = pairs
     return flat
+
+
+EXTRA_FIELDS = ("n", "mean", "variance", "se", "variance_se", "max")
 
 
 def _report_fields(rep):
     fields = dict(vars(rep))
     extra = fields.pop("extra")
     if extra is not None:
-        fields.update({"extra.s": extra.s.tolist(), "extra.s2": extra.s2.tolist(), "extra.max": extra.max.tolist()})
+        fields.update({f"extra.{name}": np.asarray(getattr(extra, name)).tolist() for name in EXTRA_FIELDS})
     return fields
 
 
@@ -541,6 +615,30 @@ def reference_martingale(stepper, traj, beta, r):
     return h, m_sq, m_sq.max() ** (r / 2.0), Z @ (gd.quad_w * (gd.P @ e0))
 
 
+def reference_report_fields(acc, summaries):
+    """The report fields of an accumulator's block summaries by the scalar
+    reference: the Welford statistic of each column of the tables in sample
+    order, and of the pairs sample after sample and step after step."""
+    table = np.concatenate([table for table, _ in summaries])
+    stats = [welford(col) for col in table.T]
+    col = {name: stats[k] for name, k in acc.columns.items()}
+    return {
+        "n_samples": len(table),
+        "energy_max_l2_sq": col["max_sq"],
+        "grad_lp_p": col["grad_total"],
+        "increment_sum": col["incr_sum"],
+        "higher_moments": {q: col[f"moment.{q}"] for q in acc.moment_qs},
+        "grad_moments": {q: col[f"grad_moment.{q}"] for q in acc.moment_qs},
+        "translate_table": {e: col[f"translate.{e}"] for e in acc.translate_ells},
+        "dual_increment_table": {(e, acc.dual_r): col[f"dual.{e}"] for e in acc.dual_ells},
+        "martingale_h_beta": col["mart_h"],
+        "martingale_sup_r": col["mart_sup"],
+        "martingale_sq_by_step": col["m_sq"],
+        "increment_pair_mean": welford(np.concatenate([pairs.ravel() for _, pairs in summaries])),
+        "extra": col["extra"],
+    }
+
+
 class TestBlockSummaries:
     ESTIMATORS = dict(
         translate_ells=(1, 2, 4), dual_ells=(1, 2, 4), dual_r=2, with_dual=True, with_martingale=True,
@@ -554,11 +652,12 @@ class TestBlockSummaries:
         trajs = run_block(sgd, p_laplace(3.0), noise, sin_pi, 29, range(5))
         acc = EnsembleAccumulator(sgd, 3.0, **self.ESTIMATORS)
         stepper = Stepper(sgd, p_laplace(3.0), noise)
-        block = _summary_columns(acc.summarize(trajs, stepper))
-        singles = [_summary_columns(acc.summarize([traj], stepper)) for traj in trajs]
+        block = _summary_columns(acc, acc.summarize(trajs, stepper))
+        singles = [_summary_columns(acc, acc.summarize([traj], stepper)) for traj in trajs]
         assert set(block) == {
             "max_sq", "grad_total", "incr_sum", "translate.1", "translate.2", "translate.4", "dual.1", "dual.2",
             "dual.4", "mart_h", "m_sq", "mart_sup", "pairs", "extra",
+            *(f"{kind}.{q}" for kind in ("moment", "grad_moment") for q in (1, 2, 3)),
         }
         for key, got in block.items():
             want = np.concatenate([single[key] for single in singles])
@@ -590,7 +689,7 @@ class TestBlockSummaries:
         trajs = run_block(sgd, p_laplace(3.0), noise, sin_product if gd.dim == 2 else sin_pi, 31, range(5))
         acc = EnsembleAccumulator(sgd, 3.0, beta=0.3, martingale_r=3, **ENERGY_ONLY | dict(with_martingale=True))
         stepper = Stepper(sgd, p_laplace(3.0), noise)
-        got = acc.summarize(trajs, stepper)
+        got = _summary_columns(acc, acc.summarize(trajs, stepper))
         ref = [reference_martingale(stepper, traj, 0.3, 3) for traj in trajs]
         for key, want in zip(("mart_h", "m_sq", "mart_sup", "pairs"), zip(*ref)):
             want = np.array(want)
@@ -605,6 +704,14 @@ class TestBlockSummaries:
         path_bytes = 8 * ((sgd.n_steps + 1) * gd.n_dofs + sgd.n_steps * (noise.k_max + 2))
         monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", 3 * path_bytes)
         assert ensemble_block(noise, sgd) == 3
+        summaries = []
+        add_summary = EnsembleAccumulator.add_summary
+
+        def recording(acc, summary):
+            summaries.append((acc, summary))
+            add_summary(acc, summary)
+
+        monkeypatch.setattr(EnsembleAccumulator, "add_summary", recording)
         reports = [
             run_ensemble(sgd, p_laplace(3.0), noise, sin_pi, 43, 8, dict(self.ESTIMATORS), workers=w)
             for w in (1, 2)
@@ -613,6 +720,13 @@ class TestBlockSummaries:
         assert a["n_samples"] == 8
         assert a["dual_increment_table"] and a["martingale_sq_by_step"] and a["translate_table"]
         assert a == b
+        # every field is the scalar reference statistic of the serial run's summaries
+        acc = summaries[0][0]
+        serial = [summary for owner, summary in summaries if owner is acc]
+        assert len(serial) == 3 and len(summaries) == 6
+        for key, want in reference_report_fields(acc, serial).items():
+            got = reports[0].extra.results() if key == "extra" else getattr(reports[0], key)
+            assert got == want, key
 
 
 class TestOuOracle:
@@ -684,11 +798,12 @@ class TestRefinementTools:
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
         t_c = run_trajectory(sgd_c, linear_diffusion(), noise, sin_pi, 0, 0)
         t_same = run_trajectory(sgd_c, linear_diffusion(), noise, sin_pi, 0, 0)
+        E = gd.reconstruction_matrix(gd.quad_x)  # both levels share the mesh
         # same trajectory through two evaluation paths: zero up to roundoff
-        assert pathwise_lp_difference(t_c, t_same, 2.0) <= 1e-14
+        assert _lp_differences(E, sgd_c, t_c.u[None], t_same.u[None], 2.0)[0] <= 1e-14
         # different step counts give a genuine positive difference
         t_f = run_trajectory(sgd_f, linear_diffusion(), noise, sin_pi, 0, 0)
-        assert pathwise_lp_difference(t_c, t_f, 2.0) > 0.0
+        assert _lp_differences(E, sgd_f, t_c.u[None], t_f.u[None], 2.0)[0] > 0.0
 
     def test_slope_fit(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])
@@ -752,18 +867,27 @@ class TestCoupledStudy:
             built["transfers"] += 1
             return reconstruction_matrix(gd, points)
 
+        reduced = []
+        map_blocks = analysis.map_blocks
+
+        def recording_map(*args):
+            for rows in map_blocks(*args):
+                reduced.append(rows)
+                yield rows
+
         monkeypatch.setattr(analysis, "Stepper", CountingStepper)
         monkeypatch.setattr(type(sgds[0].gd), "reconstruction_matrix", counting_matrix)
+        monkeypatch.setattr(analysis, "map_blocks", recording_map)
         stats = coupled_refinement_study(sgds, p_laplace(3.0), noise, sin_pi, 9, self.N_SAMPLES, 3.0)
         # three blocks, one stepper per level and one matrix per pair
         assert built == {"steppers": 3, "transfers": 2}
+        # the rows it reduced, by the scalar reference, bit for bit
+        assert len(reduced) == 3
+        assert stats == [welford(col) for col in np.concatenate(reduced).T]
         rows = reference_coupled_rows(sgds, p_laplace(3.0), noise, sin_pi, 9, self.N_SAMPLES, 3.0)
         assert rows.shape == (self.N_SAMPLES, 2) and np.all(rows > 0.0)
         for stat, col in zip(stats, rows.T, strict=True):
-            acc = RunningStat()
-            for x in col:
-                acc.add(x)
-            ref = acc.result()
+            ref = welford(col)
             assert stat.n == ref.n == self.N_SAMPLES
             assert abs(stat.mean - ref.mean) <= 1e-13 * ref.mean
             assert abs(stat.se - ref.se) <= 1e-13 * ref.se

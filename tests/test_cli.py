@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from sgdm.analysis import pathwise_lp_difference
+from sgdm.analysis import _lp_differences
 from sgdm.cli import (
     ConfigError, build_flux, build_levels, build_noise_model, build_u0, config_hash, load_config, main,
 )
@@ -191,7 +191,9 @@ class TestCommands:
         ]
         assert len(rows) == 2
         for i, row in enumerate(rows):
-            want = pathwise_lp_difference(trajs[i], trajs[i + 1], 3.0)
+            coarse, fine = trajs[i], trajs[i + 1]
+            E = coarse.sgd.gd.reconstruction_matrix(fine.sgd.gd.quad_x)
+            want = _lp_differences(E, fine.sgd, coarse.u[None], fine.u[None], 3.0)[0]
             assert row[0] == str(i) and float(row[1]) == levels[i][0].h and row[3:] == ["0", "1"]
             assert abs(float(row[2]) - want) <= 1e-13 * want
             assert summary["differences"][i] == float(row[2])

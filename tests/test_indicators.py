@@ -313,6 +313,26 @@ class TestIndicatorT:
         assert got <= oracle + 1e-8
         assert got >= oracle - 1e-5
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="clip_polygon can return a folded polygon, whose area polygon_rule's fan over-counts",
+    )
+    @pytest.mark.parametrize(
+        "refinements, shift",
+        [(0, 0.1), (0, 0.5 * np.sqrt(2.0) / 8), (1, 0.5 * np.sqrt(2.0) / 8)],
+        ids=["8x8-0.1", "8x8-0.5h0", "refined-0.5h0"],
+    )
+    def test_overlap_weights_cover_the_overlap(self, refinements, shift):
+        # every CR cell carries a DOF, so the overlap quadrature covers the
+        # unit square and its translate by (shift, 0): area 1 - shift
+        from sgdm.indicators import translate_overlap
+
+        mesh = build_uniform_triangulation(8, 8)
+        for _ in range(refinements):
+            mesh = refine(mesh)
+        w_a = translate_overlap(build_gd(mesh, "cr"), [shift, 0.0])[2]
+        assert abs(w_a.sum() - (1.0 - shift)) <= 1e-12
+
 
 # -- coercivity ------------------------------------------------------------------
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation
-from sgdm.noise import RngStream, apply_noise, growth_check, make_noise, sample_increment, stream_keys
+from sgdm.flux import linear_diffusion
+from sgdm.noise import RngStream, growth_check, make_noise, sample_increment, stream_keys
+from sgdm.scheme import SpaceTimeGD, Stepper
 
 
 @pytest.fixture(scope="module")
@@ -162,17 +164,24 @@ class TestBasis:
         assert vals.shape == (64, 4)
 
 
+def noise_values(noise, gd, v, inc):
+    """f0(Pi v) * sum_k c_k e_k at the quadrature points, as a step
+    evaluates it (``Stepper.noise_values`` on a block of one)."""
+    stepper = Stepper(SpaceTimeGD(gd, T=inc.dt, n_steps=1), linear_diffusion(), noise)
+    return stepper.noise_values(v[None], inc.coeffs[None])[0]
+
+
 class TestApplyNoise:
     def test_zero_multiplier(self, gd16):
         noise = make_noise(gd16.mesh.bounding_box, 4, f0="zero")
         inc = sample_increment(noise, RngStream(3, 0, 1), 0.1)
         v = np.random.default_rng(1).standard_normal(gd16.n_dofs)
-        np.testing.assert_array_equal(apply_noise(noise, gd16, v, inc), 0.0)
+        np.testing.assert_array_equal(noise_values(noise, gd16, v, inc), 0.0)
 
     def test_constant_multiplier_single_mode(self, gd16):
         noise = make_noise(gd16.mesh.bounding_box, 1, q=[0.5], f0="constant")
         inc = sample_increment(noise, RngStream(3, 1, 1), 0.1)
-        out = apply_noise(noise, gd16, np.zeros(gd16.n_dofs), inc)
+        out = noise_values(noise, gd16, np.zeros(gd16.n_dofs), inc)
         e1 = noise.basis.values(gd16.quad_x)[:, 0]
         np.testing.assert_allclose(out, inc.coeffs[0] * e1, atol=1e-13)
 
@@ -182,9 +191,9 @@ class TestApplyNoise:
         inc = sample_increment(noise, RngStream(4, 0, 2), 0.05)
         c = 0.8
         v = np.full(gd.n_dofs, c)  # lumped reconstruction is exactly c inside
-        pts = np.random.default_rng(5).uniform(0.07, 0.93, (10, 1))
-        out = apply_noise(noise, gd, v, inc, points=pts)
-        expected = c * (noise.basis.values(pts) @ inc.coeffs)
+        inside = (gd.quad_x[:, 0] > 0.07) & (gd.quad_x[:, 0] < 0.93)
+        out = noise_values(noise, gd, v, inc)[inside]
+        expected = c * (noise.basis.values(gd.quad_x[inside]) @ inc.coeffs)
         np.testing.assert_allclose(out, expected, atol=1e-13)
 
 

@@ -17,7 +17,7 @@ from sgdm.flux import (
     p_laplace,
     regularized_p_laplace,
 )
-from sgdm.analysis import _sample_blocks, ensemble_block, map_blocks
+from sgdm.analysis import map_blocks
 from sgdm.noise import NoiseIncrement, RngStream, make_noise, sample_increment
 from sgdm.scheme import (
     SolverConfig,
@@ -28,7 +28,6 @@ from sgdm.scheme import (
     run_block,
     run_trajectory,
     save_trajectory,
-    solve_step,
 )
 
 from conftest import sin_pi, zero_field
@@ -47,16 +46,15 @@ class TestSolveStep:
         sgd = SpaceTimeGD(single_dof_gd, T=0.1, n_steps=10)
         noise = make_noise(single_dof_gd.mesh.bounding_box, 1, f0="zero")
         u0 = np.array([0.7])
-        u1, res, _ = solve_step(sgd, linear_diffusion(), noise, u0, NoiseIncrement(np.zeros(1), sgd.dt))
+        (u1,), (res,), _ = Stepper(sgd, linear_diffusion(), noise).step(u0[None], np.zeros((1, 1)))
         m, k = 1.0 / 3.0, 4.0  # hand integration of the hat on two cells
         assert abs(u1[0] - 0.7 * m / (m + sgd.dt * k)) <= 1e-12
         assert res <= 1e-12
 
     def test_zero_state_zero_increment_fixed_point(self, setup16):
         sgd, noise = setup16
-        u0 = np.zeros(sgd.gd.n_dofs)
-        inc = NoiseIncrement(np.zeros(noise.k_max), sgd.dt)
-        u1, res, _ = solve_step(sgd, p_laplace(3.0), noise, u0, inc)
+        U0 = np.zeros((1, sgd.gd.n_dofs))
+        (u1,), _, _ = Stepper(sgd, p_laplace(3.0), noise).step(U0, np.zeros((1, noise.k_max)))
         np.testing.assert_allclose(u1, 0.0, atol=1e-14)
 
     def test_p3_residual_and_energy_identity(self, setup16):
@@ -64,12 +62,11 @@ class TestSolveStep:
         gd = sgd.gd
         rng = np.random.default_rng(8)
         u_n = rng.standard_normal(gd.n_dofs)
-        inc = NoiseIncrement(np.zeros(noise.k_max), sgd.dt)
         flux = p_laplace(3.0)
-        u1, res, _ = solve_step(sgd, flux, noise, u_n, inc)
+        stepper = Stepper(sgd, flux, noise)
+        (u1,), (res,), _ = stepper.step(u_n[None], np.zeros((1, noise.k_max)))
         assert res <= 1e-10
         # identity from testing the step equation with u^{n+1}
-        stepper = Stepper(sgd, flux, noise)
         lhs = (
             0.5 * gd.l2_inner(u1, u1)
             + 0.5 * gd.l2_inner(u1 - u_n, u1 - u_n)
@@ -83,19 +80,13 @@ class TestSolveStep:
         flux = linear_diffusion()
         rng = np.random.default_rng(9)
         u_a, u_b = rng.standard_normal((2, sgd.gd.n_dofs))
-        inc_a = sample_increment(noise, RngStream(1, 0, 1), sgd.dt)
-        inc_b = sample_increment(noise, RngStream(1, 1, 1), sgd.dt)
-        out_a, _, _ = solve_step(sgd, flux, noise, u_a, inc_a)
-        out_b, _, _ = solve_step(sgd, flux, noise, u_b, inc_b)
-        both, _, _ = solve_step(
-            sgd, flux, noise, u_a + u_b, NoiseIncrement(inc_a.coeffs + inc_b.coeffs, sgd.dt)
-        )
+        c_a = sample_increment(noise, RngStream(1, 0, 1), sgd.dt).coeffs
+        c_b = sample_increment(noise, RngStream(1, 1, 1), sgd.dt).coeffs
         # noise multiplier must be state-independent for superposition
         noise_add = make_noise(sgd.gd.mesh.bounding_box, noise.k_max, f0="constant")
-        out_a, _, _ = solve_step(sgd, flux, noise_add, u_a, inc_a)
-        out_b, _, _ = solve_step(sgd, flux, noise_add, u_b, inc_b)
-        both, _, _ = solve_step(
-            sgd, flux, noise_add, u_a + u_b, NoiseIncrement(inc_a.coeffs + inc_b.coeffs, sgd.dt)
+        stepper = Stepper(sgd, flux, noise_add)
+        out_a, out_b, both = (
+            stepper.step(u[None], c[None])[0][0] for u, c in ((u_a, c_a), (u_b, c_b), (u_a + u_b, c_a + c_b))
         )
         np.testing.assert_allclose(both, out_a + out_b, atol=1e-12)
 
@@ -106,8 +97,9 @@ class TestSolveStep:
         cfg = SolverConfig(max_newton=1, max_fixed_point=1)
         rng = np.random.default_rng(10)
         with pytest.raises(StepFailure) as exc:
-            solve_step(sgd, p_laplace(6.0), noise, 50.0 * rng.standard_normal(sgd.gd.n_dofs),
-                       NoiseIncrement(np.zeros(noise.k_max), sgd.dt), cfg)
+            Stepper(sgd, p_laplace(6.0), noise, cfg).step(
+                50.0 * rng.standard_normal((1, sgd.gd.n_dofs)), np.zeros((1, noise.k_max))
+            )
         assert exc.value.best_iterate.shape == (sgd.gd.n_dofs,)
         assert exc.value.residual_norm > 0
 
@@ -121,13 +113,13 @@ class TestSolveStep:
 
 
 class TestTrajectory:
-    def test_single_step_equals_solve_step(self, setup16):
+    def test_single_step_equals_stepper_step(self, setup16):
         sgd_1 = SpaceTimeGD(setup16[0].gd, T=0.5 / 16, n_steps=1)
         noise = setup16[1]
         flux = p_laplace(3.0)
         traj = run_trajectory(sgd_1, flux, noise, sin_pi, master_seed=3, sample_index=5)
         inc = sample_increment(noise, RngStream(3, 5, 1), sgd_1.dt)
-        u1, _, _ = solve_step(sgd_1, flux, noise, traj.u[0], inc)
+        (u1,), _, _ = Stepper(sgd_1, flux, noise).step(traj.u[:1], inc.coeffs[None])
         np.testing.assert_array_equal(traj.u[1], u1)
 
     def test_deterministic_in_seed(self, setup16):
@@ -554,7 +546,7 @@ class TestBlocks:
     def test_ensemble_failure_names_its_sample(self, setup16):
         sgd, noise = setup16
         cfg = SolverConfig(max_newton=1, max_fixed_point=1)
-        blocks = _sample_blocks(18, 3, ensemble_block(noise, sgd))
+        blocks = [range(18, 21)]  # a block that does not start at sample 0
 
         def paths(block):
             return run_block(sgd, p_laplace(3.0), noise, sin_pi, 1, block, cfg)
