@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .noise import ziggurat_tables
 from .scheme import Stepper, StepFailure, run_block, run_trajectory
 
 
@@ -53,11 +54,22 @@ class RunningVector:
         """Add one vector, or the rows of an (m, size) block one after the
         other."""
         x = np.asarray(x, dtype=float).reshape(-1, len(self.mean))
-        for row in x:
-            self.n += 1
-            delta = row - self.mean
-            self.mean += delta / self.n
-            self.m2 += delta * (row - self.mean)
+        if len(self.mean) == 1:
+            # the same update on Python floats, which are IEEE doubles too,
+            # without a numpy call per value
+            n, mean, m2 = self.n, float(self.mean[0]), float(self.m2[0])
+            for value in x[:, 0].tolist():
+                n += 1
+                delta = value - mean
+                mean += delta / n
+                m2 += delta * (value - mean)
+            self.n, self.mean[0], self.m2[0] = n, mean, m2
+        else:
+            for row in x:
+                self.n += 1
+                delta = row - self.mean
+                self.mean += delta / self.n
+                self.m2 += delta * (row - self.mean)
         self.max = np.maximum(self.max, x.max(axis=0, initial=-np.inf))
 
     def __getitem__(self, cols):
@@ -461,25 +473,41 @@ class EnsembleAccumulator:
 # unknowns, 64 steps ran 10, 20, 29, 33-37, 37 samples/s; P1 20x20, 16
 # steps ran 12, 17-20, 19-20, 19-23, 17-18/s; hence at most 16 rows. On
 # 20x20 at 64 steps more rows bought nothing past 8: P1 ran 3.5, 4.4-5.1,
-# 5.1-5.7, 5.3/s at B up to 16, p1_lumped 2.3-2.6/s at any B up to 16. A
-# path holds its states, increments, residuals and iteration counts, 0.19 MB
-# on 20x20 at 64 steps, so the budget of 32 MiB of paths (see
-# ensemble_block) caps the block only on far larger problems.
+# 5.1-5.7, 5.3/s at B up to 16, p1_lumped 2.3-2.6/s at any B up to 16.
+# Newton runs a block as long as its slowest row; a linear flux has no
+# Newton, so its blocks take LINEAR_ENSEMBLE_BLOCK rows and a block's fixed
+# cost (the keyed noise draw, one step call per step, one summary) spreads
+# over more samples. Measured on the 1000-sample oracle ensemble (one
+# unknown, 16 steps) in process, median of 9 (2-vCPU VM): B = 16, 64, 256,
+# 1000 took 0.101, 0.042, 0.027, 0.024 s (16 rows with the noise drawn
+# stream by stream: 0.146 s). The budget of BLOCK_BYTES (see ensemble_block)
+# caps the block on larger problems: at most 22 rows of a p1_lumped 20x20
+# path of 64 steps, which holds 57,600 noise values per step and 104,000
+# gradient components in the summary.
 ENSEMBLE_BLOCK = 16
-BLOCK_PATH_BYTES = 32 * 2**20
+LINEAR_ENSEMBLE_BLOCK = 256
+BLOCK_BYTES = 32 * 2**20
 
 
-def ensemble_block(noise, *sgds):
+def ensemble_block(flux_model, noise, *sgds):
     """Samples per block when each sample holds one path on every
     space-time grid of ``sgds`` (one grid for an ensemble, every level for
-    a coupled study): ``ENSEMBLE_BLOCK``, or fewer when those paths
-    (``scheme.run_block`` stores per sample N+1 states, N increments,
-    residuals and iteration counts) would pass ``BLOCK_PATH_BYTES``; at
-    least one."""
-    path_bytes = sum(
-        8 * ((sgd.n_steps + 1) * sgd.gd.n_dofs + sgd.n_steps * (noise.k_max + 2)) for sgd in sgds
-    )
-    return int(max(1, min(ENSEMBLE_BLOCK, BLOCK_PATH_BYTES // path_bytes)))
+    a coupled study): ``ENSEMBLE_BLOCK``, or ``LINEAR_ENSEMBLE_BLOCK`` for
+    a linear flux, or fewer when what the block's rows hold at its peak
+    would pass ``BLOCK_BYTES``; at least one. A row holds, on every grid,
+    its path (``scheme.run_block`` stores N+1 states, N increments,
+    residuals and iteration counts), one step's noise values at the n_q
+    quadrature points (``scheme.Stepper.noise_values``), and the (N+1)^2
+    energy Gram and the per-cell gradients of its N+1 states
+    (``EnsembleAccumulator._energy_columns``)."""
+    row_bytes = 0
+    for sgd in sgds:
+        N, gd = sgd.n_steps, sgd.gd
+        path = (N + 1) * gd.n_dofs + N * (noise.k_max + 2)
+        summary = (N + 1) ** 2 + (N + 1) * gd.mesh.n_cells * gd.dim  # energy Gram, state gradients
+        row_bytes += 8 * (path + len(gd.quad_w) + summary)
+    cap = LINEAR_ENSEMBLE_BLOCK if flux_model.is_linear else ENSEMBLE_BLOCK
+    return int(max(1, min(cap, BLOCK_BYTES // row_bytes)))
 
 
 def _sample_blocks(n_samples, B):
@@ -519,6 +547,8 @@ def map_blocks(task, blocks, workers):
         return
     import multiprocessing as mp
 
+    ziggurat_tables()  # derived once here, not again in every worker
+
     with mp.get_context("fork").Pool(workers, initializer=_start_worker, initargs=(task,)) as pool:
         yield from pool.imap(_run_in_worker, blocks, chunksize=max(1, len(blocks) // (workers * 16)))
 
@@ -526,7 +556,7 @@ def map_blocks(task, blocks, workers):
 def run_ensemble(sgd, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=None, cfg=None, workers=1):
     """Run a sample ensemble and reduce it to an EstimatorReport.
 
-    Samples advance in fixed blocks of B = ``ensemble_block(noise, sgd)``
+    Samples advance in fixed blocks of B = ``ensemble_block(flux_model, noise, sgd)``
     consecutive indices (``_sample_blocks``), run by ``map_blocks`` on one
     stepper (its stored operators, noise basis values, the mass in the
     form's slots, and the factorised operator of a linear flux), each block
@@ -548,7 +578,8 @@ def run_ensemble(sgd, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=
         trajs = run_block(sgd, flux_model, noise, u0_vec, master_seed, block, cfg, _stepper=stepper)
         return acc.summarize(trajs, stepper)
 
-    for summary in map_blocks(summarize, _sample_blocks(n_samples, ensemble_block(noise, sgd)), workers):
+    blocks = _sample_blocks(n_samples, ensemble_block(flux_model, noise, sgd))
+    for summary in map_blocks(summarize, blocks, workers):
         acc.add_summary(summary)
     return acc.report()
 
@@ -650,7 +681,8 @@ def coupled_refinement_study(sgds, flux_model, noise, u0, master_seed, n_samples
         return np.reshape(rows, (len(transfers), len(block))).T
 
     stat = RunningVector(len(transfers))
-    for rows in map_blocks(differences, _sample_blocks(n_samples, ensemble_block(noise, *sgds)), workers):
+    blocks = _sample_blocks(n_samples, ensemble_block(flux_model, noise, *sgds))
+    for rows in map_blocks(differences, blocks, workers):
         stat.add(rows)
     return stat.results()
 

@@ -13,6 +13,7 @@ from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation, 
 from sgdm import analysis
 from sgdm.analysis import (
     ENSEMBLE_BLOCK,
+    LINEAR_ENSEMBLE_BLOCK,
     DualNormSolver,
     EnsembleAccumulator,
     MeanSE,
@@ -29,7 +30,7 @@ from sgdm.analysis import (
 )
 from sgdm.analysis import _lp_differences, _sample_blocks
 from sgdm.flux import linear_diffusion, p_laplace
-from sgdm.noise import RngStream, make_noise, sample_increment
+from sgdm.noise import RngStream, make_noise, sample_increment, ziggurat_tables
 from sgdm.scheme import SpaceTimeGD, Stepper, run_block, run_trajectory
 
 from conftest import sin_pi, sin_product, zero_field
@@ -144,6 +145,22 @@ class TestRunningVector:
         np.testing.assert_array_equal(stat.variance, 0.0)
         np.testing.assert_array_equal(stat.se, 0.0)
         np.testing.assert_array_equal(stat.variance_se, 0.0)
+
+    def test_one_column_equals_the_scalar_reference_bitwise(self):
+        # a one-column block takes the update on Python floats, the wider
+        # blocks on numpy rows: both are the scalar statistic bit for bit
+        x = np.random.default_rng(7).standard_normal(300)
+        narrow, wide, scalar = RunningVector(1), RunningVector(2), ScalarWelford()
+        for block in np.array_split(x, [1, 17, 18, 100, 101, 250]):
+            narrow.add(block.reshape(-1, 1))
+            wide.add(np.column_stack([block, -block]))
+            for value in block:
+                scalar.add(value)
+            assert narrow.n == wide.n == scalar.n
+            assert (narrow.mean[0], narrow.m2[0]) == (scalar.mean, scalar.m2)
+            for name in ("mean", "m2", "max", "variance", "se", "variance_se"):
+                np.testing.assert_array_equal(getattr(narrow, name), getattr(wide, name)[:1], err_msg=name)
+        assert narrow.results() == [welford(x)]
 
     def test_before_two_rows(self):
         stat = RunningVector(2)
@@ -513,6 +530,18 @@ class TestEstimators:
 
 
 
+def row_bytes(noise, *sgds):
+    """What a block row holds at its peak on every grid: its path (N+1
+    states, N increments, residuals and iteration counts), one step's noise
+    values at the quadrature points, its (N+1)^2 energy Gram and the
+    per-cell gradients of its states."""
+    return sum(
+        8 * ((s.n_steps + 1) * s.gd.n_dofs + s.n_steps * (noise.k_max + 2) + len(s.gd.quad_w)
+             + (s.n_steps + 1) ** 2 + (s.n_steps + 1) * s.gd.G.shape[0])
+        for s in sgds
+    )
+
+
 class TestBlocks:
     def test_block_boundaries_depend_only_on_sample_indices(self):
         B = 5
@@ -525,23 +554,41 @@ class TestBlocks:
         (traj,) = run_block(sgd, flux, noise, sin_pi, 41, [0])
         fields = (traj.u, traj.increments, traj.per_step_residuals, traj.per_step_newton_iters)
         path = sum(a.nbytes for a in fields)
-        assert ensemble_block(noise, sgd) == ENSEMBLE_BLOCK
-        for budget, B in ((3 * path, 3), (4 * path - 1, 3), (path - 1, 1)):
-            monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", budget)
-            assert ensemble_block(noise, sgd) == B
+        # at the block's peak a row also holds one step's noise values at
+        # the quadrature points, its (N+1)^2 energy Gram and the per-cell
+        # gradients of its states
+        noise_values = Stepper(sgd, flux, noise).noise_values(traj.u[:1], traj.increments[:1])
+        gradients = sgd.gd.G @ traj.u.T
+        row = path + noise_values.nbytes + 8 * (sgd.n_steps + 1) ** 2 + gradients.nbytes
+        for budget, B in ((3 * row, 3), (4 * row - 1, 3), (row - 1, 1)):
+            monkeypatch.setattr(analysis, "BLOCK_BYTES", budget)
+            assert ensemble_block(flux, noise, sgd) == B
+            assert ensemble_block(p_laplace(3.0), noise, sgd) == B
+
+    def test_linear_flux_blocks_take_more_rows(self, small_ensemble):
+        sgd, flux, noise, _ = small_ensemble
+        assert flux.is_linear and LINEAR_ENSEMBLE_BLOCK == 256
+        assert ensemble_block(flux, noise, sgd) == LINEAR_ENSEMBLE_BLOCK
+        assert ensemble_block(p_laplace(3.0), noise, sgd) == ENSEMBLE_BLOCK == 16
+        assert ensemble_block(p_laplace(2.0), noise, sgd) == LINEAR_ENSEMBLE_BLOCK  # no Newton at p = 2
 
     def test_p1_lumped_paths_shrink_the_block(self, monkeypatch):
-        # 57,600 quadrature points on 20 x 20, but a path of 64 steps holds
-        # only its 361-unknown states and its increments: 0.19 MB, so the
-        # block is full; a budget below two paths still shrinks it
+        # a path of 64 steps on 20 x 20 holds its 361-unknown states and its
+        # increments, 0.19 MB, but a row also holds 57,600 noise values in a
+        # step and the 65 x 800 x 2 gradient components of its states in the
+        # summary: the budget keeps a linear block at 22 rows, and a budget
+        # below two rows shrinks any block to one
         gd = build_gd(build_uniform_triangulation(20, 20), "p1_lumped")
         sgd = SpaceTimeGD(gd, T=0.25, n_steps=64)
         noise = make_noise(gd.mesh.bounding_box, 16, f0="tanh")
         path = 8 * (65 * gd.n_dofs + 64 * (16 + 2))
-        assert len(gd.quad_w) == 57_600 and path < 200_000
-        assert ensemble_block(noise, sgd) == ENSEMBLE_BLOCK
-        monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", 2 * path - 1)
-        assert ensemble_block(noise, sgd) == 1
+        row = path + 8 * (57_600 + 65**2 + 65 * 1600)
+        assert len(gd.quad_w) == 57_600 and gd.G.shape[0] == 1600 and path < 200_000
+        assert ensemble_block(p_laplace(3.0), noise, sgd) == ENSEMBLE_BLOCK
+        assert ensemble_block(linear_diffusion(), noise, sgd) == analysis.BLOCK_BYTES // row == 22
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 2 * row - 1)
+        assert ensemble_block(linear_diffusion(), noise, sgd) == 1
+        assert ensemble_block(p_laplace(3.0), noise, sgd) == 1
 
     def test_map_blocks_runs_the_fixed_blocks(self, small_ensemble, monkeypatch):
         sgd, flux, noise, _ = small_ensemble
@@ -549,9 +596,9 @@ class TestBlocks:
         def paths(block):
             return np.stack([t.u for t in run_block(sgd, flux, noise, sin_pi, 41, block)])
 
-        for budget in (analysis.BLOCK_PATH_BYTES, 1):  # blocks of ENSEMBLE_BLOCK, then of 1
-            monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", budget)
-            B = ensemble_block(noise, sgd)
+        for budget in (analysis.BLOCK_BYTES, 1):  # blocks of LINEAR_ENSEMBLE_BLOCK, then of 1
+            monkeypatch.setattr(analysis, "BLOCK_BYTES", budget)
+            B = ensemble_block(flux, noise, sgd)
             n = B + 3  # the last block is short
             blocks = _sample_blocks(n, B)
             assert [s for block in blocks for s in block] == list(range(n))
@@ -562,11 +609,18 @@ class TestBlocks:
                 for g, w in zip(got, want):
                     np.testing.assert_array_equal(g, w)
 
+    def test_pool_workers_inherit_the_ziggurat_tables(self):
+        # derived in this process before the fork, not once per worker
+        ziggurat_tables.cache_clear()
+        sizes = list(map_blocks(lambda block: ziggurat_tables.cache_info().currsize, [range(1), range(1, 2)], 2))
+        assert sizes == [1, 1]
+
     def test_reports_identical_across_workers_over_several_blocks(self, single_dof_gd):
         sgd = SpaceTimeGD(single_dof_gd, T=0.5, n_steps=4)
         noise = make_noise(single_dof_gd.mesh.bounding_box, 1, f0="constant")
         kwargs = dict(translate_ells=(1,), dual_ells=(), with_dual=False, extra_fn=lambda t: t.u[:, 0])
-        n = 2 * ENSEMBLE_BLOCK + 5
+        assert ensemble_block(linear_diffusion(), noise, sgd) == LINEAR_ENSEMBLE_BLOCK
+        n = 3 * LINEAR_ENSEMBLE_BLOCK + 5  # three full blocks and a short one
         reports = [
             run_ensemble(sgd, linear_diffusion(), noise, np.ones(1), 3, n, kwargs, workers=w) for w in (1, 2)
         ]
@@ -701,9 +755,8 @@ class TestBlockSummaries:
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
-        path_bytes = 8 * ((sgd.n_steps + 1) * gd.n_dofs + sgd.n_steps * (noise.k_max + 2))
-        monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", 3 * path_bytes)
-        assert ensemble_block(noise, sgd) == 3
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 3 * row_bytes(noise, sgd))
+        assert ensemble_block(p_laplace(3.0), noise, sgd) == 3
         summaries = []
         add_summary = EnsembleAccumulator.add_summary
 
@@ -845,11 +898,8 @@ class TestCoupledStudy:
             sgds.append(SpaceTimeGD(build_gd(mesh, "p1"), 0.25, 4 * 2**lvl))
             mesh = refine(mesh)
         noise = make_noise(mesh.bounding_box, 4, f0="tanh")
-        path_bytes = sum(
-            8 * ((s.n_steps + 1) * s.gd.n_dofs + s.n_steps * (noise.k_max + 2)) for s in sgds
-        )
-        monkeypatch.setattr(analysis, "BLOCK_PATH_BYTES", 3 * path_bytes)
-        assert ensemble_block(noise, *sgds) == 3
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 3 * row_bytes(noise, *sgds))
+        assert ensemble_block(p_laplace(3.0), noise, *sgds) == 3
         return sgds, noise
 
     def test_block_study_matches_per_sample_reference(self, levels_in_blocks_of_three, monkeypatch):

@@ -1,12 +1,28 @@
 """Q-Wiener increment sampling, the multiplicative noise operator and the
 growth-bound probes."""
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation
+from sgdm import noise as noise_module
 from sgdm.flux import linear_diffusion
-from sgdm.noise import RngStream, growth_check, make_noise, sample_increment, stream_keys
+from sgdm.noise import (
+    RngStream,
+    growth_check,
+    keyed_normals,
+    make_noise,
+    philox_words,
+    sample_increment,
+    stream_keys,
+    ziggurat_tables,
+)
 from sgdm.scheme import SpaceTimeGD, Stepper
 
 
@@ -108,6 +124,62 @@ class TestBlockStreams:
         with pytest.raises(ValueError, match="nonnegative"):
             sample_increment(noise, RngStream(1, np.array([3, -1]), 1), 0.1)
 
+    def test_philox_words_are_numpy_raw_words(self):
+        # keys of streams, random keys and the extreme ones, over several
+        # blocks of four words and the partial blocks between them
+        random = np.random.default_rng(3).integers(0, 2**64, (8, 2), dtype=np.uint64)
+        extreme = np.array([[0, 0], [2**64 - 1, 2**64 - 1], [2**63, 1]], dtype=np.uint64)
+        keys = np.concatenate([stream_keys(11, np.arange(8), 1), random, extreme])
+        for n in (1, 3, 4, 5, 23):
+            words = philox_words(keys, n)
+            assert words.shape == (len(keys), n) and words.dtype == np.uint64
+            for key, row in zip(keys, words):
+                np.testing.assert_array_equal(row, np.random.Philox(key=key).random_raw(n))
+
+    def test_fast_path_in_use(self, monkeypatch):
+        # the derived tables pass their check on this numpy, so only the
+        # streams with a draw off the fast path (about 1.5% at one draw
+        # each) go to numpy
+        assert ziggurat_tables() is not None
+        loop, calls = noise_module._keyed_normals, []
+        monkeypatch.setattr(noise_module, "_keyed_normals", lambda key, n: calls.append(n) or loop(key, n))
+        noise = make_noise([[0.0], [1.0]], 1, q=[1.0], f0="constant")
+        coeffs = sample_increment(noise, RngStream(5, np.arange(1000), 2), 1.0).coeffs
+        assert 0 < len(calls) < 50
+        want = [_numpy_stream(5, s, 2).standard_normal(1) for s in range(1000)]
+        np.testing.assert_array_equal(coeffs, want)
+
+    def test_tables_derived_on_the_first_array_draw(self):
+        # in a fresh process: not by importing sgdm or building a noise model
+        script = (
+            "import numpy as np, sgdm\n"
+            "from sgdm.noise import RngStream, make_noise, sample_increment, ziggurat_tables\n"
+            "noise = make_noise([[0.0], [1.0]], 4)\n"
+            "sample_increment(noise, RngStream(0, np.arange(8), 1), 0.1)\n"
+            "assert ziggurat_tables.cache_info().currsize == 0\n"
+            "sample_increment(noise, RngStream(0, np.arange(256), 1), 0.1)\n"
+            "assert ziggurat_tables.cache_info().currsize == 1\n"
+        )
+        src_dir = str(Path(noise_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+
+    def test_wrong_tables_rejected(self):
+        ki, wi = ziggurat_tables()
+        keys = stream_keys(5, np.arange(300), 2)
+        want = np.array([_numpy_stream(5, s, 2).standard_normal(8) for s in range(300)])
+        np.testing.assert_array_equal(keyed_normals(keys, 8, (ki, wi)), want)
+        wrong = {
+            "wi one ulp high": (ki, np.nextafter(wi, np.inf)),
+            "every draw on the fast path": (np.full(256, 2**52, dtype=np.uint64), wi),
+            "no draw on the fast path": (np.zeros(256, dtype=np.uint64), wi),
+        }
+        for name, tables in wrong.items():
+            if name != "no draw on the fast path":
+                assert not np.array_equal(keyed_normals(keys, 8, tables), want), name
+            assert noise_module._checked_tables(tables) is None, name
+            np.testing.assert_array_equal(keyed_normals(keys, 8, noise_module._checked_tables(tables)), want)
+
 
 class TestStreamGrid:
     """Keys and draws of a sample x step grid, the noise of a block's path."""
@@ -133,6 +205,34 @@ class TestStreamGrid:
             for n in range(8):
                 alone = sample_increment(noise, RngStream(11, s, n + 1), 0.1).coeffs
                 np.testing.assert_array_equal(row[n], alone)
+
+    # 1000 samples on both sides of 2**32 by 4 steps, two of them above 2**32
+    MANY_SAMPLES = np.concatenate([np.arange(500), 2**32 - 250 + np.arange(500)])
+    MANY_STEPS = np.array([1, 7, 2**32 + 3, 2**40])
+
+    @pytest.mark.parametrize("k_max", [1, 8, 16, 64])
+    def test_grid_draws_are_numpy_draws_through_both_slow_paths(self, k_max):
+        noise = make_noise([[0.0], [1.0]], k_max, q=np.ones(k_max), f0="constant")
+        stream = RngStream(2024, self.MANY_SAMPLES[:, None], self.MANY_STEPS)
+        keys = stream_keys(2024, stream.sample_index, stream.time_index).reshape(-1, 2)
+        want = [
+            _numpy_stream(2024, s, n).standard_normal(k_max)
+            for s, n in itertools.product(self.MANY_SAMPLES.tolist(), self.MANY_STEPS.tolist())
+        ]
+        # the array path, and sample_increment, which takes it up to 16 draws
+        block = keyed_normals(keys, k_max, ziggurat_tables())
+        assert block.shape == (4000, k_max)
+        np.testing.assert_array_equal(block, want)
+        np.testing.assert_array_equal(sample_increment(noise, stream, 1.0).coeffs.reshape(-1, k_max), want)
+        # some streams leave the fast path first at layer 0 (the tail) and
+        # some at another layer (a wedge)
+        ki, _ = ziggurat_tables()
+        words = philox_words(keys, k_max)
+        layer = (words & 0xFF).astype(int)
+        off = ((words >> 9) & (2**52 - 1)) >= ki[layer]
+        rows = np.flatnonzero(off.any(axis=1))
+        first = layer[rows, off[rows].argmax(axis=1)]
+        assert np.any(first == 0) and np.any(first != 0)
 
     def test_negative_step_rejected(self):
         noise = make_noise([[0.0], [1.0]], 1, f0="constant")
