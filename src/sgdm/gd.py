@@ -16,17 +16,16 @@ homogeneous Dirichlet condition removes the boundary DOFs (marked -1).
                    vertex i; broken linear reconstruction (coincides with
                    ``p1`` in 1D).
 
-``P``, ``G``, the affine pieces and the per-cell gradient stencils C_c are
-all built from that description. Every form ``sum_c C_c^T B_c C_c`` with
-per-cell blocks B_c is filled by one routine, ``form_values``, into the slots
-of one pattern per space, and every system with that pattern is solved by
-one LAPACK band LU, ``form_solver``.
+``P``, ``G``, the affine pieces (as arrays) and the per-cell gradient
+stencils C_c are all built from that description. Every form
+``sum_c C_c^T B_c C_c`` with per-cell blocks B_c is filled by one routine,
+``form_values``, into the slots of one pattern per space, and every system
+with that pattern is solved by one LAPACK band LU, ``form_solver``.
 
 Scalar fields are callables mapping an (n, dim) coordinate array to (n,)
 values; vector fields map to (n, dim).
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,20 +40,6 @@ P1_CONFORMING = "p1"
 P1_MASS_LUMPED = "p1_lumped"
 CROUZEIX_RAVIART = "cr"
 KINDS = (P1_CONFORMING, P1_MASS_LUMPED, CROUZEIX_RAVIART)
-
-
-@dataclass
-class Piece:
-    """A convex region on which the reconstruction is a single affine map.
-
-    value(x) = sum_j v[dofs[j]] * (const[j] + lin[j] . x) on the region.
-    ``poly`` is (k, 2) in 2D or (2, 1) interval endpoints in 1D.
-    """
-
-    poly: np.ndarray
-    dofs: np.ndarray
-    const: np.ndarray
-    lin: np.ndarray
 
 
 class GradientDiscretisation:
@@ -106,26 +91,20 @@ class GradientDiscretisation:
     @cached_property
     def pieces(self):
         """The convex regions on which the reconstruction is one affine map,
-        as ``Piece``s, built on first use: the dual sub-regions for
-        ``p1_lumped``, the cells otherwise."""
-        d = self.dim
+        built on first use, as arrays ``(polys, dofs, const, lin)``: on piece
+        k, with vertices ``polys[k]`` (counter-clockwise in 2D, the two
+        endpoints in 1D), the reconstruction of v is ``sum_s v[dofs[k, s]] *
+        (const[k, s] + (x @ lin[k])[s])`` over the slots with ``dofs[k, s]
+        >= 0`` (-1 where the Dirichlet condition removed the DOF, as in
+        ``cell_dofs``); ``lin`` is (n_pieces, dim, n_slots). The pieces are
+        the cells, with dim+1 slots, or for ``p1_lumped`` the dual
+        sub-regions, with one slot: the owner's DOF."""
         if self.kind == P1_MASS_LUMPED:
-            pieces = []
-            for poly, c, i in self._dual_regions:
-                n = int(self.cell_dofs[c, i] >= 0)  # 0 where the owner was eliminated
-                pieces.append(
-                    Piece(poly, np.full(n, self.cell_dofs[c, i]), np.ones(n), np.zeros((n, d)))
-                )
-            return pieces
-        cells, local = np.nonzero(self.cell_dofs >= 0)  # cell-major, local order
-        dofs = self.cell_dofs[cells, local]
-        const = (self.alpha + self.beta * self._bary_coeff[:, 0, :])[cells, local]
-        grads = self.local_gradients[cells, :, local]  # (n, dim)
-        split = np.cumsum(np.bincount(cells, minlength=self.mesh.n_cells))[:-1]
-        v = self.mesh.vertices[self.mesh.cells]
-        return [
-            Piece(*piece) for piece in zip(v, *(np.split(a, split) for a in (dofs, const, grads)))
-        ]
+            polys, cells, owners = self._dual_regions
+            dofs = self.cell_dofs[cells, owners][:, None]
+            return polys, dofs, np.ones(dofs.shape), np.zeros((len(dofs), self.dim, 1))
+        const = self.alpha + self.beta * self._bary_coeff[:, 0, :]
+        return self.mesh.vertices[self.mesh.cells], self.cell_dofs, const, self.local_gradients
 
     # -- weighted gradient forms: sum_c C_c^T B_c C_c ---------------------------
 
@@ -401,9 +380,12 @@ def _simplex_quadrature(mesh):
 def _dual_quadrature(mesh):
     """Quadrature subordinate to the barycentric dual cells: each cell is
     subdivided so that every quadrature point lies inside one dual region.
-    Regions and points name their owner by its local vertex index. In 2D
-    the six sub-triangles (vertex, edge midpoint, centroid) of a positively
-    oriented cell are counter-clockwise."""
+    Regions and points name their owner by its local vertex index. Returns
+    the points, weights, cells and owners of the points, then the regions
+    as ``(polys, cells, owners)`` arrays: the two half-intervals (endpoints)
+    of each 1D cell, or the six sub-triangles (vertex, edge midpoint,
+    centroid) of each 2D cell, counter-clockwise on a positively oriented
+    cell."""
     if mesh.dim == 1:
         x0, x1 = mesh.vertices[mesh.cells, 0].T
         m = 0.5 * (x0 + x1)
@@ -427,11 +409,10 @@ def _dual_quadrature(mesh):
     n_cells, n_sub, n_q = wts.shape
     cells = np.repeat(np.arange(n_cells), n_sub)
     sub_owner = np.tile(owner, n_cells)
-    regions = list(zip(subs.reshape(-1, *subs.shape[2:]), cells.tolist(), sub_owner.tolist()))
     return (
         pts.reshape(-1, mesh.dim),
         wts.ravel(),
         np.repeat(cells, n_q),
         np.repeat(sub_owner, n_q),
-        regions,
+        (subs.reshape(-1, *subs.shape[2:]), cells, sub_owner),
     )

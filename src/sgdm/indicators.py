@@ -22,8 +22,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .clipping import clip_interval, clip_polygon
-from .quadrature import polygon_rule, interval_rule
+from .clipping import clip_polygon
+from .gd import _basis_matrix
+from .quadrature import INTERVAL_NODES, INTERVAL_WEIGHTS, polygon_rule
 
 IRLS_MAX_ITER = 50
 IRLS_RTOL = 1e-9
@@ -199,74 +200,82 @@ def indicator_W(gd, phi, div_phi, p=2.0, max_iter=IRLS_MAX_ITER, rtol=IRLS_RTOL)
 # -- compactness: translate bound ----------------------------------------------
 
 
+# bounding-box tests per block of subject pieces in translate_overlap
+_BOX_TESTS = 1 << 20
+
+
 def translate_overlap(gd, xi):
     """Quadrature of the overlap between the reconstruction and its translate.
 
     Returns sparse operators (S, U) evaluating v -> Pi_D v(x + xi) and
     v -> Pi_D v(x) at common quadrature points covering the region where both
     are supported, together with the quadrature weights.
+
+    The points come pair by pair, for the pieces with a DOF (``gd.pieces``)
+    in row-major order over (piece i shifted by -xi, piece j) wherever their
+    bounding boxes overlap by more than a tolerance: in 1D the interval rule
+    on the intersection, in 2D the fan rule on the clipped polygon, for all
+    pairs at once. Pairs whose overlap is within the tolerance are left out.
     """
     xi = np.asarray(xi, dtype=float).reshape(gd.dim)
-    pieces = [pc for pc in gd.pieces if len(pc.dofs)]
-    if not pieces:
+    has_dof = (gd.pieces[1] >= 0).any(axis=1)
+    polys, dofs, const, lin = (a[has_dof] for a in gd.pieces)
+    if not len(polys):
         empty = sp.csr_matrix((0, gd.n_dofs))
         return empty, empty, np.zeros(0)
-    mins = np.array([pc.poly.min(axis=0) for pc in pieces])
-    maxs = np.array([pc.poly.max(axis=0) for pc in pieces])
+    mins, maxs = polys.min(axis=1), polys.max(axis=1)
     scale = float(np.max(maxs - mins))
     tol = 1e-13 * max(scale, 1.0)
 
-    pts_all, wts_all = [], []
-    rows_S, cols_S, vals_S = [], [], []
-    rows_U, cols_U, vals_U = [], [], []
-    offset = 0
-    for i, pc in enumerate(pieces):
-        lo = mins[i] - xi
-        hi = maxs[i] - xi
-        cand = np.nonzero(np.all((maxs > lo + tol) & (mins < hi - tol), axis=1))[0]
-        for j in cand:
-            qc = pieces[j]
-            if gd.dim == 1:
-                seg = clip_interval(lo[0], hi[0], mins[j, 0], maxs[j, 0])
-                if seg is None or seg[1] - seg[0] <= tol:
-                    continue
-                pts, wts = interval_rule(seg[0], seg[1])
-                pts = pts[:, None]
-            else:
-                poly = clip_polygon(pc.poly - xi, qc.poly)
-                if len(poly) < 3:
-                    continue
-                pts, wts = polygon_rule(poly)
-                if wts.sum() <= tol * scale:
-                    continue
-            nq = len(wts)
-            pts_all.append(pts)
-            wts_all.append(wts)
-            q_idx = offset + np.arange(nq)
-            # shifted side: value(x) = sum_j v[dof_j] (const_j + lin_j.(x+xi))
-            shifted_vals = pc.const[None, :] + (pts + xi) @ pc.lin.T
-            rows_S.append(np.repeat(q_idx, len(pc.dofs)))
-            cols_S.append(np.tile(pc.dofs, nq))
-            vals_S.append(shifted_vals.ravel())
-            plain_vals = qc.const[None, :] + pts @ qc.lin.T
-            rows_U.append(np.repeat(q_idx, len(qc.dofs)))
-            cols_U.append(np.tile(qc.dofs, nq))
-            vals_U.append(plain_vals.ravel())
-            offset += nq
+    lo, hi = mins - xi, maxs - xi
+    rows = max(1, _BOX_TESTS // len(polys))
+    pairs = []
+    for first in range(0, len(polys), rows):
+        block = slice(first, first + rows)
+        boxes = True  # coordinate by coordinate, faster than all() over a short axis
+        for k in range(gd.dim):
+            boxes = boxes & (maxs[:, k] > lo[block, k, None] + tol)
+            boxes &= mins[:, k] < hi[block, k, None] - tol
+        i, j = np.nonzero(boxes)
+        pairs.append((i + first, j))
+    i, j = (np.concatenate(ij) for ij in zip(*pairs))
 
-    if offset == 0:
-        empty = sp.csr_matrix((0, gd.n_dofs))
-        return empty, empty, np.zeros(0)
-    w_a = np.concatenate(wts_all)
-    S = sp.coo_matrix(
-        (np.concatenate(vals_S), (np.concatenate(rows_S), np.concatenate(cols_S))),
-        shape=(offset, gd.n_dofs),
-    ).tocsr()
-    U = sp.coo_matrix(
-        (np.concatenate(vals_U), (np.concatenate(rows_U), np.concatenate(cols_U))),
-        shape=(offset, gd.n_dofs),
-    ).tocsr()
-    return S, U, w_a
+    if gd.dim == 1:
+        a, b = np.maximum(lo[i], mins[j]), np.minimum(hi[i], maxs[j])  # (n_pairs, 1)
+        ok = (b - a > tol)[:, 0]
+        a, b = a[ok], b[ok]
+        pts, wts = (a + (b - a) * INTERVAL_NODES)[..., None], (b - a) * INTERVAL_WEIGHTS
+        present = np.ones(wts.shape, dtype=bool)
+    else:
+        clipped, counts = clip_polygon(polys[i] - xi, polys[j])
+        pts, wts = polygon_rule(clipped, counts)  # (n_pairs, n_tri, n_q, ...)
+        ok = wts.sum(axis=(1, 2)) > tol * scale
+        n_tri, n_q = wts.shape[1:]
+        present = np.repeat(np.arange(n_tri) < counts[ok, None] - 2, n_q, axis=1)
+        pts, wts = pts[ok].reshape(*present.shape, 2), wts[ok].reshape(present.shape)
+    i, j = i[ok], j[ok]
+    pair = np.nonzero(present)[0]  # the pair of each point
+    S_vals = _piece_values(pts + xi, const[i], lin[i], dofs[i])[present]
+    U_vals = _piece_values(pts, const[j], lin[j], dofs[j])[present]
+    S = _basis_matrix(dofs[i[pair]], S_vals, gd.n_dofs)
+    U = _basis_matrix(dofs[j[pair]], U_vals, gd.n_dofs)
+    return S, U, wts[present]
+
+
+def _piece_values(x, const, lin, dofs):
+    """Each DOF slot's affine function on its piece, ``const + x @ lin``, at
+    the points x (n_pairs, n, dim) of each pair: (n_pairs, n, n_slots).
+
+    A piece with a single DOF takes the product with that column alone, a
+    matrix-vector product, which BLAS rounds differently from the same
+    column of a matrix product."""
+    vals = const[:, None, :] + x @ lin
+    if lin.shape[2] > 1:
+        one = np.nonzero((dofs >= 0).sum(axis=1) == 1)[0]
+        slot = np.argmax(dofs[one] >= 0, axis=1)
+        col = np.take_along_axis(lin[one], slot[:, None, None], axis=2)
+        vals[one, :, slot] = const[one, slot, None] + (x[one] @ col)[..., 0]
+    return vals
 
 
 def _translate_numerator_p(gd, S, U, w_a, v, p):

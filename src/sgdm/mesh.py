@@ -215,32 +215,27 @@ def refine(mesh):
         )
         return Mesh(1, vertices, cells, mesh.boundary_vertices.copy()).validate()
 
-    verts = [tuple(p) for p in mesh.vertices]
-    midpoint = {}
+    nv = mesh.n_vertices
+    a, b = mesh.cells.ravel(), mesh.cells[:, [1, 2, 0]].ravel()  # edges v0v1, v1v2, v2v0
+    keys, first, inverse = np.unique(
+        np.minimum(a, b) * nv + np.maximum(a, b), return_index=True, return_inverse=True
+    )
+    # the midpoints follow the vertices, in the order the cells' edges first name them
+    mid = np.empty(len(keys), dtype=int)
+    mid[np.argsort(first)] = nv + np.arange(len(keys))
+    first = np.sort(first)
+    mids = 0.5 * (mesh.vertices[a[first]] + mesh.vertices[b[first]])
+    vertices = np.concatenate([mesh.vertices, mids])
+    v0, v1, v2 = mesh.cells.T
+    m01, m12, m20 = mid[inverse].reshape(-1, 3).T
+    children = [v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20]
+    cells = _orient(2, vertices, np.column_stack(children).reshape(-1, 3))
 
-    def mid(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in midpoint:
-            verts.append(tuple(0.5 * (mesh.vertices[a] + mesh.vertices[b])))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
-
-    cells = []
-    for v0, v1, v2 in mesh.cells:
-        m01, m12, m20 = mid(v0, v1), mid(v1, v2), mid(v2, v0)
-        cells.extend([[v0, m01, m20], [v1, m12, m01], [v2, m20, m12], [m01, m12, m20]])
-    vertices = np.array(verts)
-    cells = _orient(2, vertices, cells)
-
-    bedges = []
-    bverts = set(mesh.boundary_vertices.tolist())
-    for a, b in mesh.boundary_edges:
-        m = mid(a, b)
-        bverts.add(m)
-        bedges.append((min(a, m), max(a, m)))
-        bedges.append((min(m, b), max(m, b)))
-    bedges = np.sort(np.array(bedges), axis=1)
-    return Mesh(2, vertices, cells, np.array(sorted(bverts)), bedges).validate()
+    ea, eb = mesh.boundary_edges.T
+    m = mid[np.searchsorted(keys, np.minimum(ea, eb) * nv + np.maximum(ea, eb))]
+    bedges = np.sort(np.column_stack([ea, m, m, eb]).reshape(-1, 2), axis=1)
+    bverts = np.unique(np.concatenate([mesh.boundary_vertices, m]))
+    return Mesh(2, vertices, cells, bverts, bedges).validate()
 
 
 # -- text file format ---------------------------------------------------------

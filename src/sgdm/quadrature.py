@@ -1,9 +1,10 @@
-"""Fixed-order Gauss quadrature on intervals and triangles.
+"""Fixed-order Gauss quadrature on intervals, triangles and polygons.
 
 One global rule per simplex type (degree 9 on intervals, degree 6 on
 triangles) is used everywhere: exact for all products of piecewise-linear
 reconstructions, and tight enough for the smooth trigonometric test fields
-of the verification suite.
+of the verification suite. Polygons are fanned into triangles from their
+first vertex (``polygon_rule``), many at once.
 """
 
 import numpy as np
@@ -36,35 +37,26 @@ TRIANGLE_WEIGHTS = np.array(
 )
 
 
-def interval_rule(a, b):
-    """Quadrature nodes/weights on the interval [a, b]."""
-    return a + (b - a) * INTERVAL_NODES, (b - a) * INTERVAL_WEIGHTS
+def polygon_rule(polys, counts):
+    """Quadrature on polygons by fanning triangles from vertex 0.
 
-
-def triangle_rule(verts):
-    """Quadrature nodes/weights on a triangle given as a (3, 2) array."""
-    verts = np.asarray(verts, dtype=float)
-    pts = TRIANGLE_BARY @ verts
-    area = 0.5 * abs(
-        (verts[1, 0] - verts[0, 0]) * (verts[2, 1] - verts[0, 1])
-        - (verts[2, 0] - verts[0, 0]) * (verts[1, 1] - verts[0, 1])
-    )
-    return pts, area * TRIANGLE_WEIGHTS
-
-
-def polygon_rule(poly):
-    """Quadrature on a convex polygon by fanning triangles from vertex 0.
-
-    Exact for polynomials up to degree 4; returns empty arrays for
-    degenerate polygons (fewer than 3 vertices).
+    Polygon p is ``polys[p, :counts[p]]`` with ``polys`` (P, k, 2); its fan
+    triangles are (0, t + 1, t + 2) for t < counts[p] - 2, each carrying the
+    degree-6 triangle rule scaled by its unsigned area: exact up to degree 6
+    on a convex polygon, while the fan of a folded one covers part of it
+    twice (see ``clipping``). Returns points
+    (P, k - 2, n_q, 2) and weights (P, k - 2, n_q) for every fan slot; the
+    weights of the slots past a polygon's fan (all of them when it has fewer
+    than 3 vertices) are 0.
     """
-    poly = np.asarray(poly, dtype=float)
-    if len(poly) < 3:
-        return np.empty((0, 2)), np.empty(0)
-    pts = []
-    wts = []
-    for i in range(1, len(poly) - 1):
-        x, w = triangle_rule(poly[[0, i, i + 1]])
-        pts.append(x)
-        wts.append(w)
-    return np.vstack(pts), np.concatenate(wts)
+    polys = np.asarray(polys, dtype=float)
+    n_pairs, k = polys.shape[:2]
+    n_tri = max(k - 2, 0)
+    v0 = np.broadcast_to(polys[:, :1], (n_pairs, n_tri, 2))
+    tris = np.stack([v0, polys[:, 1 : n_tri + 1], polys[:, 2:]], axis=2)  # (P, k - 2, 3, 2)
+    area = 0.5 * np.abs(
+        (tris[..., 1, 0] - tris[..., 0, 0]) * (tris[..., 2, 1] - tris[..., 0, 1])
+        - (tris[..., 2, 0] - tris[..., 0, 0]) * (tris[..., 1, 1] - tris[..., 0, 1])
+    )
+    area = np.where(np.arange(n_tri) < np.asarray(counts)[:, None] - 2, area, 0.0)
+    return TRIANGLE_BARY @ tris, area[..., None] * TRIANGLE_WEIGHTS

@@ -5,10 +5,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation, quadrature, refine
+from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation, refine
 from sgdm.gd import _dual_quadrature
 
 from conftest import grad_sin_pi, sin_pi
+from scalar_reference import interval_rule, triangle_rule
 
 
 class TestBuild:
@@ -130,12 +131,14 @@ class TestLocalBasis:
         gd = local_basis_gd
         v = np.random.default_rng(2).standard_normal(gd.n_dofs)
         Pv = gd.P @ v
+        polys, dofs, const, lin = gd.pieces
         # a lumped cell splits into 2 half-intervals or 6 sub-triangles
         per_cell = {1: 2, 2: 6}[gd.dim] if gd.kind == "p1_lumped" else 1
-        assert len(gd.pieces) == per_cell * gd.mesh.n_cells
-        x = np.split(gd.quad_x, len(gd.pieces))
-        for pc, xq, ref in zip(gd.pieces, x, np.split(Pv, len(gd.pieces))):
-            vals = (pc.const[None, :] + xq @ pc.lin.T) @ v[pc.dofs]
+        assert len(polys) == per_cell * gd.mesh.n_cells
+        x = np.split(gd.quad_x, len(polys))
+        for k, (xq, ref) in enumerate(zip(x, np.split(Pv, len(polys)))):
+            ok = dofs[k] >= 0
+            vals = (const[k, ok][None, :] + xq @ lin[k][:, ok]) @ v[dofs[k, ok]]
             np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-13)
 
     def test_gradients_are_the_local_basis_gradients(self, local_basis_gd):
@@ -259,7 +262,7 @@ def _dual_quadrature_loop(mesh):
         for c, (x0, x1) in enumerate(mesh.vertices[mesh.cells, 0]):
             m = 0.5 * (x0 + x1)
             for a, b, owner in ((x0, m, 0), (m, x1, 1)):
-                x, w = quadrature.interval_rule(a, b)
+                x, w = interval_rule(a, b)
                 pts.append(x[:, None])
                 wts.append(w)
                 cells.append(np.full(len(w), c))
@@ -278,7 +281,7 @@ def _dual_quadrature_loop(mesh):
                 (np.array([V[2], cen, mids[1]]), 2),
             ]
             for tri, owner in subs:
-                x, w = quadrature.triangle_rule(tri)
+                x, w = triangle_rule(tri)
                 pts.append(x)
                 wts.append(w)
                 cells.append(np.full(len(w), c))
@@ -303,8 +306,9 @@ def test_lumped_quadrature_matches_cell_loop(mesh):
     got, ref = _dual_quadrature(mesh), _dual_quadrature_loop(mesh)
     for a, b in zip(got[:4], ref[:4]):
         np.testing.assert_array_equal(a, b)
-    assert len(got[4]) == len(ref[4])
-    for (poly, c, owner), (poly_ref, c_ref, owner_ref) in zip(got[4], ref[4]):
+    polys, cells, owners = got[4]
+    assert len(polys) == len(cells) == len(owners) == len(ref[4])
+    for poly, c, owner, (poly_ref, c_ref, owner_ref) in zip(polys, cells, owners, ref[4]):
         np.testing.assert_array_equal(poly, poly_ref)
         assert (c, owner) == (c_ref, owner_ref)
 

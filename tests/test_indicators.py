@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import minimize
 
@@ -16,8 +17,16 @@ from sgdm import (
     poincare_constant,
     refine,
 )
-from sgdm.indicators import _fit_objective, _grad_power, _value_power, consistency_error
+from sgdm import indicators
+from sgdm.indicators import (
+    _fit_objective,
+    _grad_power,
+    _value_power,
+    consistency_error,
+    translate_overlap,
+)
 
+import scalar_reference
 from conftest import grad_parabola, grad_sin_pi, parabola, sin_pi
 
 
@@ -69,6 +78,60 @@ def dense_translate_oracle_1d(gd, xi):
             K[j, k] = np.sum(mesh.cell_measures * gj * gd.reconstruct_gradient(ek)[:, 0])
     lam = sla.eigh(2.0 * M - C - C.T, K, eigvals_only=True)
     return float(np.sqrt(max(lam[-1], 0.0)))
+
+
+def translate_overlap_loop(gd, xi):
+    """The per-pair assembly of the translate overlap: each candidate pair of
+    pieces clipped, integrated and assembled on its own, in the order of the
+    batched ``translate_overlap``."""
+    xi = np.asarray(xi, dtype=float).reshape(gd.dim)
+    pieces = []
+    for poly, dofs, const, lin in zip(*gd.pieces):
+        ok = dofs >= 0
+        if ok.any():  # lin as (DOFs, dim), one row per DOF
+            pieces.append((poly, dofs[ok], const[ok], np.ascontiguousarray(lin[:, ok].T)))
+    mins = np.array([pc[0].min(axis=0) for pc in pieces])
+    maxs = np.array([pc[0].max(axis=0) for pc in pieces])
+    scale = float(np.max(maxs - mins))
+    tol = 1e-13 * max(scale, 1.0)
+    pts_all, wts_all, rows_S, cols_S, vals_S, rows_U, cols_U, vals_U = ([] for _ in range(8))
+    offset = 0
+    for i, (poly, dofs, const, lin) in enumerate(pieces):
+        lo, hi = mins[i] - xi, maxs[i] - xi
+        cand = np.nonzero(np.all((maxs > lo + tol) & (mins < hi - tol), axis=1))[0]
+        for j in cand:
+            poly_j, dofs_j, const_j, lin_j = pieces[j]
+            if gd.dim == 1:
+                a, b = max(lo[0], mins[j, 0]), min(hi[0], maxs[j, 0])
+                if b - a <= tol:
+                    continue
+                pts, wts = scalar_reference.interval_rule(a, b)
+                pts = pts[:, None]
+            else:
+                clipped = scalar_reference.clip_polygon(poly - xi, poly_j)
+                if len(clipped) < 3:
+                    continue
+                pts, wts = scalar_reference.fan_rule(clipped)
+                if wts.sum() <= tol * scale:
+                    continue
+            q = offset + np.arange(len(wts))
+            pts_all.append(pts)
+            wts_all.append(wts)
+            rows_S.append(np.repeat(q, len(dofs)))
+            cols_S.append(np.tile(dofs, len(q)))
+            vals_S.append((const[None, :] + (pts + xi) @ lin.T).ravel())
+            rows_U.append(np.repeat(q, len(dofs_j)))
+            cols_U.append(np.tile(dofs_j, len(q)))
+            vals_U.append((const_j[None, :] + pts @ lin_j.T).ravel())
+            offset += len(q)
+    S, U = (
+        sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(offset, gd.n_dofs),
+        ).tocsr()
+        for rows, cols, vals in ((rows_S, cols_S, vals_S), (rows_U, cols_U, vals_U))
+    )
+    return S, U, np.concatenate(wts_all)
 
 
 def ratio_oracle(gd, numerator, denominator, n_starts=40, seed=0):
@@ -334,6 +397,62 @@ class TestIndicatorT:
         assert abs(w_a.sum() - (1.0 - shift)) <= 1e-12
 
 
+class TestTranslateOverlap:
+    """The batched overlap quadrature against the per-pair assembly, bit for
+    bit."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["p1", "p1_lumped", "cr"])
+    @pytest.mark.parametrize(
+        "make_mesh, xi",
+        [
+            (lambda: build_uniform_interval(8, 0.0, 1.0), [1 / 16]),
+            (lambda: build_uniform_interval(8, 0.0, 1.0), [0.3]),
+            (lambda: build_uniform_interval(7, -1.0, 2.0), [-0.77]),
+            (lambda: build_uniform_triangulation(8, 8), [0.5 * np.sqrt(2.0) / 8, 0.0]),
+            (lambda: build_uniform_triangulation(8, 8), [0.1, 0.0]),
+            (lambda: build_uniform_triangulation(3, 5, ((0.0, -1.0), (2.0, 0.5))), [0.13, -0.07]),
+            # one row of cells up: touching pairs clip to slivers, left out
+            (lambda: build_uniform_triangulation(3, 5, ((0.0, -1.0), (2.0, 0.5))), [0.0, 0.3]),
+            (lambda: refine(build_uniform_triangulation(2, 3)), [-0.3, 0.45]),
+        ],
+        ids=[
+            "1d-1/16",
+            "1d-0.3",
+            "1d-shifted-left",
+            "8x8-0.5h0",
+            "8x8-0.1",
+            "rect-oblique",
+            "rect-one-row",
+            "refined",
+        ],
+    )
+    def test_matches_per_pair_assembly(self, make_mesh, xi, kind):
+        gd = build_gd(make_mesh(), kind)
+        got, ref = translate_overlap(gd, np.array(xi)), translate_overlap_loop(gd, xi)
+        for a, b in zip(got[:2], ref[:2]):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a.indptr, b.indptr)
+            np.testing.assert_array_equal(a.indices, b.indices)
+            assert a.data.tobytes() == b.data.tobytes()
+        assert got[2].tobytes() == ref[2].tobytes()
+
+    def test_blocks_of_box_tests_change_nothing(self, monkeypatch):
+        gd = build_gd(build_uniform_triangulation(4, 4), "p1_lumped")
+        xi = np.array([0.1, -0.05])
+        whole = translate_overlap(gd, xi)
+        monkeypatch.setattr(indicators, "_BOX_TESTS", 7 * len(gd.pieces[0]))  # blocks of ~12 rows
+        blocks = translate_overlap(gd, xi)
+        for a, b in zip(whole[:2], blocks[:2]):
+            assert (a != b).nnz == 0
+        assert whole[2].tobytes() == blocks[2].tobytes()
+
+    def test_no_overlap(self):
+        gd = build_gd(build_uniform_triangulation(2, 2), "cr")
+        S, U, w_a = translate_overlap(gd, np.array([5.0, 0.0]))
+        assert S.shape == U.shape == (0, gd.n_dofs) and w_a.shape == (0,)
+
+
 # -- coercivity ------------------------------------------------------------------
 
 
@@ -360,3 +479,21 @@ class TestPoincare:
         oracle = ratio_oracle(gd, lambda v: gd.lp_norm(v, 3.0), lambda v: gd.grad_lp_norm(v, 3.0))
         assert got >= oracle - 1e-6
         assert got <= oracle + 1e-8
+
+
+class TestEigensolver:
+    """The sparse branch of ``_max_gen_eig`` (ARPACK, above the dense size
+    limit) against the dense one."""
+
+    @pytest.mark.parametrize("kind", ["p1", "cr"])
+    def test_sparse_branch_matches_dense(self, kind, monkeypatch):
+        gd = build_gd(build_uniform_triangulation(4, 4), kind)
+        xi = np.array([0.1, 0.05])
+        dense = [poincare_constant(gd, 2.0), indicator_T(gd, xi, 2.0)]
+        calls = []
+        eigsh = indicators.spla.eigsh
+        monkeypatch.setattr(indicators.spla, "eigsh", lambda *a, **k: calls.append(1) or eigsh(*a, **k))
+        monkeypatch.setattr(indicators, "_DENSE_EIG_LIMIT", 4)
+        sparse = [poincare_constant(gd, 2.0), indicator_T(gd, xi, 2.0)]
+        assert len(calls) == 2
+        np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-8)

@@ -12,6 +12,7 @@ from sgdm import (
     refine,
     save_mesh,
 )
+from sgdm.mesh import _orient
 
 
 class TestIntervalGenerator:
@@ -85,6 +86,55 @@ class TestRefine:
             m = refine(m)
             assert abs(m.cell_measures.sum() - 3.0) <= 1e-12 * 3.0
             m.validate()
+
+
+def _refine_loop(mesh):
+    """2D refinement with the midpoints numbered through a dict, one cell at
+    a time: the reference for ``refine``."""
+    verts = [tuple(p) for p in mesh.vertices]
+    midpoint = {}
+
+    def mid(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in midpoint:
+            verts.append(tuple(0.5 * (mesh.vertices[a] + mesh.vertices[b])))
+            midpoint[key] = len(verts) - 1
+        return midpoint[key]
+
+    cells = []
+    for v0, v1, v2 in mesh.cells:
+        m01, m12, m20 = mid(v0, v1), mid(v1, v2), mid(v2, v0)
+        cells.extend([[v0, m01, m20], [v1, m12, m01], [v2, m20, m12], [m01, m12, m20]])
+    vertices = np.array(verts)
+    cells = _orient(2, vertices, cells)
+
+    bedges = []
+    bverts = set(mesh.boundary_vertices.tolist())
+    for a, b in mesh.boundary_edges:
+        m = mid(a, b)
+        bverts.add(m)
+        bedges.append((min(a, m), max(a, m)))
+        bedges.append((min(m, b), max(m, b)))
+    bedges = np.sort(np.array(bedges), axis=1)
+    return Mesh(2, vertices, cells, np.array(sorted(bverts)), bedges)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_uniform_triangulation(8, 8),
+        lambda: build_uniform_triangulation(3, 5, ((0.0, -1.0), (2.0, 0.5))),
+        lambda: refine(build_uniform_triangulation(4, 3)),
+    ],
+    ids=["8x8", "3x5-rectangle", "refined-4x3"],
+)
+def test_refine_matches_dict_loop(make):
+    mesh = make()
+    got, ref = refine(mesh), _refine_loop(mesh)
+    for name in ("vertices", "cells", "boundary_vertices", "boundary_edges"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
 
 
 class TestFileRoundTrip:
