@@ -158,79 +158,79 @@ class DualNormSolver:
     """Computes |v|_* = sup { <v, Pi phi> : ||Pi phi||_2 + ||grad phi||_2 <= 1 }
     for elements v = Pi w of the reconstructed space.
 
-    The maximizer lies on the one-parameter path
-    phi = (M + mu K)^(-1) M w, reducing the sup to a scalar search carried
-    out in the generalized eigenbasis of (M, K); this is exact up to the
-    scalar-search resolution.
+    The maximizer lies on the path phi = (M + mu K)^(-1) M w, so the sup is
+    the maximum over mu of a ratio f, evaluated in the generalized eigenbasis
+    of (M, K). With e_i the squared eigen-coordinates of w, r_i = 1/(lam_i+mu),
+    N = sum e_i r_i, P = sum e_i lam_i r_i^2, G = sum e_i r_i^2 and S3 (S3lam)
+    = sum e_i r_i^3 (times lam_i): f = N / (sqrt(P) + sqrt(G)), and its slope
+    s = d log f / d log mu has the closed form
+    s / mu = -G/N + (S3lam / sqrt(P) + S3 / sqrt(G)) / (sqrt(P) + sqrt(G)).
+    The value is exact up to rounding (about 2 ulps) when s changes sign once
+    in the bracket that ``batch`` refines, so the maximum lies in mu within
+    [1e-9, 1e9]; otherwise it is at least the maximum on ``batch``'s grid.
     """
 
     _MU_GRID = np.logspace(-9.0, 9.0, 181)
-    # The refinement bracket spans two grid cells, 0.2 decades of mu; 34
-    # golden-section steps shrink it below 1e-7 in log(mu), which resolves a
-    # quadratic maximum of the ratio to about 1e-15 relative.
-    _GOLDEN_STEPS = 34
-    _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+    # Illinois steps from the grid bracket (0.2 decades of mu): on 6,960 increment rows of
+    # the mc_p3_1d and mc_p3_2d_sparse benchmark configs (seeds 1-3), 6 steps came within
+    # 6.0e-15 relative of a 30-step search, 7 within 5.6e-16 and 8 within 4.4e-16 (2 ulps).
+    _ILLINOIS_STEPS = 7
 
     def __init__(self, gd):
         self.lam, _, self.YM = gd.eigenbasis
-        # n x grid tables of 1/(lam+mu), lam/(lam+mu)^2 and 1/(lam+mu)^2
+        # n x (3 grid) table of 1/(lam+mu), lam/(lam+mu)^2 and 1/(lam+mu)^2
         r = 1.0 / (self.lam[:, None] + self._MU_GRID[None, :])
-        self._grid_r = r
-        self._grid_lr2 = self.lam[:, None] * r * r
-        self._grid_r2 = r * r
+        self._grid_table = np.hstack([r, self.lam[:, None] * r * r, r * r])
 
-    @staticmethod
-    def _ratio(num, pi2, gr2):
-        den = np.sqrt(np.maximum(pi2, 0.0)) + np.sqrt(np.maximum(gr2, 0.0))
-        return num / np.maximum(den, 1e-300)
-
-    def _values_at(self, e2, mu):
-        # e2: (m, n) squared eigen-coordinates; mu: (m,) per-row parameters
+    def _ratio_and_slope(self, e2, x):
+        """f and s at mu = exp(x), one mu per row of e2."""
+        mu = np.exp(x)
         r = 1.0 / (self.lam[None, :] + mu[:, None])
-        num = np.sum(e2 * r, axis=1)
-        pi2 = np.sum(e2 * self.lam[None, :] * r * r, axis=1)
-        gr2 = np.sum(e2 * r * r, axis=1)
-        return self._ratio(num, pi2, gr2)
-
-    def _grid_values(self, e2):
-        """Ratio at every mu of the grid, (m, len(_MU_GRID))."""
-        return self._ratio(e2 @ self._grid_r, e2 @ self._grid_lr2, e2 @ self._grid_r2)
+        t = e2 * r
+        num = t.sum(axis=1)
+        t *= r
+        gr2 = t.sum(axis=1)
+        sqrt_p, sqrt_g = np.sqrt(t @ self.lam), np.sqrt(gr2)
+        t *= r
+        den = np.maximum(sqrt_p + sqrt_g, 1e-300)
+        tail = t @ self.lam / np.maximum(sqrt_p, 1e-300) + t.sum(axis=1) / np.maximum(sqrt_g, 1e-300)
+        return num / den, mu * (tail / den - gr2 / np.maximum(num, 1e-300))
 
     def batch(self, W):
         """Dual norms of the rows of W (DOF coefficients).
 
-        The ratio is evaluated on the whole mu-grid, then refined by golden
-        section on log(mu) around each row's best grid point. The result is
-        the maximum over the grid and every refinement point: it is never
-        below the grid maximum, and the refinement assumes no more than that
-        the ratio is unimodal within the bracket around that point.
+        f is evaluated on the whole mu-grid. The bracket [a, b] from the left
+        to the right neighbour of each row's best grid point is then refined
+        by Illinois steps (regula falsi in log(mu) that halves the slope at
+        an end kept twice running) on the sign of s. A row without
+        s(a) > 0 > s(b) (a zero row, a flat ratio, a maximum at the grid's
+        end) bisects on the sign of s instead. The result, the maximum over
+        the grid and every refinement point, is never below the grid maximum
+        and depends on its row alone.
         """
         W = np.atleast_2d(np.asarray(W, dtype=float))
         e2 = (W @ self.YM.T) ** 2
-        grid = self._MU_GRID
-        vals = self._grid_values(e2)
+        num, pi2, gr2 = np.split(e2 @ self._grid_table, 3, axis=1)
+        vals = num / np.maximum(np.sqrt(pi2) + np.sqrt(gr2), 1e-300)
         arg = vals.argmax(axis=1)
         best = vals[np.arange(len(W)), arg]
-        a = np.log(grid[np.maximum(arg - 1, 0)])
-        b = np.log(grid[np.minimum(arg + 1, len(grid) - 1)])
-        c = b - self._INVPHI * (b - a)
-        d = a + self._INVPHI * (b - a)
-        fc = self._values_at(e2, np.exp(c))
-        fd = self._values_at(e2, np.exp(d))
-        best = np.maximum(best, np.maximum(fc, fd))
-        for _ in range(self._GOLDEN_STEPS):
-            # keep the interior point with the larger value; the other
-            # interior point of the shrunken bracket is the only new one
-            go_right = fc < fd
-            a = np.where(go_right, c, a)
-            b = np.where(go_right, b, d)
-            x = np.where(go_right, a + self._INVPHI * (b - a), b - self._INVPHI * (b - a))
-            fx = self._values_at(e2, np.exp(x))
+        a = np.log(self._MU_GRID[np.maximum(arg - 1, 0)])
+        b = np.log(self._MU_GRID[np.minimum(arg + 1, len(self._MU_GRID) - 1)])
+        sa, sb = self._ratio_and_slope(e2, a)[1], self._ratio_and_slope(e2, b)[1]
+        # a row without a sign change holds slopes +1 and -1, so its secant point is the midpoint
+        bracketed = (sa > 0.0) & (sb < 0.0)
+        sa, sb = np.where(bracketed, sa, 1.0), np.where(bracketed, sb, -1.0)
+        last = np.zeros(len(W))  # +1 (-1): the last step moved a (b)
+        for _ in range(self._ILLINOIS_STEPS):
+            x = (a * sb - b * sa) / (sb - sa)
+            fx, sx = self._ratio_and_slope(e2, x)
             best = np.maximum(best, fx)
-            c, fc, d, fd = (
-                np.where(go_right, d, x), np.where(go_right, fd, fx),
-                np.where(go_right, x, c), np.where(go_right, fx, fc),
-            )
+            up = sx >= 0.0
+            sx = np.where(bracketed, sx, np.where(up, 1.0, -1.0))
+            sa = np.where(up, sx, np.where(last < 0, 0.5 * sa, sa))
+            sb = np.where(up, np.where(last > 0, 0.5 * sb, sb), sx)
+            a, b = np.where(up, x, a), np.where(up, b, x)
+            last = np.where(up, 1.0, -1.0) * bracketed
         return best
 
 

@@ -1,7 +1,10 @@
 """Path norms, dual norms, Monte Carlo estimators and oracles."""
 
 import math
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from scipy import integrate
 from scipy.optimize import minimize
 
 from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation, refine
-from sgdm import analysis
+from sgdm import analysis, cli
 from sgdm.analysis import (
     ENSEMBLE_BLOCK,
     LINEAR_ENSEMBLE_BLOCK,
@@ -281,7 +284,10 @@ class TestFractionalNorm:
 
 class TestDualNorm:
     def test_zero_element(self, gd_interval_16):
-        assert DualNormSolver(gd_interval_16).batch(np.zeros(gd_interval_16.n_dofs))[0] == 0.0
+        # no slope sign change either: the search must bisect without 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert DualNormSolver(gd_interval_16).batch(np.zeros(gd_interval_16.n_dofs))[0] == 0.0
 
     def test_single_dof_closed_form(self, single_dof_gd):
         gd = single_dof_gd
@@ -289,7 +295,13 @@ class TestDualNorm:
         # ratio <v, Pi e> / (||Pi e||_2 + ||grad e||_2) at the only direction
         e = np.array([1.0])
         expected = gd.l2_inner(w, e) / (gd.lp_norm(e, 2.0) + gd.grad_lp_norm(e, 2.0))
-        assert abs(DualNormSolver(gd).batch(w)[0] - expected) <= 1e-10
+        solver = DualNormSolver(gd)
+        # the ratio is flat in mu, so its slope has no sign change to find
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solver.batch(w)[0]
+        assert abs(got - expected) <= 1e-10
+        assert got >= grid_ratio(solver, w).max()
 
     def test_bounded_by_l2_norm(self, gd_interval_16):
         gd = gd_interval_16
@@ -359,6 +371,21 @@ def reference_dual_batch(gd, W):
     return best
 
 
+BENCHMARK_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+
+def grid_ratio(solver, W):
+    """The ratio f of ``DualNormSolver`` at each point of its mu-grid, one
+    grid point at a time from the sums N, P and G, (m, len(_MU_GRID))."""
+    e2 = (np.atleast_2d(W) @ solver.YM.T) ** 2
+    lam = solver.lam
+    cols = []
+    for mu in solver._MU_GRID:
+        r = 1.0 / (lam + mu)
+        cols.append(e2 @ r / np.maximum(np.sqrt(e2 @ (lam * r * r)) + np.sqrt(e2 @ (r * r)), 1e-300))
+    return np.column_stack(cols)
+
+
 def p3_trajectory(gd, n_steps=16):
     sgd = SpaceTimeGD(gd, T=0.25, n_steps=n_steps)
     noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
@@ -367,7 +394,8 @@ def p3_trajectory(gd, n_steps=16):
 
 
 class TestDualNormSearch:
-    """The batched grid + golden-section search against the old per-lag one."""
+    """The grid + Illinois search against the old per-lag golden-section one,
+    its closed-form slope, and its fallback for rows without a sign change."""
 
     @pytest.mark.parametrize(
         "mesh",
@@ -411,6 +439,66 @@ class TestDualNormSearch:
         np.testing.assert_allclose(Y.T @ gd.stiffness.toarray() @ Y, np.eye(gd.n_dofs), atol=1e-12)
         np.testing.assert_allclose(YM @ Y, np.diag(lam), atol=1e-12)
         assert DualNormSolver(gd).YM is YM
+
+    @pytest.mark.parametrize(
+        "mesh, space",
+        [(build_uniform_interval(16, 0.0, 1.0), "p1"), (build_uniform_triangulation(4, 4), "cr")],
+        ids=["interval_p1", "square_cr"],
+    )
+    def test_slope_matches_central_difference(self, mesh, space):
+        gd = build_gd(mesh, space)
+        solver = DualNormSolver(gd)
+        W = np.random.default_rng(8).standard_normal((6, gd.n_dofs))
+        e2 = (W @ solver.YM.T) ** 2
+        h = 1e-4
+        for mu in (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0):
+            x = np.full(len(W), np.log(mu))
+            slope = solver._ratio_and_slope(e2, x)[1]
+            f_plus, f_minus = solver._ratio_and_slope(e2, x + h)[0], solver._ratio_and_slope(e2, x - h)[0]
+            central = (np.log(f_plus) - np.log(f_minus)) / (2.0 * h)
+            np.testing.assert_allclose(slope, central, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "lam, w, arg",
+        [([0.0, 1.0], [1.0, 1.0], 0), ([0.0, 1e18], [1e-5, 1e5], 180)],
+        ids=["max_at_first", "max_at_last"],
+    )
+    def test_rows_without_sign_change(self, lam, w, arg):
+        # a two-mode stand-in for a discretisation (the solver reads only its
+        # eigenbasis): a mode with lam = 0 makes f fall from mu = 0 on, and
+        # one with lam = 1e18 carrying most of w makes it rise to mu = infinity
+        solver = DualNormSolver(SimpleNamespace(eigenbasis=(np.array(lam), None, np.eye(2))))
+        vals = grid_ratio(solver, [w])
+        assert vals.argmax() == arg
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solver.batch(w)
+        assert np.isfinite(got[0]) and got[0] >= vals.max()
+
+    @pytest.mark.parametrize("config", ["mc_p3_1d", "mc_p3_2d_sparse"])
+    def test_benchmark_increments_bracket_a_sign_change(self, config):
+        """Evidence, not a proof, for what ``batch`` assumes: on every
+        increment row of one ensemble block of the benchmark config whose
+        grid maximum is interior, the slope s changes sign from + to -
+        across the bracket that the Illinois steps refine."""
+        cfg = cli.load_config(BENCHMARK_CONFIGS / f"{config}.json")
+        (mesh, gd, sgd), = cli.build_levels(cfg)
+        trajs = run_block(
+            sgd, cli.build_flux(cfg), cli.build_noise_model(cfg, mesh), cli.build_u0(cfg, mesh, gd),
+            cfg["master_seed"], range(cfg["n_samples"]), cli.build_solver_config(cfg),
+        )
+        N = sgd.n_steps
+        ells = [ell for ell in cfg["estimators"]["dual_ells"] if 1 <= ell <= N - 1]
+        W = np.concatenate([t.u[1 + ell :] - t.u[1 : N + 1 - ell] for t in trajs for ell in ells])
+        solver = DualNormSolver(gd)
+        arg = grid_ratio(solver, W).argmax(axis=1)
+        interior = (arg > 0) & (arg < len(solver._MU_GRID) - 1)
+        assert interior.sum() > len(W) // 2
+        e2 = (W[interior] @ solver.YM.T) ** 2
+        log_mu = np.log(solver._MU_GRID)
+        s_a = solver._ratio_and_slope(e2, log_mu[arg[interior] - 1])[1]
+        s_b = solver._ratio_and_slope(e2, log_mu[arg[interior] + 1])[1]
+        assert np.all(s_a > 0.0) and np.all(s_b < 0.0)
 
 
 @pytest.fixture(scope="module")
