@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -56,12 +57,16 @@ DEFAULTS = {
 }
 
 
-def _require(cfg, key, types, path):
+def _require(cfg, key, types, path, ok=lambda v: True, rule=""):
+    """``cfg[key]``, of the types (a bool is no number) and passing ``ok``."""
     if key not in cfg:
         raise ConfigError(f"missing key {path}{key}")
-    if types is not None and not isinstance(cfg[key], types):
-        raise ConfigError(f"key {path}{key} has wrong type {type(cfg[key]).__name__}")
-    return cfg[key]
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"key {path}{key} has wrong type {type(value).__name__}")
+    if not ok(value):
+        raise ConfigError(f"key {path}{key} must be {rule}")
+    return value
 
 
 def _merged(defaults, given, path=""):
@@ -84,13 +89,12 @@ def load_config(path):
     cfg = _merged(DEFAULTS, raw)
     mesh_cfg = _require(cfg, "mesh", dict, "")
     kind = _require(mesh_cfg, "kind", str, "mesh.")
+    positive, real = (lambda v: v >= 1, "an integer >= 1"), (int, float)
     if kind == "interval":
-        if _require(mesh_cfg, "n_cells", int, "mesh.") < 1:
-            raise ConfigError("key mesh.n_cells must be >= 1")
+        _require(mesh_cfg, "n_cells", int, "mesh.", *positive)
     elif kind == "rectangle":
         for k in ("nx", "ny"):
-            if _require(mesh_cfg, k, int, "mesh.") < 1:
-                raise ConfigError(f"key mesh.{k} must be >= 1")
+            _require(mesh_cfg, k, int, "mesh.", *positive)
     elif kind == "file":
         p = Path(_require(mesh_cfg, "path", str, "mesh."))
         if not p.exists():
@@ -99,24 +103,26 @@ def load_config(path):
         raise ConfigError(f"key mesh.kind has unknown value {kind!r}")
     if cfg["gd"] not in KINDS:
         raise ConfigError(f"key gd has unknown value {cfg['gd']!r}; expected one of {KINDS}")
-    if cfg["levels"] < 1:
-        raise ConfigError("key levels must be >= 1")
-    if not cfg["p"] > 1:
-        raise ConfigError("key p must be > 1")
+    _require(cfg, "levels", int, "", *positive)
+    _require(cfg, "p", real, "", lambda v: v > 1, "a number > 1")
     if cfg["flux"]["kind"] not in ("linear", "p_laplace", "regularized_p_laplace", "custom"):
         raise ConfigError(f"key flux.kind has unknown value {cfg['flux']['kind']!r}")
     if cfg["flux"]["kind"] == "custom":
         spec = _require(cfg["flux"], "callable", str, "flux.")
         if ":" not in spec:
             raise ConfigError("key flux.callable must look like 'module:attribute'")
-    if cfg["time"]["n_steps"] < 1:
-        raise ConfigError("key time.n_steps must be >= 1")
-    if cfg["time"]["T"] <= 0:
-        raise ConfigError("key time.T must be positive")
-    if cfg["noise"]["k_max"] < 1:
-        raise ConfigError("key noise.k_max must be >= 1")
-    if cfg["n_samples"] < 1:
-        raise ConfigError("key n_samples must be >= 1")
+    _require(cfg["time"], "n_steps", int, "time.", *positive)
+    _require(cfg["time"], "T", real, "time.", lambda v: v > 0, "positive")
+    _require(cfg["noise"], "k_max", int, "noise.", *positive)
+    _require(cfg, "n_samples", int, "", *positive)
+    _require(cfg, "master_seed", int, "", lambda v: v >= 0, "an integer >= 0")
+    est = cfg["estimators"]
+    _require(est, "dual_r", int, "estimators.", lambda v: v >= 1 and v & (v - 1) == 0, "a power of two")
+    _require(est, "beta", real, "estimators.", lambda v: 0 < v < 0.5, "in (0, 1/2)")
+    try:
+        build_solver_config(cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"key solver: {exc}") from exc
     u0 = cfg["u0"]
     if isinstance(u0, dict):
         p = Path(_require(u0, "file", str, "u0."))
@@ -231,13 +237,7 @@ def build_levels(cfg):
 
 
 def build_solver_config(cfg):
-    sc = cfg["solver"]
-    return SolverConfig(
-        newton_tol=sc["newton_tol"],
-        max_newton=sc["max_newton"],
-        max_fixed_point=sc["max_fixed_point"],
-        line_search_shrink=sc["line_search_shrink"],
-    )
+    return SolverConfig(**{f.name: cfg["solver"][f.name] for f in fields(SolverConfig)})
 
 
 # -- output helpers ---------------------------------------------------------------
@@ -256,7 +256,8 @@ def write_csv(path, header, rows):
             f.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def write_manifest(outdir, cfg, extra=None):
+def _finish(outdir, cfg, summary):
+    """Write summary.json and manifest.json; the exit code: 0 if summary["ok"]."""
     manifest = {
         "config": cfg,
         "config_sha256": config_hash(cfg),
@@ -269,17 +270,11 @@ def write_manifest(outdir, cfg, extra=None):
             for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
         },
     }
-    if extra:
-        manifest.update(extra)
-    with open(Path(outdir) / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def write_summary(outdir, summary):
-    with open(Path(outdir) / "summary.json", "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    for name, content in (("summary.json", summary), ("manifest.json", manifest)):
+        with open(Path(outdir) / name, "w") as f:
+            json.dump(content, f, indent=2, sort_keys=True)
+            f.write("\n")
+    return 0 if summary["ok"] else 1
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -350,9 +345,7 @@ def cmd_run(cfg, workers, outdir):
         ["level", "estimator", "key", "mean", "se", "n_samples"],
         rows,
     )
-    write_summary(outdir, summary)
-    write_manifest(outdir, cfg)
-    return 0 if summary["ok"] else 1
+    return _finish(outdir, cfg, summary)
 
 
 _W_FIELDS_1D = [
@@ -434,9 +427,7 @@ def cmd_indicators(cfg, workers, outdir):
         else all(vs[0] > vs[-1] for vs in w_values.values() if vs[0] > 1e-12) or cfg["levels"] == 1,
     }
     summary = {"checks": checks, "ok": all(checks.values())}
-    write_summary(outdir, summary)
-    write_manifest(outdir, cfg)
-    return 0 if summary["ok"] else 1
+    return _finish(outdir, cfg, summary)
 
 
 def cmd_probe(cfg, workers, outdir):
@@ -470,9 +461,7 @@ def cmd_probe(cfg, workers, outdir):
             ["noise_growth", growth.violations],
         ],
     )
-    write_summary(outdir, summary)
-    write_manifest(outdir, cfg)
-    return 0 if summary["ok"] else 1
+    return _finish(outdir, cfg, summary)
 
 
 def _traj_final_value(traj):
@@ -516,9 +505,7 @@ def cmd_oracle(cfg, workers, outdir):
         "max_var_z": float(var_z[1:].max()),
         "ok": ok,
     }
-    write_summary(outdir, summary)
-    write_manifest(outdir, cfg)
-    return 0 if ok else 1
+    return _finish(outdir, cfg, summary)
 
 
 def cmd_convergence(cfg, workers, outdir):
@@ -551,9 +538,7 @@ def cmd_convergence(cfg, workers, outdir):
         ["pair", "h_coarse", "mean_diff", "se", "n_samples"],
         [[i, levels[i][0].h, st.mean, st.se, st.n] for i, st in enumerate(stats)],
     )
-    write_summary(outdir, summary)
-    write_manifest(outdir, cfg)
-    return 0 if summary["ok"] else 1
+    return _finish(outdir, cfg, summary)
 
 
 COMMANDS = {
@@ -579,11 +564,13 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be >= 0")
+            cfg["master_seed"] = args.seed
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg["master_seed"] = args.seed
     outdir = Path(args.out if args.out is not None else cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     code = COMMANDS[args.command](cfg, max(1, args.workers), outdir)

@@ -16,11 +16,11 @@ homogeneous Dirichlet condition removes the boundary DOFs (marked -1).
                    vertex i; broken linear reconstruction (coincides with
                    ``p1`` in 1D).
 
-``P``, ``G``, the affine pieces (as arrays) and the per-cell gradient
-stencils C_c are all built from that description. Every form
-``sum_c C_c^T B_c C_c`` with per-cell blocks B_c is filled by one routine,
-``form_values``, into the slots of one pattern per space, and every system
-with that pattern is solved by one LAPACK band LU, ``form_solver``.
+``P``, ``G``, the affine pieces (as arrays), the per-cell gradient stencils
+C_c and basis values Phi_c are all built from that description. The forms
+``sum_c C_c^T B_c C_c`` (``form_values``) and ``sum_c Phi_c^T diag(w_c)
+Phi_c`` (``mass_values``) are filled by one routine into the slots of one
+pattern per space, and solved by one LAPACK band LU, ``form_solver``.
 
 Scalar fields are callables mapping an (n, dim) coordinate array to (n,)
 values; vector fields map to (n, dim).
@@ -52,9 +52,10 @@ class GradientDiscretisation:
     ``P`` maps DOF vectors to function values at the quadrature points,
     ``G`` maps DOF vectors to the per-cell constant gradients (row layout
     cell-major: row ``c*dim + k`` is component k on cell c). ``stencils``
-    gives them cell by cell; ``gradient_form`` fills ``sum_c C_c^T B_c C_c``
-    into a pattern and slot map kept per space (the stiffness: B_c = meas I),
-    and ``form_solver`` factors a matrix with that pattern in band storage.
+    gives them cell by cell; ``form_values`` and ``mass_values`` fill the
+    gradient and value forms (the stiffness: B_c = meas I; the mass: w_c the
+    quadrature weights) into one pattern kept per space, and ``form_solver``
+    factors a matrix with that pattern in band storage.
     """
 
     def __init__(self, mesh, kind, cell_dofs, alpha, beta, dof_positions):
@@ -79,12 +80,17 @@ class GradientDiscretisation:
             self.quad_x, self.quad_w, self.quad_cell, owner, self._dual_regions = _dual_quadrature(mesh)
             dof = cell_dofs[self.quad_cell, owner][:, None]
             self.P = _basis_matrix(dof, np.ones(dof.shape), n_dofs)
+            phi = 1.0 * (owner[: len(owner) // mesh.n_cells, None] == np.arange(d + 1))
         else:
             self.quad_x, self.quad_w, self.quad_cell, lam_ref = _simplex_quadrature(mesh)
-            phi = alpha + beta * np.tile(lam_ref, (mesh.n_cells, 1))
-            self.P = _basis_matrix(cell_dofs[self.quad_cell], phi, n_dofs)
-        mass = (self.P.T @ sp.diags(self.quad_w) @ self.P).tocsc()
-        self.mass = 0.5 * (mass + mass.T)
+            phi = alpha + beta * lam_ref
+            self.P = _basis_matrix(cell_dofs[self.quad_cell], np.tile(phi, (mesh.n_cells, 1)), n_dofs)
+        # Phi_c = phi diag(ok_c): phi holds the local basis values at one cell's points in
+        # stencil-slot order (the owner indicator on p1_lumped), the same on every cell
+        ok = (cell_dofs >= 0)[:, : self.stencils[0].shape[1]]
+        self._phi, self._phi_mask = phi[:, : ok.shape[1]], ok[:, :, None] & ok[:, None, :]
+        self.mass = self.form_matrix(self.mass_values(self.quad_w))
+        self.mass.eliminate_zeros()  # the zero slots: the lumped mass is diagonal
         stiff = self.gradient_form(mesh.cell_measures)
         self.stiffness = 0.5 * (stiff + stiff.T)
 
@@ -130,34 +136,38 @@ class GradientDiscretisation:
         pattern, slots = np.unique(keys, return_inverse=True)
         return pattern, slots, np.searchsorted(pattern, np.arange(n + 1) * n)
 
-    def form_values(self, blocks):
-        """Slot values of ``sum_c C_c^T blocks[c] C_c``: blocks are
-        (n_cells, dim, dim), or (n_cells,) weights w for the blocks w * I.
-        A block of B forms, (B, n_cells, dim, dim) or (B, n_cells), gives
-        (B, n_slots) values from one ``bincount`` over slots offset by
-        n_slots per form; each form's slots are summed in the same order as
-        alone."""
-        if np.ndim(blocks) in (1, 2):
-            blocks = blocks[..., None, None] * np.eye(self.dim)
-        _, coef = self.stencils
+    def _fill(self, local):
+        """Slot values of per-cell local matrices (n_cells, w, w), or (B,
+        n_slots) for (B, n_cells, w, w) by one ``bincount`` over slots offset
+        by n_slots per form, each summed in the same order as alone."""
         pattern, slots, _ = self._form_layout
-        local = coef.transpose(0, 2, 1) @ (blocks @ coef)
-        if local.ndim == 3:
-            return np.bincount(slots, weights=local.ravel(), minlength=len(pattern))
         n, B = len(pattern), len(local)
+        if local.ndim == 3:
+            return np.bincount(slots, weights=local.ravel(), minlength=n)
         keys = (slots + n * np.arange(B)[:, None]).ravel()
         return np.bincount(keys, weights=local.ravel(), minlength=B * n).reshape(B, n)
 
-    def form_values_of(self, A):
-        """Slot values of a sparse matrix whose pattern lies inside the form
-        pattern, such as the mass matrix."""
-        pattern = self._form_layout[0]
-        A = A.tocoo()
-        keys = A.col.astype(np.int64) * self.n_dofs + A.row
-        slots = np.searchsorted(pattern, keys)
-        if not np.array_equal(pattern.take(slots, mode="clip"), keys):
-            raise ValueError("matrix pattern is not inside the gradient-form pattern")
-        return np.bincount(slots, weights=A.data, minlength=len(pattern))
+    def form_values(self, blocks):
+        """Slot values of ``sum_c C_c^T blocks[c] C_c``: blocks are
+        (n_cells, dim, dim), or (n_cells,) weights w for the blocks w * I;
+        a block of B forms, (B, n_cells, dim, dim) or (B, n_cells), gives
+        (B, n_slots)."""
+        if np.ndim(blocks) in (1, 2):
+            blocks = blocks[..., None, None] * np.eye(self.dim)
+        _, coef = self.stencils
+        return self._fill(coef.transpose(0, 2, 1) @ (blocks @ coef))
+
+    def mass_values(self, weights):
+        """Slot values of ``sum_c Phi_c^T diag(weights_c) Phi_c`` (the mass
+        for the quadrature weights) for weights (n_q,), or (B, n_slots) for
+        (B, n_q); the points come cell by cell, as many on each."""
+        phi = self._phi
+        k = np.arange(phi.shape[1])
+        pairs = (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), -1)
+        local = np.reshape(weights, np.shape(weights)[:-1] + (self.mesh.n_cells, len(phi))) @ pairs
+        # entry (i, j) read from the upper triangle: each block exactly symmetric
+        upper = np.minimum.outer(k, k) * len(k) + np.maximum.outer(k, k)
+        return self._fill(local[..., upper] * self._phi_mask)
 
     def form_matrix(self, values):
         """The (n_dofs, n_dofs) CSC matrix with these slot values."""

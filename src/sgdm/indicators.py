@@ -11,8 +11,9 @@ eigenproblem and is exact up to quadrature. For p != 2 the values are
 certified lower bounds (indicators) or upper bounds (consistency error)
 obtained by iteratively reweighted least squares; every reported bound is
 the best ratio/objective actually attained at an explicit discrete vector.
-Their linear systems (mass and weighted gradient forms) are filled into the
-discretisation's form pattern and solved by its band LU, ``gd.form_solver``.
+Their matrices, a weighted gradient form plus the mass or a reweighted mass,
+are filled by the discretisation's one slot fill (``gd.form_values``,
+``gd.mass_values``) and solved by its band LU, ``gd.form_solver``.
 """
 
 from dataclasses import dataclass
@@ -108,7 +109,7 @@ def interpolate_best(gd, phi, grad_phi, p=2.0, phat=None, max_iter=IRLS_MAX_ITER
     gphi_q = np.asarray(grad_phi(gd.quad_x), dtype=float).reshape(-1, gd.dim)
 
     b0 = gd.P.T @ (gd.quad_w * phi_q) + gd.G.T @ _cellwise_vector_integral(gd, gphi_q, gd.quad_w)
-    w = gd.form_solver(gd.form_values_of(gd.mass) + gd.form_values(gd.mesh.cell_measures))(b0)
+    w = gd.form_solver(gd.mass_values(gd.quad_w) + gd.form_values(gd.mesh.cell_measures))(b0)
     best_val = _fit_objective(gd, w, phi_q, gphi_q, p, phat)
     best_w = w
     scale = max(1.0, np.abs(phi_q).max(initial=0.0), np.abs(gphi_q).max(initial=0.0))
@@ -138,7 +139,7 @@ def interpolate_best(gd, phi, grad_phi, p=2.0, phat=None, max_iter=IRLS_MAX_ITER
         # the gradient is constant per cell, so its weights sum per cell
         wq = gd.quad_w * om2 / s2
         wcell = np.bincount(gd.quad_cell, weights=wq, minlength=gd.mesh.n_cells)
-        A = gd.form_values_of(gd.P.T @ sp.diags(gd.quad_w * om1 / s1) @ gd.P) + gd.form_values(wcell)
+        A = gd.mass_values(gd.quad_w * om1 / s1) + gd.form_values(wcell)
         b = gd.P.T @ (gd.quad_w * om1 * phi_q / s1)
         b = b + gd.G.T @ _cellwise_vector_integral(gd, gphi_q, wq)
         w_new = gd.form_solver(A)(b)
@@ -388,9 +389,9 @@ def poincare_constant(gd, p=2.0, max_iter=30, rtol=IRLS_RTOL, n_restarts=6, seed
         eps2 = 1e-16 * max(pv.max(initial=0.0) ** 2, mag2.max(initial=0.0), 1e-300)
         om1 = (pv**2 + eps2) ** ((p - 2.0) / 2.0)
         om2 = (mag2 + eps2) ** ((p - 2.0) / 2.0)
-        A = gd.P.T @ sp.diags(gd.quad_w * om1) @ gd.P
+        A = gd.form_matrix(gd.mass_values(gd.quad_w * om1))
         B = gd.gradient_form(meas * om2)
-        _, v_new = _max_gen_eig(A.tocsc(), B + 1e-300 * sp.eye(gd.n_dofs))
+        _, v_new = _max_gen_eig(A, B + 1e-300 * sp.eye(gd.n_dofs))
         move = min(np.linalg.norm(v_new - v), np.linalg.norm(v_new + v))
         v = v_new
         if move <= rtol * np.linalg.norm(v):

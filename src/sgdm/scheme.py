@@ -51,6 +51,8 @@ class SolverConfig:
             raise ValueError("newton_tol must be positive")
         if not 0 < self.line_search_shrink < 1:
             raise ValueError("line_search_shrink must lie in (0, 1)")
+        if any(type(n) is not int or n < 0 for n in (self.max_newton, self.max_fixed_point)):
+            raise ValueError("max_newton and max_fixed_point must be non-negative integers")
 
 
 @dataclass(frozen=True)
@@ -148,11 +150,11 @@ class Stepper:
     with the per-cell gradient stencils C_c of the discretisation
     (``gd.stencils``); the Newton Jacobian, the frozen-coefficient matrix and
     the linear operator differ only in the per-cell blocks B_c. ``_system``
-    adds the mass, mapped into the form's slots once here, to ``dt`` times
-    the discretisation's fill ``gd.form_values``, and ``_solve`` factors and
-    solves each row's slot values by the discretisation's band LU
-    (``gd.form_solver``). The linear operator is factored once, and a step
-    solves it for the B right-hand sides in one call.
+    adds the mass's slot values, filled once here by ``gd.mass_values``, to
+    ``dt`` times the fill ``gd.form_values``, and ``_solve`` factors and
+    solves each row's slot values by the band LU ``gd.form_solver``. The
+    linear operator is factored once, and a step solves it for the B
+    right-hand sides in one call.
 
     The flux and its Jacobian are evaluated on a flux rule built here: the
     cell of each point, the weighted sum per cell, and the operator giving
@@ -202,7 +204,7 @@ class Stepper:
             self._rule_cell = np.arange(n_cells)
             self._rule_P = store(sp.diags(1.0 / meas) @ cell_sum @ gd.P)
             self._rule_sum = store(sp.diags(meas, format="csr"))
-        self._mass_vals = gd.form_values_of(gd.mass)
+        self._mass_vals = gd.mass_values(gd.quad_w)
         self._linear_solve = None
         if flux_model.is_linear:
             values = self._system(gd.mesh.cell_measures)

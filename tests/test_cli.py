@@ -230,3 +230,24 @@ class TestCommands:
     def test_bad_config_exit_code(self, tmp_path):
         path, _ = write_config(tmp_path, n_samples=0)
         assert main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "overrides, argv",
+        [
+            pytest.param({"n_samples": "10"}, [], id="n_samples-str"),
+            pytest.param({"p": "3"}, [], id="p-str"),
+            pytest.param({"levels": 1.5}, [], id="levels-float"),
+            pytest.param({"levels": True}, [], id="levels-bool"),
+            pytest.param({"time": {"n_steps": 4.5}}, [], id="n_steps-float"),
+            pytest.param({"noise": {"k_max": 2.0}}, [], id="k_max-float"),
+            pytest.param({"master_seed": -1}, [], id="master_seed-negative"),
+            pytest.param({}, ["--seed", "-1"], id="seed_flag-negative"),
+            pytest.param({"estimators": {"dual_r": 3}}, [], id="dual_r-not-power-of-two"),
+            pytest.param({"estimators": {"beta": 0.7}}, [], id="beta-too-large"),
+            pytest.param({"solver": {"max_newton": -1}}, [], id="max_newton-negative"),
+        ],
+    )
+    def test_bad_value_is_a_config_error(self, tmp_path, overrides, argv):
+        # a wrong type or range is reported as a config error, not a traceback
+        path, _ = write_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"), *argv]) == 2

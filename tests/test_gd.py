@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation, refine
-from sgdm.gd import _dual_quadrature
+from sgdm.gd import _basis_matrix, _dual_quadrature, _simplex_quadrature
 
 from conftest import grad_sin_pi, sin_pi
 from scalar_reference import interval_rule, triangle_rule
@@ -186,7 +186,7 @@ class TestGradientForm:
 
     def test_band_solve_matches_sparse_solve(self, local_basis_gd):
         gd = local_basis_gd
-        vals = gd.form_values_of(gd.mass) + gd.form_values(gd.mesh.cell_measures)
+        vals = gd.mass_values(gd.quad_w) + gd.form_values(gd.mesh.cell_measures)
         rhs = np.random.default_rng(10).standard_normal(gd.n_dofs)
         kept = rhs.copy()
         x = gd.form_solver(vals)(rhs)
@@ -196,7 +196,7 @@ class TestGradientForm:
 
     def test_band_solve_of_several_right_hand_sides(self, local_basis_gd):
         gd = local_basis_gd
-        vals = gd.form_values_of(gd.mass) + gd.form_values(gd.mesh.cell_measures)
+        vals = gd.mass_values(gd.quad_w) + gd.form_values(gd.mesh.cell_measures)
         rhs = np.random.default_rng(11).standard_normal((gd.n_dofs, 3))
         kept = rhs.copy()
         solve = gd.form_solver(vals)
@@ -243,15 +243,57 @@ class TestGradientForm:
 
     def test_mass_pattern_inside_form_pattern(self, local_basis_gd):
         # the stepper adds the mass into the form's slots
-        gd = local_basis_gd
-        mass = gd.form_matrix(gd.form_values_of(gd.mass))
-        assert np.abs((mass - gd.mass).toarray()).max(initial=0.0) == 0.0
+        _assert_mass_values_match_product(local_basis_gd)
 
-    def test_matrix_outside_pattern_rejected(self):
-        gd = build_gd(build_uniform_interval(6, 0.0, 1.0), "p1")
-        far = sp.coo_matrix(([1.0], ([0], [gd.n_dofs - 1])), shape=(gd.n_dofs,) * 2)
-        with pytest.raises(ValueError, match="pattern"):
-            gd.form_values_of(far)
+
+def _assert_mass_values_match_product(gd):
+    """``mass_values`` against the sparse product ``P^T diag(w) P`` it
+    replaced, for the quadrature weights and a block of random ones."""
+    weights = np.random.default_rng(13).uniform(0.5, 2.0, (3, len(gd.quad_w)))
+    block = gd.mass_values(weights)
+    assert block.shape == (3, len(gd.mass_values(gd.quad_w)))
+    for w, values in zip([gd.quad_w, *weights], [gd.mass_values(gd.quad_w), *block]):
+        ref = (gd.P.T @ sp.diags(w) @ gd.P).toarray()
+        got = gd.form_matrix(values).toarray()
+        # the fill sums each cell's points first, the product sums point by
+        # point: a few units in the last place apart (1.1e-15 seen)
+        assert np.abs(got - ref).max(initial=0.0) <= 4e-15 * np.abs(ref).max(initial=0.0)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(m, k) for m in LOCAL_BASIS_MESHES for k in ("p1", "p1_lumped", "cr")] + [("one_cell", "p1")],
+    ids=lambda mk: f"{mk[0]}-{mk[1]}",
+)
+def value_form_gd(request):
+    """The local-basis spaces and one space without DOFs (stencil width 0)."""
+    mesh_name, kind = request.param
+    meshes = dict(LOCAL_BASIS_MESHES, one_cell=lambda: build_uniform_interval(1, 0.0, 1.0))
+    return build_gd(meshes[mesh_name](), kind)
+
+
+class TestValueForm:
+    def test_mass_values_without_dofs(self):
+        gd = build_gd(build_uniform_interval(1, 0.0, 1.0), "p1")
+        assert gd.n_dofs == 0 and gd.mass.shape == (0, 0)
+        _assert_mass_values_match_product(gd)
+
+    def test_mass_is_exactly_symmetric(self, value_form_gd):
+        M = value_form_gd.mass.toarray()
+        np.testing.assert_array_equal(M, M.T)
+
+    def test_P_is_built_from_the_basis_values_at_the_points(self, value_form_gd):
+        gd = value_form_gd
+        if gd.kind == "p1_lumped":
+            _, _, cells, owner, _ = _dual_quadrature(gd.mesh)
+            dof = gd.cell_dofs[cells, owner][:, None]
+            ref = _basis_matrix(dof, np.ones(dof.shape), gd.n_dofs)
+        else:
+            lam_ref = _simplex_quadrature(gd.mesh)[3]
+            phi = gd.alpha + gd.beta * np.tile(lam_ref, (gd.mesh.n_cells, 1))
+            ref = _basis_matrix(gd.cell_dofs[gd.quad_cell], phi, gd.n_dofs)
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(gd.P, part), getattr(ref, part))
 
 
 def _dual_quadrature_loop(mesh):

@@ -41,6 +41,15 @@ def setup16():
     return sgd, noise
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"max_newton": -1}, {"max_newton": 2.5}, {"max_fixed_point": -3}, {"max_fixed_point": True}],
+    ids=["max_newton-negative", "max_newton-float", "max_fixed_point-negative", "max_fixed_point-bool"],
+)
+def test_solver_config_iteration_counts_are_non_negative_integers(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        SolverConfig(**kwargs)
+
+
 class TestSolveStep:
     def test_single_dof_hand_formula(self, single_dof_gd):
         sgd = SpaceTimeGD(single_dof_gd, T=0.1, n_steps=10)
