@@ -69,6 +69,12 @@ def _require(cfg, key, types, path, ok=lambda v: True, rule=""):
     return value
 
 
+def _reject_unknown(section, known, path):
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key {path}{unknown[0]}")
+
+
 def _merged(defaults, given, path=""):
     out = dict(defaults)
     for k, v in given.items():
@@ -87,6 +93,9 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     cfg = _merged(DEFAULTS, raw)
+    _reject_unknown(cfg, [*DEFAULTS, "mesh"], "")
+    for section in ("time", "noise", "solver", "estimators"):
+        _reject_unknown(_require(cfg, section, dict, ""), DEFAULTS[section], f"{section}.")
     mesh_cfg = _require(cfg, "mesh", dict, "")
     kind = _require(mesh_cfg, "kind", str, "mesh.")
     positive, real = (lambda v: v >= 1, "an integer >= 1"), (int, float)
@@ -117,6 +126,10 @@ def load_config(path):
     _require(cfg, "n_samples", int, "", *positive)
     _require(cfg, "master_seed", int, "", lambda v: v >= 0, "an integer >= 0")
     est = cfg["estimators"]
+    for k in ("moments_q", "translate_ells", "dual_ells"):
+        entries = _require(est, k, list, "estimators.")
+        if not all(type(v) is int and v >= 1 for v in entries):
+            raise ConfigError(f"key estimators.{k} must hold integers >= 1")
     _require(est, "dual_r", int, "estimators.", lambda v: v >= 1 and v & (v - 1) == 0, "a power of two")
     _require(est, "beta", real, "estimators.", lambda v: 0 < v < 0.5, "in (0, 1/2)")
     try:
@@ -394,28 +407,41 @@ def _sine_battery(mesh):
 
 
 def cmd_indicators(cfg, workers, outdir):
-    """Consistency, limit-conformity, compactness and coercivity sweeps."""
+    """Consistency, limit-conformity, compactness and coercivity sweeps. An
+    evaluation that raises is written as nan, recorded in the summary's
+    failures, and the sweep goes on."""
     levels = build_levels(cfg)
     p = cfg["p"]
     rows = []
+    failures = []
     s_values = {}
     w_values = {}
+
+    def evaluate(lvl, h, indicator, name, fn, *args):
+        try:
+            value = fn(*args, p=p)
+        except Exception as exc:  # one failed evaluation is reported, not fatal
+            failures.append(
+                {"level": lvl, "indicator": indicator, "name": name, "error": f"{type(exc).__name__}: {exc}"}
+            )
+            value = float("nan")
+        rows.append([lvl, h, indicator, name, value])
+        return value
+
     for lvl, (mesh, gd, sgd) in enumerate(levels):
         for name, phi, grad in _sine_battery(mesh):
-            s = consistency_error(gd, phi, grad, p=p)
+            s = evaluate(lvl, mesh.h, "S", name, consistency_error, gd, phi, grad)
             s_values.setdefault(name, []).append(s)
-            rows.append([lvl, mesh.h, "S", name, s])
         fields = _W_FIELDS_1D if mesh.dim == 1 else _W_FIELDS_2D
         for name, phi, div in fields:
-            wv = indicator_W(gd, phi, div, p=p)
+            wv = evaluate(lvl, mesh.h, "W", name, indicator_W, gd, phi, div)
             w_values.setdefault(name, []).append(wv)
-            rows.append([lvl, mesh.h, "W", name, wv])
         base_h = levels[0][0].h
         for scale in (0.5, 0.25):
             xi = np.zeros(mesh.dim)
             xi[0] = scale * base_h
-            rows.append([lvl, mesh.h, "T", f"xi={scale}h0", indicator_T(gd, xi, p=p)])
-        rows.append([lvl, mesh.h, "C_p", "", poincare_constant(gd, p=p)])
+            evaluate(lvl, mesh.h, "T", f"xi={scale}h0", indicator_T, gd, xi)
+        evaluate(lvl, mesh.h, "C_p", "", poincare_constant, gd)
     write_csv(Path(outdir) / "indicators.csv", ["level", "h", "indicator", "name", "value"], rows)
     conforming = cfg["gd"] == "p1"
     checks = {
@@ -426,7 +452,7 @@ def cmd_indicators(cfg, workers, outdir):
         if conforming
         else all(vs[0] > vs[-1] for vs in w_values.values() if vs[0] > 1e-12) or cfg["levels"] == 1,
     }
-    summary = {"checks": checks, "ok": all(checks.values())}
+    summary = {"checks": checks, "failures": failures, "ok": all(checks.values()) and not failures}
     return _finish(outdir, cfg, summary)
 
 

@@ -8,9 +8,10 @@
 
 For p = 2 every indicator reduces to a linear solve or a generalized
 eigenproblem and is exact up to quadrature. For p != 2 the values are
-certified lower bounds (indicators) or upper bounds (consistency error)
-obtained by iteratively reweighted least squares; every reported bound is
-the best ratio/objective actually attained at an explicit discrete vector.
+certified lower bounds (indicators) or upper bounds (consistency error),
+each attained at an explicit discrete vector: by iteratively reweighted
+least squares (S and W) or by one ratio ascent from fixed starts (T and
+C_p). Every search setting is a module constant, not an argument.
 Their matrices, a weighted gradient form plus the mass or a reweighted mass,
 are filled by the discretisation's one slot fill (``gd.form_values``,
 ``gd.mass_values``) and solved by its band LU, ``gd.form_solver``.
@@ -29,6 +30,11 @@ from .quadrature import INTERVAL_NODES, INTERVAL_WEIGHTS, polygon_rule
 
 IRLS_MAX_ITER = 50
 IRLS_RTOL = 1e-9
+EIGEN_FIXED_POINT_ITER = 30  # reweightings toward the Poincare constant's second start
+POINCARE_ASCENT_STEPS = 120  # ascent steps per start
+TRANSLATE_ASCENT_STEPS = 80
+TRANSLATE_RESTARTS = 5
+TRANSLATE_SEED = 0
 _DENSE_EIG_LIMIT = 800
 
 
@@ -64,6 +70,35 @@ def _value_power(gd, v, p):
     return np.sum(gd.quad_w * np.abs(pv) ** p), gd.P.T @ (gd.quad_w * np.abs(pv) ** (p - 2) * pv)
 
 
+def _ascend_ratio(starts, ratio, grad_log_ratio, n_iter):
+    """Projected gradient ascent of a 0-homogeneous ratio on the unit sphere
+    from each start; returns the best ratio reached (a certified lower bound)."""
+    best = 0.0
+    for v0 in starts:
+        v = v0 / np.linalg.norm(v0)
+        cur = ratio(v)
+        step = 1.0
+        for _ in range(n_iter):
+            d = grad_log_ratio(v)
+            d = d - v * (d @ v)
+            nd = np.linalg.norm(d)
+            if nd < 1e-13:
+                break
+            while step > 1e-12:
+                v_try = v + step * d / nd
+                v_try /= np.linalg.norm(v_try)
+                r_try = ratio(v_try)
+                if r_try > cur:
+                    v, cur = v_try, r_try
+                    step = min(step * 2.0, 1.0)
+                    break
+                step *= 0.5
+            else:
+                break
+        best = max(best, cur)
+    return best
+
+
 # -- consistency: best interpolation ------------------------------------------
 
 
@@ -95,7 +130,7 @@ def _cellwise_vector_integral(gd, values, weights):
     ).ravel()
 
 
-def interpolate_best(gd, phi, grad_phi, p=2.0, phat=None, max_iter=IRLS_MAX_ITER, rtol=IRLS_RTOL):
+def interpolate_best(gd, phi, grad_phi, p=2.0, phat=None):
     """Minimize ||reconstruction - phi||_phat + ||gradient - grad phi||_p.
 
     A squared-sum surrogate solve provides the starting point; reweighted
@@ -122,7 +157,7 @@ def interpolate_best(gd, phi, grad_phi, p=2.0, phat=None, max_iter=IRLS_MAX_ITER
     s1 = s2 = 1.0
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, IRLS_MAX_ITER + 1):
         r1 = gd.P @ w - phi_q
         g = (gd.G @ w).reshape(gd.mesh.n_cells, gd.dim)
         r2 = g[gd.quad_cell] - gphi_q
@@ -148,7 +183,7 @@ def interpolate_best(gd, phi, grad_phi, p=2.0, phat=None, max_iter=IRLS_MAX_ITER
             best_val, best_w = val, w_new
         delta = np.linalg.norm(w_new - w) / max(1.0, np.linalg.norm(w_new))
         w = w_new
-        if delta < rtol:
+        if delta < IRLS_RTOL:
             converged = True
             break
     return BestFit(best_w, best_val, converged, it)
@@ -162,7 +197,7 @@ def consistency_error(gd, phi, grad_phi, p=2.0, phat=None):
 # -- limit-conformity ----------------------------------------------------------
 
 
-def indicator_W(gd, phi, div_phi, p=2.0, max_iter=IRLS_MAX_ITER, rtol=IRLS_RTOL):
+def indicator_W(gd, phi, div_phi, p=2.0):
     """Discrete Stokes defect: max over v of
     |int(grad_D v . phi + Pi_D v div phi)| / ||grad_D v||_p."""
     if gd.n_dofs == 0:
@@ -182,7 +217,7 @@ def indicator_W(gd, phi, div_phi, p=2.0, max_iter=IRLS_MAX_ITER, rtol=IRLS_RTOL)
     v = z / (c @ z)
     best = abs(c @ v) / gd.grad_lp_norm(v, p)
     om = np.ones(gd.mesh.n_cells)
-    for _ in range(max_iter):
+    for _ in range(IRLS_MAX_ITER):
         g = (gd.G @ v).reshape(gd.mesh.n_cells, gd.dim)
         mag2 = np.sum(g**2, axis=1)
         eps2 = 1e-16 * max(mag2.max(), 1e-300)
@@ -193,7 +228,7 @@ def indicator_W(gd, phi, div_phi, p=2.0, max_iter=IRLS_MAX_ITER, rtol=IRLS_RTOL)
         move = np.linalg.norm(v_new - v) / max(1.0, np.linalg.norm(v_new))
         v = v_new
         best = max(best, ratio)
-        if move < rtol:
+        if move < IRLS_RTOL:
             break
     return float(best)
 
@@ -279,20 +314,26 @@ def _piece_values(x, const, lin, dofs):
     return vals
 
 
-def _translate_numerator_p(gd, S, U, w_a, v, p):
-    """||Pi v(.+xi) - Pi v||_{L^p(R^d)}^p via the overlap identity:
-    the parts where only one function is supported contribute
-    2 ||Pi v||_p^p - int_{overlap} (|f|^p + |g|^p)."""
-    s = S @ v
-    u = U @ v
+def _translate_numerator_p(gd, w_a, s, u, v, p):
+    """||Pi v(.+xi) - Pi v||_{L^p(R^d)}^p via the overlap identity, from the
+    overlap values s = S v and u = U v: the parts where only one function is
+    supported contribute 2 ||Pi v||_p^p - int_{overlap} (|s|^p + |u|^p).
+    A negative sum, from over-counted overlap weights, raises ``ValueError``."""
     both = np.sum(w_a * (np.abs(s - u) ** p - np.abs(s) ** p - np.abs(u) ** p))
     full = np.sum(gd.quad_w * np.abs(gd.P @ v) ** p)
-    return float(both + 2.0 * full)
+    num = float(both + 2.0 * full)
+    if num < 0.0:
+        raise ValueError(f"translate numerator {num:.3g} < 0: the overlap weights over-count the overlap")
+    return num
 
 
-def indicator_T(gd, xi, p=2.0, n_restarts=5, n_iter=80, seed=0):
+def indicator_T(gd, xi, p=2.0):
     """Translate bound: max over v of
-    ||Pi v(.+xi) - Pi v||_{L^p(R^d)} / ||grad v||_p, zero extension outside."""
+    ||Pi v(.+xi) - Pi v||_{L^p(R^d)} / ||grad v||_p, zero extension outside.
+
+    For p != 2 the ratio is ascended from the p = 2 eigenvector and from
+    ``TRANSLATE_RESTARTS`` random vectors (on some spaces the best start);
+    a negative numerator (over-counted overlap weights) raises ``ValueError``."""
     xi = np.asarray(xi, dtype=float).reshape(gd.dim)
     if gd.n_dofs == 0 or np.all(xi == 0.0):
         return 0.0
@@ -305,64 +346,31 @@ def indicator_T(gd, xi, p=2.0, n_restarts=5, n_iter=80, seed=0):
 
     def ratio(v):
         den = gd.grad_lp_norm(v, p)
-        if den == 0.0:
-            return 0.0
-        return _translate_numerator_p(gd, S, U, w_a, v, p) ** (1.0 / p) / den
+        return _translate_numerator_p(gd, w_a, S @ v, U @ v, v, p) ** (1.0 / p) / den if den > 0 else 0.0
 
     def grad_log_ratio(v):
         s, u = S @ v, U @ v
         r = s - u
-        num_p = _translate_numerator_p(gd, S, U, w_a, v, p)
-        gnum = (
-            S.T @ (w_a * np.abs(r) ** (p - 2) * r)
-            - U.T @ (w_a * np.abs(r) ** (p - 2) * r)
-            - S.T @ (w_a * np.abs(s) ** (p - 2) * s)
-            - U.T @ (w_a * np.abs(u) ** (p - 2) * u)
-            + 2.0 * _value_power(gd, v, p)[1]
-        )
+        num_p = _translate_numerator_p(gd, w_a, s, u, v, p)
+        wr = w_a * np.abs(r) ** (p - 2) * r
+        gnum = S.T @ wr - U.T @ wr - S.T @ (w_a * np.abs(s) ** (p - 2) * s)
+        gnum = gnum - U.T @ (w_a * np.abs(u) ** (p - 2) * u) + 2.0 * _value_power(gd, v, p)[1]
         den_p, gden = _grad_power(gd, v, p)
         return gnum / max(num_p, 1e-300) - gden / max(den_p, 1e-300)
 
-    rng = np.random.default_rng(seed)
-    starts = [vec] + [rng.standard_normal(gd.n_dofs) for _ in range(n_restarts)]
-    return float(max(_ascend_ratio(v, ratio, grad_log_ratio, n_iter)[0] for v in starts))
+    rng = np.random.default_rng(TRANSLATE_SEED)
+    starts = [vec] + [rng.standard_normal(gd.n_dofs) for _ in range(TRANSLATE_RESTARTS)]
+    return float(_ascend_ratio(starts, ratio, grad_log_ratio, TRANSLATE_ASCENT_STEPS))
 
 
 # -- coercivity ----------------------------------------------------------------
 
 
-def _ascend_ratio(v0, ratio, grad_log_ratio, n_iter=120):
-    """Projected gradient ascent of a 0-homogeneous ratio on the unit sphere;
-    returns the best ratio value reached (a certified lower bound)."""
-    v = v0 / np.linalg.norm(v0)
-    cur = ratio(v)
-    best = cur
-    step = 1.0
-    for _ in range(n_iter):
-        d = grad_log_ratio(v)
-        d = d - v * (d @ v)
-        nd = np.linalg.norm(d)
-        if nd < 1e-13:
-            break
-        improved = False
-        while step > 1e-12:
-            v_try = v + step * d / nd
-            v_try /= np.linalg.norm(v_try)
-            r_try = ratio(v_try)
-            if r_try > cur:
-                v, cur = v_try, r_try
-                improved = True
-                step = min(step * 2.0, 1.0)
-                break
-            step *= 0.5
-        if not improved:
-            break
-        best = max(best, cur)
-    return best, v
+def poincare_constant(gd, p=2.0):
+    """Discrete Poincare constant: max over v of ||Pi v||_p / ||grad v||_p.
 
-
-def poincare_constant(gd, p=2.0, max_iter=30, rtol=IRLS_RTOL, n_restarts=6, seed=0):
-    """Discrete Poincare constant: max over v of ||Pi v||_p / ||grad v||_p."""
+    For p != 2 the ratio is ascended from two starts: the p = 2 eigenvector
+    and the fixed point of the reweighted eigenproblem."""
     if gd.n_dofs == 0:
         return 0.0
     lam, vec = _max_gen_eig(gd.mass, gd.stiffness)
@@ -378,11 +386,8 @@ def poincare_constant(gd, p=2.0, max_iter=30, rtol=IRLS_RTOL, n_restarts=6, seed
         den_p, gden = _grad_power(gd, v, p)
         return gnum / max(num_p, 1e-300) - gden / max(den_p, 1e-300)
 
-    meas = gd.mesh.cell_measures
-    # reweighted eigen fixed point gives good starting vectors
-    starts = [vec]
     v = vec
-    for _ in range(max_iter):
+    for _ in range(EIGEN_FIXED_POINT_ITER):
         pv = gd.P @ v
         g = (gd.G @ v).reshape(gd.mesh.n_cells, gd.dim)
         mag2 = np.sum(g**2, axis=1)
@@ -390,17 +395,10 @@ def poincare_constant(gd, p=2.0, max_iter=30, rtol=IRLS_RTOL, n_restarts=6, seed
         om1 = (pv**2 + eps2) ** ((p - 2.0) / 2.0)
         om2 = (mag2 + eps2) ** ((p - 2.0) / 2.0)
         A = gd.form_matrix(gd.mass_values(gd.quad_w * om1))
-        B = gd.gradient_form(meas * om2)
+        B = gd.gradient_form(gd.mesh.cell_measures * om2)
         _, v_new = _max_gen_eig(A, B + 1e-300 * sp.eye(gd.n_dofs))
         move = min(np.linalg.norm(v_new - v), np.linalg.norm(v_new + v))
         v = v_new
-        if move <= rtol * np.linalg.norm(v):
+        if move <= IRLS_RTOL * np.linalg.norm(v):
             break
-    starts.append(v)
-    rng = np.random.default_rng(seed)
-    starts += [rng.standard_normal(gd.n_dofs) for _ in range(n_restarts)]
-    best = 0.0
-    for v0 in starts:
-        val, _ = _ascend_ratio(v0, ratio, grad_log_ratio)
-        best = max(best, val)
-    return float(best)
+    return float(_ascend_ratio([vec, v], ratio, grad_log_ratio, POINCARE_ASCENT_STEPS))

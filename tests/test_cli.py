@@ -68,6 +68,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"n_sample": 3}, "n_sample"),
+            ({"time": {"n_step": 4}}, "time.n_step"),
+            ({"noise": {"kmax": 4}}, "noise.kmax"),
+            ({"solver": {"newton_tolerance": 1e-8}}, "solver.newton_tolerance"),
+            ({"estimators": {"moment_q": [2]}}, "estimators.moment_q"),
+        ],
+    )
+    def test_unknown_key_is_named(self, tmp_path, overrides, key):
+        path, _ = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=f"unknown key {key}$"):
+            load_config(path)
+
     def test_hash_stable_under_key_order(self, tmp_path):
         path, cfg = write_config(tmp_path)
         shuffled = dict(reversed(list(load_config(path).items())))
@@ -120,6 +135,27 @@ class TestCommands:
         assert len(s_rows) == 9  # 3 battery functions x 3 levels
         w_vals = [float(r.split(",")[4]) for r in rows if r.split(",")[2] == "W"]
         assert all(v <= 1e-10 for v in w_vals)
+
+    def test_indicators_record_a_failed_evaluation(self, tmp_path, monkeypatch):
+        from sgdm import cli
+
+        def failing_T(gd, xi, p):
+            raise ValueError("overlap weights over-count")
+
+        monkeypatch.setattr(cli, "indicator_T", failing_T)
+        path, _ = write_config(tmp_path, levels=1, n_samples=1)
+        out = tmp_path / "ind_fail"
+        assert main(["indicators", "--config", str(path), "--out", str(out)]) == 1
+        rows = [r.split(",") for r in (out / "indicators.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 8  # 3 S, 2 W, 2 T, 1 C_p
+        assert [r[4] for r in rows if r[2] == "T"] == ["nan", "nan"]
+        assert all(np.isfinite(float(r[4])) for r in rows if r[2] != "T")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["ok"] is False and all(summary["checks"].values())
+        assert summary["failures"] == [
+            {"level": 0, "indicator": "T", "name": name, "error": "ValueError: overlap weights over-count"}
+            for name in ("xi=0.5h0", "xi=0.25h0")
+        ]
 
     def test_probe_builtin_passes(self, tmp_path):
         path, _ = write_config(tmp_path, flux={"kind": "p_laplace"}, p=3.0)
@@ -245,6 +281,11 @@ class TestCommands:
             pytest.param({"estimators": {"dual_r": 3}}, [], id="dual_r-not-power-of-two"),
             pytest.param({"estimators": {"beta": 0.7}}, [], id="beta-too-large"),
             pytest.param({"solver": {"max_newton": -1}}, [], id="max_newton-negative"),
+            pytest.param({"estimators": {"moments_q": [1.5]}}, [], id="moments_q-float"),
+            pytest.param({"estimators": {"translate_ells": ["2"]}}, [], id="translate_ells-str"),
+            pytest.param({"estimators": {"dual_ells": [0]}}, [], id="dual_ells-zero"),
+            pytest.param({"estimators": {"dual_ells": [True]}}, [], id="dual_ells-bool"),
+            pytest.param({"estimators": {"moments_q": 2}}, [], id="moments_q-not-a-list"),
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, overrides, argv):

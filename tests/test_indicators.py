@@ -176,7 +176,7 @@ class TestInterpolateBest:
 
     def test_brute_force_oracle_parabola(self):
         gd = build_gd(build_uniform_interval(4, 0.0, 1.0), "p1")
-        fit = interpolate_best(gd, parabola, grad_parabola, p=2.0, max_iter=200)
+        fit = interpolate_best(gd, parabola, grad_parabola, p=2.0)
         phi_q = parabola(gd.quad_x)
         gphi_q = grad_parabola(gd.quad_x)
 
@@ -369,12 +369,34 @@ class TestIndicatorT:
         S, U, w_a = translate_overlap(gd, [xi])
         oracle = ratio_oracle(
             gd,
-            lambda v: _translate_numerator_p(gd, S, U, w_a, v, 3.0) ** (1 / 3.0),
+            lambda v: _translate_numerator_p(gd, w_a, S @ v, U @ v, v, 3.0) ** (1 / 3.0),
             lambda v: gd.grad_lp_norm(v, 3.0),
             n_starts=25,
         )
         assert got <= oracle + 1e-8
         assert got >= oracle - 1e-5
+
+    def test_over_counted_overlap_is_a_named_error(self, monkeypatch):
+        # inflated overlap weights make the p != 2 numerator negative for
+        # some v; that must fail by name, not return a clamped or complex value
+        gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
+        overlap = indicators.translate_overlap
+
+        def inflated(gd, xi):
+            S, U, w_a = overlap(gd, xi)
+            return S, U, 4.0 * w_a
+
+        monkeypatch.setattr(indicators, "translate_overlap", inflated)
+        with pytest.raises(ValueError, match="over-count"):
+            indicator_T(gd, [0.1], 3.0)
+
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [("p1", 0.08341332840908457), ("cr", 0.16353224724210677)],
+    )
+    def test_p3_value_unchanged(self, kind, expected):
+        gd = build_gd(build_uniform_triangulation(4, 4), kind)
+        assert indicator_T(gd, [0.1, 0.05], 3.0) == expected
 
     @pytest.mark.xfail(
         strict=True,
@@ -479,6 +501,14 @@ class TestPoincare:
         oracle = ratio_oracle(gd, lambda v: gd.lp_norm(v, 3.0), lambda v: gd.grad_lp_norm(v, 3.0))
         assert got >= oracle - 1e-6
         assert got <= oracle + 1e-8
+
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [("p1", 0.23058353792561803), ("cr", 0.25417458572764184)],
+    )
+    def test_p3_value_unchanged(self, kind, expected):
+        gd = build_gd(build_uniform_triangulation(4, 4), kind)
+        assert poincare_constant(gd, 3.0) == expected
 
 
 class TestEigensolver:
