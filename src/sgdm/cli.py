@@ -45,7 +45,7 @@ DEFAULTS = {
     "u0": "sine",
     "n_samples": 100,
     "master_seed": 0,
-    "solver": {"newton_tol": 1e-10, "max_newton": 30, "max_fixed_point": 200, "line_search_shrink": 0.5},
+    "solver": {"newton_tol": 1e-10, "max_newton": 30, "max_fixed_point": 200},
     "estimators": {
         "moments_q": [1, 2, 3],
         "translate_ells": [1, 2, 4, 8],
@@ -55,6 +55,10 @@ DEFAULTS = {
     },
     "output_dir": "out",
 }
+# per kind, the keys a mesh or a flux holds besides its kind
+MESH_KEYS = {"interval": ("n_cells", "a", "b"), "rectangle": ("nx", "ny", "rect"), "file": ("path",)}
+FLUX_KEYS = {kind: ("epsilon",) for kind in ("linear", "p_laplace", "regularized_p_laplace")}
+FLUX_KEYS["custom"] = ("epsilon", "callable", "c1", "c2")
 
 
 def _require(cfg, key, types, path, ok=lambda v: True, rule=""):
@@ -69,10 +73,25 @@ def _require(cfg, key, types, path, ok=lambda v: True, rule=""):
     return value
 
 
+def _reals(values, n):
+    """Whether ``values`` is a list of n numbers (a bool is no number)."""
+    return isinstance(values, list) and len(values) == n and all(type(v) in (int, float) for v in values)
+
+
 def _reject_unknown(section, known, path):
     unknown = sorted(set(section) - set(known))
     if unknown:
         raise ConfigError(f"unknown key {path}{unknown[0]}")
+
+
+def _kind(cfg, section, keys):
+    """The section and its kind, one of ``keys``; it holds only that kind's keys."""
+    sub = _require(cfg, section, dict, "")
+    kind = _require(sub, "kind", str, f"{section}.")
+    if kind not in keys:
+        raise ConfigError(f"key {section}.kind has unknown value {kind!r}")
+    _reject_unknown(sub, ("kind", *keys[kind]), f"{section}.")
+    return sub, kind
 
 
 def _merged(defaults, given, path=""):
@@ -96,30 +115,36 @@ def load_config(path):
     _reject_unknown(cfg, [*DEFAULTS, "mesh"], "")
     for section in ("time", "noise", "solver", "estimators"):
         _reject_unknown(_require(cfg, section, dict, ""), DEFAULTS[section], f"{section}.")
-    mesh_cfg = _require(cfg, "mesh", dict, "")
-    kind = _require(mesh_cfg, "kind", str, "mesh.")
+    mesh_cfg, kind = _kind(cfg, "mesh", MESH_KEYS)
     positive, real = (lambda v: v >= 1, "an integer >= 1"), (int, float)
     if kind == "interval":
         _require(mesh_cfg, "n_cells", int, "mesh.", *positive)
+        if not _reals([mesh_cfg.get("a", 0.0), mesh_cfg.get("b", 1.0)], 2):
+            raise ConfigError("keys mesh.a and mesh.b must be numbers")
     elif kind == "rectangle":
         for k in ("nx", "ny"):
             _require(mesh_cfg, k, int, "mesh.", *positive)
-    elif kind == "file":
+        rect = mesh_cfg.get("rect", [[0, 0], [1, 1]])
+        if not (isinstance(rect, list) and len(rect) == 2 and all(_reals(c, 2) for c in rect)):
+            raise ConfigError("key mesh.rect must be [[x0, y0], [x1, y1]] of numbers")
+    else:
         p = Path(_require(mesh_cfg, "path", str, "mesh."))
         if not p.exists():
             raise ConfigError(f"key mesh.path: file {p} does not exist")
-    else:
-        raise ConfigError(f"key mesh.kind has unknown value {kind!r}")
     if cfg["gd"] not in KINDS:
         raise ConfigError(f"key gd has unknown value {cfg['gd']!r}; expected one of {KINDS}")
     _require(cfg, "levels", int, "", *positive)
     _require(cfg, "p", real, "", lambda v: v > 1, "a number > 1")
-    if cfg["flux"]["kind"] not in ("linear", "p_laplace", "regularized_p_laplace", "custom"):
-        raise ConfigError(f"key flux.kind has unknown value {cfg['flux']['kind']!r}")
-    if cfg["flux"]["kind"] == "custom":
-        spec = _require(cfg["flux"], "callable", str, "flux.")
+    flux_cfg, flux_kind = _kind(cfg, "flux", FLUX_KEYS)
+    if flux_cfg["epsilon"] is not None:
+        _require(flux_cfg, "epsilon", real, "flux.", lambda v: v >= 0, "a number >= 0 or null")
+    if flux_kind == "custom":
+        spec = _require(flux_cfg, "callable", str, "flux.")
         if ":" not in spec:
             raise ConfigError("key flux.callable must look like 'module:attribute'")
+        for k in ("c1", "c2"):
+            if k in flux_cfg:
+                _require(flux_cfg, k, real, "flux.", lambda v: v > 0, "positive")
     _require(cfg["time"], "n_steps", int, "time.", *positive)
     _require(cfg["time"], "T", real, "time.", lambda v: v > 0, "positive")
     _require(cfg["noise"], "k_max", int, "noise.", *positive)
@@ -138,6 +163,7 @@ def load_config(path):
         raise ConfigError(f"key solver: {exc}") from exc
     u0 = cfg["u0"]
     if isinstance(u0, dict):
+        _reject_unknown(u0, ("file",), "u0.")
         p = Path(_require(u0, "file", str, "u0."))
         if not p.exists():
             raise ConfigError(f"key u0.file: file {p} does not exist")

@@ -49,6 +49,9 @@ class GradientDiscretisation:
     ``cell_dofs`` (n_cells, dim+1) names the DOF of each local basis function
     ``alpha + beta * lambda_i`` (-1 where the Dirichlet condition removed it);
     ``local_gradients`` (n_cells, dim, dim+1) holds their constant gradients.
+    All three kinds lay out their quadrature (``quad_x``, ``quad_w``,
+    ``quad_cell``) cell-major, with the same number of points on every cell,
+    so a per-point array reshapes to (n_cells, points per cell).
     ``P`` maps DOF vectors to function values at the quadrature points,
     ``G`` maps DOF vectors to the per-cell constant gradients (row layout
     cell-major: row ``c*dim + k`` is component k on cell c). ``stencils``

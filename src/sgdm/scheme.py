@@ -35,8 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .flux import LINEAR_DIFFUSION, P_LAPLACE, REGULARIZED_P_LAPLACE, eval_flux, eval_flux_jacobian
+from .flux import P_LAPLACE, REGULARIZED_P_LAPLACE, eval_flux, eval_flux_jacobian
 from .noise import RngStream, sample_increment
+
+LINE_SEARCH_SHRINK = 0.5  # the Newton line search's step factor, down to steps of 1e-10
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,10 @@ class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 30
     max_fixed_point: int = 200
-    line_search_shrink: float = 0.5
 
     def __post_init__(self):
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
-        if not 0 < self.line_search_shrink < 1:
-            raise ValueError("line_search_shrink must lie in (0, 1)")
         if any(type(n) is not int or n < 0 for n in (self.max_newton, self.max_fixed_point)):
             raise ValueError("max_newton and max_fixed_point must be non-negative integers")
 
@@ -156,18 +155,18 @@ class Stepper:
     linear operator is factored once, and a step solves it for the B
     right-hand sides in one call.
 
-    The flux and its Jacobian are evaluated on a flux rule built here: the
-    cell of each point, the weighted sum per cell, and the operator giving
-    Pi u at each point. A flux of the gradient alone
-    (``FluxModel.depends_on_value`` false) gets one point per cell, weighted
-    by the cell measure and valued at the cell mean of Pi u; a custom flux
-    gets the quadrature points. The noise term stays at the quadrature
-    points, since the noise basis varies inside a cell.
+    The flux and its Jacobian are evaluated on a flux rule of k points per
+    cell, held cell-major with their weights (n_cells, k), and a cell's
+    integral is the weighted sum of its k values. A flux of the gradient
+    alone (``FluxModel.depends_on_value`` false) gets k = 1, weighted by the
+    cell measure, and zeros as its value argument; a custom flux gets the
+    quadrature points and weights, and Pi u there. The noise term stays at
+    the quadrature points, since the noise basis varies inside a cell.
 
     The number of unknowns picks only the storage of the constant operators
     (the reconstruction, its weighted transpose, the mass, the gradient
-    operator G and its transpose, the flux rule's operators, and the linear
-    operator for its residual check): up to
+    operator G and its transpose, and the linear operator for its residual
+    check): up to
     ``_DENSE_LIMIT`` unknowns they are dense arrays, since sparse products
     cost more than the arithmetic at that scale, and above it CSR matrices.
     The benchmark has a workload on each side (``oracle_pool`` dense,
@@ -189,21 +188,10 @@ class Stepper:
         self._PTw = store(gd.P.T @ sp.diags(gd.quad_w))
         self._M = store(gd.mass)
         self._G, self._GT = store(gd.G), store(gd.G.T)
-        n_cells = gd.mesh.n_cells
-        # the flux rule (see the class docstring); cell_sum sums weighted point
-        # values per cell
-        cell_sum = sp.csr_matrix(
-            (gd.quad_w, (gd.quad_cell, np.arange(len(gd.quad_w)))), shape=(n_cells, len(gd.quad_w))
-        )
-        if flux_model.depends_on_value:
-            self._rule_cell, self._rule_P, self._rule_sum = gd.quad_cell, self._P, store(cell_sum)
-        else:
-            # a(grad u) is constant per cell: one point per cell integrates
-            # it exactly; its value there is the cell mean of Pi u
-            meas = gd.mesh.cell_measures
-            self._rule_cell = np.arange(n_cells)
-            self._rule_P = store(sp.diags(1.0 / meas) @ cell_sum @ gd.P)
-            self._rule_sum = store(sp.diags(meas, format="csr"))
+        # the flux rule's weights (see the class docstring): a(grad u) is
+        # constant per cell, so one point per cell integrates it exactly
+        rule_w = gd.quad_w if flux_model.depends_on_value else gd.mesh.cell_measures
+        self._rule_w = rule_w.reshape(gd.mesh.n_cells, -1)
         self._mass_vals = gd.mass_values(gd.quad_w)
         self._linear_solve = None
         if flux_model.is_linear:
@@ -225,27 +213,19 @@ class Stepper:
         states U_n (B, n) and increment coefficients C (B, k_max)."""
         return self.noise.f0(_rows(self._P, U_n)) * (C @ self.E.T)
 
-    def _cell_sums(self, X):
-        """Weighted per-cell sums (B, n_cells, ...) by the flux rule of point
-        values X (B, n_points, ...)."""
-        B, n_points = X.shape[:2]
-        sums = self._rule_sum @ X.swapaxes(0, 1).reshape(n_points, -1)
-        return sums.reshape((-1, B) + X.shape[2:]).swapaxes(0, 1)
-
-    def _rule_arguments(self, U, g):
-        """The flux arguments at the rule's points of every row, flattened:
-        values Pi u (B * n_points,) and gradients (B * n_points, dim)."""
-        return _rows(self._rule_P, U).ravel(), g[:, self._rule_cell].reshape(-1, self.gd.dim)
-
-    def _flux_integrals(self, U, g):
-        """Cell integrals (B, n_cells, dim) of a(Pi u, g) by the flux rule,
-        for the rows of U and their per-cell gradients g."""
-        a = eval_flux(self.flux, *self._rule_arguments(U, g))
-        return self._cell_sums(a.reshape(len(U), -1, self.gd.dim))
+    def _cell_sums(self, evaluate, U, g):
+        """Cell integrals (B, n_cells, ...) by the flux rule of ``evaluate``
+        (``eval_flux`` or ``eval_flux_jacobian``) for the rows of U and their
+        per-cell gradients g: the weighted sum of each cell's k values."""
+        w = self._rule_w
+        x = _rows(self._P, U).ravel() if self.flux.depends_on_value else np.zeros(len(U) * w.size)
+        X = evaluate(self.flux, x, np.repeat(g, w.shape[1], axis=1).reshape(-1, self.gd.dim))
+        X = X.reshape((len(U),) + w.shape + X.shape[1:])
+        return np.sum(X * w.reshape(w.shape + (1,) * (X.ndim - 3)), axis=2)
 
     def _flux_vector(self, U):
         """The flux term <a(Pi u, grad u), grad phi_i> of every row, (B, n)."""
-        return _rows(self._GT, self._flux_integrals(U, self._gradients(U)).reshape(len(U), -1))
+        return _rows(self._GT, self._cell_sums(eval_flux, U, self._gradients(U)).reshape(len(U), -1))
 
     def residual(self, U, U_n, b_noise):
         """Residuals (B, n) of the step equation at the rows of U."""
@@ -253,9 +233,7 @@ class Stepper:
 
     def _jacobian(self, U):
         """Slot values (B, n_slots) of the Newton matrix at every row of U."""
-        d = self.gd.dim
-        J = eval_flux_jacobian(self.flux, *self._rule_arguments(U, self._gradients(U)))
-        return self._system(self._cell_sums(J.reshape(len(U), -1, d, d)))
+        return self._system(self._cell_sums(eval_flux_jacobian, U, self._gradients(U)))
 
     def _solve(self, values, b):
         """Solve, row by row, the system with slot values ``values[i]`` for
@@ -272,14 +250,11 @@ class Stepper:
             return (eps**2 + r**2) ** ((p - 2.0) / 2.0)
         if self.flux.kind == REGULARIZED_P_LAPLACE:
             return (1.0 + r) ** (p - 2.0)
-        if self.flux.kind == LINEAR_DIFFUSION:
-            return np.ones_like(r)
         # custom: project the cell integral of the flux on the gradient
-        a = self._flux_integrals(U, g)
+        a = self._cell_sums(eval_flux, U, g)
         w = np.ones_like(r)
         nz = r > 1e-14
-        meas = np.broadcast_to(self.gd.mesh.cell_measures, r.shape)
-        w[nz] = np.sum(a[nz] * g[nz], axis=1) / (meas[nz] * r[nz] ** 2)
+        w[nz] = np.sum(a[nz] * g[nz], axis=1) / (self.gd.mesh.cell_measures * r**2)[nz]
         return np.maximum(w, 1e-14)
 
     def step(self, U_n, C):
@@ -308,16 +283,7 @@ class Stepper:
         best_U, best_nr = U.copy(), nr.copy()
         iters = np.zeros(B, dtype=int)
 
-        def keep_best(rows):
-            better = rows[nr[rows] < best_nr[rows]]
-            best_U[better], best_nr[better] = U[better], nr[better]
-
-        active = nr > tol
-        for _ in range(cfg.max_newton):
-            rows = np.flatnonzero(active)
-            if rows.size == 0:
-                break
-            iters[rows] += 1
+        def newton(rows):  # one damped Newton step; returns the rows whose line search failed
             dU = self._solve(self._jacobian(U[rows]), -R[rows])
             t = 1.0
             searching = np.arange(rows.size)  # positions in rows
@@ -329,23 +295,27 @@ class Stepper:
                 ok = (nr_try < nr[r] * (1.0 - 1e-4 * t)) | (nr_try <= tol)
                 U[r[ok]], R[r[ok]], nr[r[ok]] = U_try[ok], R_try[ok], nr_try[ok]
                 searching = searching[~ok]
-                t *= cfg.line_search_shrink
-            keep_best(rows)
-            active[rows] = nr[rows] > tol
-            active[rows[searching]] = False  # a failed line search ends Newton
+                t *= LINE_SEARCH_SHRINK
+            return rows[searching]
 
-        # frozen-coefficient (Kacanov) fallback: isotropic blocks meas * w * I
-        active = nr > tol
-        meas = self.gd.mesh.cell_measures
-        for _ in range(cfg.max_fixed_point):
-            rows = np.flatnonzero(active)
-            if rows.size == 0:
-                break
-            iters[rows] += 1
-            U[rows] = self._solve(self._system(meas * self._kacanov_weights(U[rows])), rhs[rows])
+        def kacanov(rows):  # one frozen-coefficient step, blocks meas * w * I; it cannot fail
+            w = self.gd.mesh.cell_measures * self._kacanov_weights(U[rows])
+            U[rows] = self._solve(self._system(w), rhs[rows])
             nr[rows] = np.linalg.norm(self.residual(U[rows], U_n[rows], b_noise[rows]), axis=1)
-            keep_best(rows)
-            active[rows] = nr[rows] > tol
+            return rows[:0]
+
+        for update, max_iter in ((newton, cfg.max_newton), (kacanov, cfg.max_fixed_point)):
+            active = nr > tol
+            for _ in range(max_iter):
+                rows = np.flatnonzero(active)
+                if rows.size == 0:
+                    break
+                iters[rows] += 1
+                failed = update(rows)
+                better = rows[nr[rows] < best_nr[rows]]
+                best_U[better], best_nr[better] = U[better], nr[better]
+                active[rows] = nr[rows] > tol
+                active[failed] = False  # a failed line search ends Newton
         if active.any():
             row = int(np.flatnonzero(active)[0])
             raise StepFailure(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation, refine
 
@@ -37,6 +38,26 @@ def grad_sin_product(x):
 
 def zero_field(x):
     return np.zeros(len(np.atleast_2d(x)))
+
+
+def dual_norm_oracle(gd, c):
+    """The p = 2 dual norm sup |c . phi| / (||Pi phi||_2 + ||grad phi||_2) as
+    1 / min{||Pi phi||_2 + ||grad phi||_2 : c . phi = 1}, by SLSQP. The
+    objective is convex and the constraint affine, so the minimum it finds
+    is the global one."""
+    M, K = gd.mass.toarray(), gd.stiffness.toarray()
+
+    def norm(phi):
+        return gd.lp_norm(phi, 2.0) + gd.grad_lp_norm(phi, 2.0)
+
+    def grad(phi):
+        return M @ phi / gd.lp_norm(phi, 2.0) + K @ phi / gd.grad_lp_norm(phi, 2.0)
+
+    constraint = {"type": "eq", "fun": lambda phi: c @ phi - 1.0, "jac": lambda phi: c}
+    res = minimize(norm, c / (c @ c), jac=grad, method="SLSQP", constraints=[constraint],
+                   options=dict(ftol=1e-15, maxiter=1000))
+    assert res.success, res.message
+    return 1.0 / res.fun
 
 
 @pytest.fixture(scope="session")

@@ -58,7 +58,9 @@ class TestConfig:
             load_config(path)
 
     def test_missing_file_rejected_at_parse_time(self, tmp_path):
-        path, _ = write_config(tmp_path, mesh={"kind": "file", "path": str(tmp_path / "nope.txt")})
+        path, cfg = write_config(tmp_path)
+        cfg["mesh"] = {"kind": "file", "path": str(tmp_path / "nope.txt")}  # not merged into the interval's keys
+        path.write_text(json.dumps(cfg))
         with pytest.raises(ConfigError, match="does not exist"):
             load_config(path)
 
@@ -76,11 +78,57 @@ class TestConfig:
             ({"noise": {"kmax": 4}}, "noise.kmax"),
             ({"solver": {"newton_tolerance": 1e-8}}, "solver.newton_tolerance"),
             ({"estimators": {"moment_q": [2]}}, "estimators.moment_q"),
+            ({"solver": {"line_search_shrink": 0.5}}, "solver.line_search_shrink"),
         ],
     )
     def test_unknown_key_is_named(self, tmp_path, overrides, key):
         path, _ = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=f"unknown key {key}$"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "section, value, key",
+        [
+            ("mesh", {"kind": "rectangle", "nx": 4, "ny": 4, "rec": [[0, 0], [2, 1]]}, "mesh.rec"),
+            ("mesh", {"kind": "interval", "n_cells": 8, "nx": 4}, "mesh.nx"),
+            ("mesh", {"kind": "file", "path": "{file}", "n_cells": 8}, "mesh.n_cells"),
+            ("flux", {"kind": "p_laplace", "epsilonn": 0.1}, "flux.epsilonn"),
+            ("flux", {"kind": "regularized_p_laplace", "c1": 2.0}, "flux.c1"),
+            ("flux", {"kind": "custom", "callable": "math:hypot", "c3": 1.0}, "flux.c3"),
+            ("u0", {"file": "{file}", "scale": 2.0}, "u0.scale"),
+        ],
+        ids=["mesh-rect-misspelt", "mesh-interval-nx", "mesh-file-n_cells", "flux-epsilon-misspelt",
+             "flux-c1-not-custom", "flux-custom-c3", "u0-scale"],
+    )
+    def test_unknown_key_of_a_kind_is_named(self, tmp_path, section, value, key):
+        existing = tmp_path / "exists.txt"
+        existing.write_text("0\n")
+        path, cfg = write_config(tmp_path, levels=1)
+        cfg[section] = {k: str(existing) if v == "{file}" else v for k, v in value.items()}
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match=f"unknown key {key}$"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "section, value, key",
+        [
+            ("mesh", {"kind": "interval", "n_cells": 8, "a": "0"}, "mesh.a"),
+            ("mesh", {"kind": "rectangle", "nx": 4, "ny": 4, "rect": [[0, 0]]}, "mesh.rect"),
+            ("mesh", {"kind": "rectangle", "nx": 4, "ny": 4, "rect": [[0, 0], [1, "1"]]}, "mesh.rect"),
+            ("flux", "p_laplace", "flux"),
+            ("flux", {"kind": "p_laplace", "epsilon": "0.1"}, "flux.epsilon"),
+            ("flux", {"kind": "p_laplace", "epsilon": -1e-6}, "flux.epsilon"),
+            ("flux", {"kind": "custom", "callable": "math:hypot", "c1": 0}, "flux.c1"),
+            ("flux", {"kind": "custom", "callable": "math:hypot", "c2": True}, "flux.c2"),
+        ],
+        ids=["a-str", "rect-one-corner", "rect-str", "flux-str", "epsilon-str",
+             "epsilon-negative", "c1-zero", "c2-bool"],
+    )
+    def test_bad_mesh_or_flux_value_is_named(self, tmp_path, section, value, key):
+        path, cfg = write_config(tmp_path, p=3.0)
+        cfg[section] = value
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match=key):
             load_config(path)
 
     def test_hash_stable_under_key_order(self, tmp_path):
@@ -286,6 +334,7 @@ class TestCommands:
             pytest.param({"estimators": {"dual_ells": [0]}}, [], id="dual_ells-zero"),
             pytest.param({"estimators": {"dual_ells": [True]}}, [], id="dual_ells-bool"),
             pytest.param({"estimators": {"moments_q": 2}}, [], id="moments_q-not-a-list"),
+            pytest.param({"p": 3.0, "flux": {"kind": "p_laplace", "epsilon": "0.1"}}, [], id="epsilon-str"),
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, overrides, argv):

@@ -449,6 +449,41 @@ class TestFluxRule:
         assert np.abs(J - J_ref).max() <= 1e-13 * np.abs(J_ref).max()
 
 
+def _cell_mean_rule_reference(stepper, U):
+    """The flux vectors and Newton slot values of the rows of U by the
+    earlier flux rule of a gradient-only flux: the value argument from a
+    cell-mean operator and the per-cell sum by a diagonal matrix of cell
+    measures, both stored as the stepper stores its operators."""
+    gd, d, B = stepper.gd, stepper.gd.dim, len(U)
+    n_cells, meas = gd.mesh.n_cells, gd.mesh.cell_measures
+    store = sp.csr_matrix if sp.issparse(stepper._M) else (lambda A: A.toarray())
+    cell_sum = sp.csr_matrix(
+        (gd.quad_w, (gd.quad_cell, np.arange(len(gd.quad_w)))), shape=(n_cells, len(gd.quad_w))
+    )
+    rule_P = store(sp.diags(1.0 / meas) @ cell_sum @ gd.P)
+    rule_sum = store(sp.diags(meas, format="csr"))
+
+    def cell_sums(X):
+        sums = rule_sum @ X.swapaxes(0, 1).reshape(n_cells, -1)
+        return sums.reshape((-1, B) + X.shape[2:]).swapaxes(0, 1)
+
+    x = (rule_P @ U.T).T.ravel()
+    y = stepper._gradients(U)[:, np.arange(n_cells)].reshape(-1, d)
+    a = cell_sums(eval_flux(stepper.flux, x, y).reshape(B, -1, d))
+    J = cell_sums(eval_flux_jacobian(stepper.flux, x, y).reshape(B, -1, d, d))
+    return (stepper._GT @ a.reshape(B, -1).T).T, stepper._system(J)
+
+
+@pytest.mark.parametrize("storage", list(STORAGES))
+@pytest.mark.parametrize("flux", [p_laplace(3.0), regularized_p_laplace(3.0)], ids=["p3", "regularized_p3"])
+def test_flux_rule_bitwise_equal_to_cell_mean_reference(monkeypatch, assembly_case, storage, flux):
+    stepper = _stepper(monkeypatch, assembly_case, storage, flux)
+    U = np.array([0.0, 0.3, 1.0, 4.0])[:, None] * assembly_case[2]
+    ref_vector, ref_jacobian = _cell_mean_rule_reference(stepper, U)
+    assert stepper._flux_vector(U).tobytes() == ref_vector.tobytes()
+    assert stepper._jacobian(U).tobytes() == ref_jacobian.tobytes()
+
+
 def test_kacanov_fallback_converges_for_value_dependent_flux():
     # the frozen coefficients must see the value: frozen at x = 0 the
     # iteration stalled at residual 6.3e-2
