@@ -13,8 +13,9 @@ row per sample; ``coupled_refinement_study``'s runs the block on every
 refinement level and gives its rows of coarse-to-fine differences.
 
 Every Monte Carlo reduction is one streaming statistic, ``RunningVector``:
-Welford's update applied to whole rows, strictly in sample order, so results
-are bit-identical however the blocks were spread over workers.
+one pairwise merge per block of each column's mean and squared deviations,
+block after block in sample order, so results are bit-identical however the
+blocks were spread over workers.
 """
 
 import math
@@ -37,47 +38,41 @@ class MeanSE:
 
 
 class RunningVector:
-    """Streaming elementwise mean, standard error, sample variance and max of
-    a stream of equal-length vectors, by Welford's update applied to every
-    element: a column of equal values has exactly that mean and zero
-    spread, which the plain sums of x and x^2 do not give. Each element
-    takes the same operations as a scalar update, so it is bit for bit the
-    scalar statistic of its column."""
+    """Streaming elementwise mean, standard error and sample variance of
+    equal-length vectors, added a block of rows at a time: the block's
+    column means, by the shifted two-pass x[0] + mean(x - x[0]), and sums of
+    squared deviations are merged in by the pairwise update of Chan, Golub
+    & LeVeque (1983). Equal values give exactly their mean and zero spread,
+    which the plain sums of x and x^2 do not. Each column is summed on its
+    own, as a contiguous row, so its bits do not depend on the width."""
 
     def __init__(self, size):
         self.n = 0
         self.mean = np.zeros(size)
-        self.m2 = np.zeros(size)  # sums of squared deviations from the running mean
-        self.max = np.full(size, -np.inf)
+        self.m2 = np.zeros(size)  # sums of squared deviations from the mean
 
     def add(self, x):
-        """Add one vector, or the rows of an (m, size) block one after the
-        other."""
-        x = np.asarray(x, dtype=float).reshape(-1, len(self.mean))
-        if len(self.mean) == 1:
-            # the same update on Python floats, which are IEEE doubles too,
-            # without a numpy call per value
-            n, mean, m2 = self.n, float(self.mean[0]), float(self.m2[0])
-            for value in x[:, 0].tolist():
-                n += 1
-                delta = value - mean
-                mean += delta / n
-                m2 += delta * (value - mean)
-            self.n, self.mean[0], self.m2[0] = n, mean, m2
-        else:
-            for row in x:
-                self.n += 1
-                delta = row - self.mean
-                self.mean += delta / self.n
-                self.m2 += delta * (row - self.mean)
-        self.max = np.maximum(self.max, x.max(axis=0, initial=-np.inf))
+        """Add one vector, or an (m, size) block of rows in one merge."""
+        cols = np.asarray(x, dtype=float).reshape(-1, len(self.mean)).T.copy()  # a row per column
+        mean = cols[:, 0] + (cols - cols[:, :1]).mean(axis=1)
+        dev = cols - mean[:, None]
+        self.merge(cols.shape[1], mean, np.sum(dev * dev, axis=1))
+
+    def merge(self, m, mean, m2):
+        """Merge in the statistic of m more rows: their column means and sums
+        of squared deviations. A first merge takes them exactly."""
+        n = self.n + m
+        delta = mean - self.mean
+        self.mean = self.mean + delta * (m / n)
+        self.m2 = self.m2 + m2 + delta * delta * (self.n * m / n)
+        self.n = n
 
     def __getitem__(self, cols):
         """The statistic of the columns ``cols`` (an index array or slice),
         as it stands now."""
         part = RunningVector(0)
         part.n = self.n
-        part.mean, part.m2, part.max = (a[cols].copy() for a in (self.mean, self.m2, self.max))
+        part.mean, part.m2 = self.mean[cols].copy(), self.m2[cols].copy()
         return part
 
     @property
@@ -280,15 +275,15 @@ class EnsembleAccumulator:
 
     ``summarize`` computes the pathwise quantities of a block of
     trajectories at once, as one table with a row per sample, and
-    ``add_summary`` reduces its rows in sample order with one
-    ``RunningVector``; one trajectory is a block of one. The table's columns
-    are fixed here, in ``columns``, which maps each quantity's name to its
-    column (an index, or a slice for the per-step ``m_sq`` and the
-    ``extra_fn`` values): ``max_sq``, ``grad_total`` and ``incr_sum``;
-    ``moment.q`` and ``grad_moment.q`` for q in ``moment_qs``;
-    ``translate.ell`` and ``dual.ell`` for the lags; ``mart_h``,
-    ``mart_sup`` and ``m_sq`` with the martingale estimators; then
-    ``extra``, the last columns.
+    ``add_summary`` merges the block into one ``RunningVector``; one
+    trajectory is a block of one. The table's columns are fixed here, in
+    ``columns``, which maps each quantity's name to its column (an index, or
+    a slice for the per-step ``m_sq`` and ``pairs`` and the ``extra_fn``
+    values): ``max_sq``, ``grad_total`` and ``incr_sum``; ``moment.q`` and
+    ``grad_moment.q`` for q in ``moment_qs``; ``translate.ell`` and
+    ``dual.ell`` for the lags; ``mart_h``, ``mart_sup``, ``m_sq`` and the
+    pairs <z_n, Pi e_0> (none without unknowns) with the martingale
+    estimators; then ``extra``, the last columns.
 
     ``p`` sets the gradient moments and the report's exponents; the dual-norm
     increment table always uses the p = 2 dual norm, with one batched search
@@ -311,6 +306,8 @@ class EnsembleAccumulator:
     ):
         if dual_r < 1 or (dual_r & (dual_r - 1)) != 0:
             raise ValueError(f"dual-norm exponent r must be a power of two, got {dual_r}")
+        if with_martingale and not 0.0 < beta < 0.5:
+            raise ValueError(f"beta must lie in (0, 1/2), got {beta}")
         self.sgd = sgd
         self.p = p
         self.moment_qs = tuple(moment_qs)
@@ -335,20 +332,18 @@ class EnsembleAccumulator:
         names += [f"translate.{e}" for e in self.translate_ells] + [f"dual.{e}" for e in self.dual_ells]
         names += ["mart_h", "mart_sup"] if with_martingale else []
         self.columns = {name: k for k, name in enumerate(names)}
-        width = len(names) + (N if with_martingale else 0)
-        if with_martingale:
-            self.columns["m_sq"] = slice(len(names), width)
+        width = len(names)
+        for name, count in [("m_sq", N), ("pairs", N if gd.n_dofs else 0)] if with_martingale else []:
+            self.columns[name] = slice(width, width + count)
+            width += count
         self.columns["extra"] = slice(width, None)
         self.stat = None  # RunningVector over the table, sized by the first block
-        self.pairs = RunningVector(1)
 
     def summarize(self, trajs, stepper):
         """Pathwise quantities of a block of trajectories on this space-time
         grid: a (B, K) table, row b for ``trajs[b]`` in the layout of
-        ``columns``, and the pairs <z_n, Pi e_0> of every step, (B, N) (no
-        columns without the martingale estimators or unknowns).
-        ``add_summary`` reduces the rows strictly in sample order, so reports
-        do not depend on the worker count.
+        ``columns``. ``add_summary`` merges the blocks in sample order, so
+        reports do not depend on the worker count.
 
         The energy-type columns come from the whole block at once
         (``_energy_columns``). The dual-norm search, the martingale
@@ -367,14 +362,13 @@ class EnsembleAccumulator:
             ]) ** self.dual_r
             per_lag = np.split(powers, np.cumsum([N - ell for ell in self.dual_ells])[:-1], axis=1)
             cols += [np.mean(x, axis=1) for x in per_lag]
-        pairs = np.zeros((len(trajs), 0))
         if self.with_martingale:
             rows = [self._martingale_rows(stepper, traj) for traj in trajs]
             mart_h, m_sq, pairs = (np.array(col) for col in zip(*rows))
-            cols += [mart_h, m_sq.max(axis=1) ** (self.martingale_r / 2.0), m_sq]
+            cols += [mart_h, m_sq.max(axis=1) ** (self.martingale_r / 2.0), m_sq, pairs]
         if self.extra_fn is not None:
             cols.append(np.array([np.asarray(self.extra_fn(traj), dtype=float) for traj in trajs]))
-        return np.column_stack(cols), pairs
+        return np.column_stack(cols)
 
     def _martingale_rows(self, stepper, traj):
         """The fractional norm of one path's discrete martingale
@@ -430,15 +424,12 @@ class EnsembleAccumulator:
             *(dt * np.sum(lag_sq(ell)[:, 1:], axis=1) for ell in self.translate_ells),
         ]
 
-    def add_summary(self, summary):
+    def add_summary(self, table):
         """Reduce a block summary (``summarize``): one ``RunningVector``
-        update over the table's rows, in sample order, and one over the
-        pairs, sample after sample and step after step."""
-        table, pairs = summary
+        merge of the whole table."""
         if self.stat is None:
             self.stat = RunningVector(table.shape[1])
         self.stat.add(table)
-        self.pairs.add(pairs.reshape(-1, 1))
 
     def report(self):
         stat = self.stat if self.stat is not None else RunningVector(self.columns["extra"].start)
@@ -461,7 +452,11 @@ class EnsembleAccumulator:
             rep.martingale_h_beta = col["mart_h"]
             rep.martingale_sup_r = col["mart_sup"]
             rep.martingale_sq_by_step = col["m_sq"]
-            rep.increment_pair_mean = self.pairs.results()[0]
+            # the per-step pair columns pooled in step order, n = samples x N
+            pairs, steps = RunningVector(1), stat[self.columns["pairs"]]
+            for mean, m2 in zip(steps.mean, steps.m2) if stat.n else ():
+                pairs.merge(stat.n, mean, m2)
+            rep.increment_pair_mean = pairs.results()[0]
         if self.extra_fn is not None:
             rep.extra = stat[self.columns["extra"]]
         return rep
@@ -564,8 +559,8 @@ def run_ensemble(sgd, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=
     ``EnsembleAccumulator.summarize`` call on the same stepper. A sample's
     noise is bit-identical to the stream of (master_seed, sample, step)
     drawn alone; its states agree with ``run_trajectory`` for that sample
-    alone up to the rounding of the block's row arithmetic. The summaries'
-    rows are reduced strictly in sample order (``add_summary``), so the
+    alone up to the rounding of the block's row arithmetic. The summaries
+    are merged block after block in sample order (``add_summary``), so the
     report is bit-identical for any worker count.
     """
     acc_kwargs = dict(acc_kwargs or {})
@@ -654,10 +649,9 @@ def coupled_refinement_study(sgds, flux_model, noise, u0, master_seed, n_samples
     by ``map_blocks`` on one stepper per level and one coarse-to-fine
     reconstruction matrix per pair: per block, one keyed
     ``coupled_increments`` call, one ``run_block`` per level and the
-    differences of all its samples at once. The rows are reduced in sample
-    order by one ``RunningVector``, so the result is bit-identical for any
-    worker count. A
-    ``StepFailure`` names the ``level`` whose step failed.
+    differences of all its samples at once. The blocks are merged in sample
+    order into one ``RunningVector``, so the result is bit-identical for any
+    worker count. A ``StepFailure`` names the ``level`` whose step failed.
     """
     for a, b in zip(sgds[:-1], sgds[1:]):
         if b.n_steps != 2 * a.n_steps:

@@ -10,6 +10,7 @@ identical (config, seed) at any worker count.
 """
 
 import argparse
+import copy
 import hashlib
 import json
 import os
@@ -111,22 +112,25 @@ def load_config(path):
             raw = json.load(f)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    cfg = _merged(DEFAULTS, raw)
+    cfg = _merged(copy.deepcopy(DEFAULTS), raw)
     _reject_unknown(cfg, [*DEFAULTS, "mesh"], "")
     for section in ("time", "noise", "solver", "estimators"):
         _reject_unknown(_require(cfg, section, dict, ""), DEFAULTS[section], f"{section}.")
     mesh_cfg, kind = _kind(cfg, "mesh", MESH_KEYS)
     positive, real = (lambda v: v >= 1, "an integer >= 1"), (int, float)
+    real_or_null, nonnegative_or_null = (*real, type(None)), (lambda v: v is None or v >= 0, "a number >= 0 or null")
     if kind == "interval":
         _require(mesh_cfg, "n_cells", int, "mesh.", *positive)
-        if not _reals([mesh_cfg.get("a", 0.0), mesh_cfg.get("b", 1.0)], 2):
-            raise ConfigError("keys mesh.a and mesh.b must be numbers")
+        a, b = mesh_cfg.get("a", 0.0), mesh_cfg.get("b", 1.0)
+        if not (_reals([a, b], 2) and a < b):
+            raise ConfigError("keys mesh.a and mesh.b must be numbers with a < b")
     elif kind == "rectangle":
         for k in ("nx", "ny"):
             _require(mesh_cfg, k, int, "mesh.", *positive)
         rect = mesh_cfg.get("rect", [[0, 0], [1, 1]])
-        if not (isinstance(rect, list) and len(rect) == 2 and all(_reals(c, 2) for c in rect)):
-            raise ConfigError("key mesh.rect must be [[x0, y0], [x1, y1]] of numbers")
+        if not (isinstance(rect, list) and len(rect) == 2 and all(_reals(c, 2) for c in rect)
+                and all(lo < hi for lo, hi in zip(*rect))):
+            raise ConfigError("key mesh.rect must be [[x0, y0], [x1, y1]] of numbers with x0 < x1 and y0 < y1")
     else:
         p = Path(_require(mesh_cfg, "path", str, "mesh."))
         if not p.exists():
@@ -136,8 +140,7 @@ def load_config(path):
     _require(cfg, "levels", int, "", *positive)
     _require(cfg, "p", real, "", lambda v: v > 1, "a number > 1")
     flux_cfg, flux_kind = _kind(cfg, "flux", FLUX_KEYS)
-    if flux_cfg["epsilon"] is not None:
-        _require(flux_cfg, "epsilon", real, "flux.", lambda v: v >= 0, "a number >= 0 or null")
+    _require(flux_cfg, "epsilon", real_or_null, "flux.", *nonnegative_or_null)
     if flux_kind == "custom":
         spec = _require(flux_cfg, "callable", str, "flux.")
         if ":" not in spec:
@@ -147,7 +150,16 @@ def load_config(path):
                 _require(flux_cfg, k, real, "flux.", lambda v: v > 0, "positive")
     _require(cfg["time"], "n_steps", int, "time.", *positive)
     _require(cfg["time"], "T", real, "time.", lambda v: v > 0, "positive")
-    _require(cfg["noise"], "k_max", int, "noise.", *positive)
+    noise = cfg["noise"]
+    _require(noise, "k_max", int, "noise.", *positive)
+    _require(noise, "spectrum_s", real, "noise.")
+    _require(noise, "f0_constant", real, "noise.")
+    for k in ("F1", "F2"):
+        _require(noise, k, real_or_null, "noise.", *nonnegative_or_null)
+    f0 = noise["f0"]
+    if not (f0 in ("zero", "constant", "identity", "tanh") or isinstance(f0, list) and f0
+            and all(_reals(row, 2) for row in f0) and all(r[0] < s[0] for r, s in zip(f0, f0[1:]))):
+        raise ConfigError("key noise.f0 must be zero, constant, identity, tanh or a table [[x, y], ...], x increasing")
     _require(cfg, "n_samples", int, "", *positive)
     _require(cfg, "master_seed", int, "", lambda v: v >= 0, "an integer >= 0")
     est = cfg["estimators"]
@@ -208,16 +220,8 @@ def build_flux(cfg):
 
 
 def build_noise_model(cfg, mesh):
-    nc = cfg["noise"]
-    return make_noise(
-        mesh.bounding_box,
-        nc["k_max"],
-        spectrum_s=nc["spectrum_s"],
-        f0=nc["f0"],
-        f0_constant=nc.get("f0_constant", 1.0),
-        F1=nc.get("F1"),
-        F2=nc.get("F2"),
-    )
+    """The noise model of the ``noise`` section, whose keys are ``make_noise``'s arguments."""
+    return make_noise(mesh.bounding_box, **cfg["noise"])
 
 
 class _SineU0:

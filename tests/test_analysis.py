@@ -3,6 +3,7 @@
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -97,21 +98,27 @@ def path_fractional_norm(path, beta, q_exp):
     return fractional_norm(path.sq_distances(), path.dt, beta, q_exp)
 
 
-class ScalarWelford:
-    """The scalar streaming mean and standard error by Welford's update, one
-    value at a time: the reference for ``RunningVector``'s columns."""
+class ScalarMerge:
+    """The statistic of one column on Python floats, merged block by block:
+    the reference for ``RunningVector``'s columns. A block's mean and sum of
+    squared deviations come from its values as one 1-D array."""
 
     def __init__(self):
         self.n = 0
         self.mean = 0.0
         self.m2 = 0.0
 
-    def add(self, x):
-        x = float(x)
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
+    def add(self, block):
+        x = np.array(block, dtype=float).reshape(-1)
+        mean = float(x[0] + (x - x[0]).mean())
+        self.merge(len(x), mean, float(np.sum((x - mean) ** 2)))
+
+    def merge(self, m, mean, m2):
+        n = self.n + m
+        delta = mean - self.mean
+        self.mean = self.mean + delta * (m / n)
+        self.m2 = self.m2 + m2 + delta * delta * (self.n * m / n)
+        self.n = n
 
     def result(self):
         if self.n == 0:
@@ -122,47 +129,64 @@ class ScalarWelford:
         return MeanSE(self.mean, math.sqrt(var / self.n), self.n)
 
 
-def welford(values):
-    """The scalar reference statistic of a sequence of values."""
-    stat = ScalarWelford()
-    for x in values:
-        stat.add(x)
-    return stat.result()
+def merged(blocks):
+    """The reference statistic of each column of a sequence of (m, K)
+    blocks, one ``ScalarMerge`` per column."""
+    stats = [ScalarMerge() for _ in range(np.shape(blocks[0])[1])]
+    for block in blocks:
+        for stat, col in zip(stats, np.asarray(block, dtype=float).T, strict=True):
+            stat.add(col)
+    return stats
 
 
 class TestRunningVector:
+    TABLE = np.random.default_rng(5).standard_normal((257, 40)) * np.logspace(-3, 3, 40)
+    BLOCKS = np.array_split(TABLE, [1, 17, 18, 100])  # blocks of uneven size
+
     def test_columns_equal_the_scalar_reference_bitwise(self):
-        x = np.random.default_rng(5).standard_normal((257, 40)) * np.logspace(-3, 3, 40)
         stat = RunningVector(40)
-        for block in np.array_split(x, [1, 17, 18, 100]):  # blocks of uneven size
+        for block in self.BLOCKS:
             stat.add(block)
-        assert stat.results() == [welford(col) for col in x.T]
+        assert stat.results() == [ref.result() for ref in merged(self.BLOCKS)]
         assert stat.n == 257
-        np.testing.assert_array_equal(stat.max, x.max(axis=0))
+
+    def test_columns_match_exact_rational_statistics(self):
+        # |mean - exact| <= 1e-15 sd and |variance - exact| <= 1e-15 variance
+        # against the exact mean and sample variance of the same doubles
+        stat = RunningVector(40)
+        for block in self.BLOCKS:
+            stat.add(block)
+        for k, col in enumerate(self.TABLE.T):
+            values = [Fraction(v) for v in col.tolist()]
+            mean = sum(values) / len(values)
+            var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+            assert abs(Fraction(stat.mean[k]) - mean) <= 1e-15 * math.sqrt(var), k
+            assert abs(Fraction(stat.variance[k]) - var) <= Fraction(1e-15) * var, k
 
     def test_equal_rows_have_zero_spread(self):
         stat = RunningVector(2)
-        stat.add(np.full((3, 2), 0.1845861140097293))
+        for m in (3, 1, 5):
+            stat.add(np.full((m, 2), 0.1845861140097293))
+        assert stat.n == 9
         np.testing.assert_array_equal(stat.mean, 0.1845861140097293)
         np.testing.assert_array_equal(stat.variance, 0.0)
         np.testing.assert_array_equal(stat.se, 0.0)
         np.testing.assert_array_equal(stat.variance_se, 0.0)
 
     def test_one_column_equals_the_scalar_reference_bitwise(self):
-        # a one-column block takes the update on Python floats, the wider
-        # blocks on numpy rows: both are the scalar statistic bit for bit
+        # a column is summed on its own, alone or beside another: both are
+        # the scalar statistic bit for bit
         x = np.random.default_rng(7).standard_normal(300)
-        narrow, wide, scalar = RunningVector(1), RunningVector(2), ScalarWelford()
+        narrow, wide, scalar = RunningVector(1), RunningVector(2), ScalarMerge()
         for block in np.array_split(x, [1, 17, 18, 100, 101, 250]):
             narrow.add(block.reshape(-1, 1))
             wide.add(np.column_stack([block, -block]))
-            for value in block:
-                scalar.add(value)
+            scalar.add(block)
             assert narrow.n == wide.n == scalar.n
             assert (narrow.mean[0], narrow.m2[0]) == (scalar.mean, scalar.m2)
-            for name in ("mean", "m2", "max", "variance", "se", "variance_se"):
+            for name in ("mean", "m2", "variance", "se", "variance_se"):
                 np.testing.assert_array_equal(getattr(narrow, name), getattr(wide, name)[:1], err_msg=name)
-        assert narrow.results() == [welford(x)]
+        assert narrow.results() == [scalar.result()]
 
     def test_before_two_rows(self):
         stat = RunningVector(2)
@@ -181,7 +205,6 @@ class TestRunningVector:
         assert part.n == 9
         assert part.results() == stat.results()[2:]
         np.testing.assert_array_equal(part.variance, stat.variance[2:])
-        np.testing.assert_array_equal(part.max, x[:, 2:].max(axis=0))
 
 
 class TestContinuousTranslate:
@@ -396,7 +419,7 @@ class TestDualNormSearch:
         N = traj.sgd.n_steps
         acc = EnsembleAccumulator(traj.sgd, 3.0, dual_ells=(1, 2, 4, 8), dual_r=4)
         stepper = Stepper(traj.sgd, traj.flux, traj.noise)
-        table, _ = acc.summarize([traj], stepper)
+        table = acc.summarize([traj], stepper)
         got = {int(name[5:]): table[0, k] for name, k in acc.columns.items() if name.startswith("dual.")}
         assert set(got) == {1, 2, 4, 8}
         rows_all, ref_all = [], []
@@ -562,6 +585,14 @@ class TestEstimators:
         table = reduce_block(trajs, 2.0, dual_r=2, **dual).dual_increment_table
         assert set(table) == {(1, 2), (2, 2)}
 
+    def test_martingale_beta_checked_at_construction(self, small_ensemble):
+        sgd = small_ensemble[0]
+        for beta in (0.0, 0.5, 0.7):
+            with pytest.raises(ValueError, match="beta"):
+                EnsembleAccumulator(sgd, 2.0, beta=beta)
+        # without the martingale estimators no fractional norm reads beta
+        EnsembleAccumulator(sgd, 2.0, beta=0.7, with_martingale=False)
+
     def test_dual_increments_of_constant_path_zero(self):
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
@@ -709,16 +740,13 @@ class TestBlocks:
         assert a["martingale_h_beta"] == b["martingale_h_beta"]
 
 
-def _summary_columns(acc, summary):
+def _summary_columns(acc, table):
     """A block summary's columns by name ("max_sq", "translate.2", ...,
-    "m_sq", "extra"), and its pairs as "pairs"."""
-    table, pairs = summary
-    flat = {name: table[:, k] for name, k in acc.columns.items()}
-    flat["pairs"] = pairs
-    return flat
+    "m_sq", "pairs", "extra")."""
+    return {name: table[:, k] for name, k in acc.columns.items()}
 
 
-EXTRA_FIELDS = ("n", "mean", "variance", "se", "variance_se", "max")
+EXTRA_FIELDS = ("n", "mean", "variance", "se", "variance_se")
 
 
 def _report_fields(rep):
@@ -747,13 +775,16 @@ def reference_martingale(stepper, traj, beta, r):
 
 def reference_report_fields(acc, summaries):
     """The report fields of an accumulator's block summaries by the scalar
-    reference: the Welford statistic of each column of the tables in sample
-    order, and of the pairs sample after sample and step after step."""
-    table = np.concatenate([table for table, _ in summaries])
-    stats = [welford(col) for col in table.T]
-    col = {name: stats[k] for name, k in acc.columns.items()}
+    reference: each column's statistic merged block after block in sample
+    order, and the pairs' per-step statistics pooled in step order."""
+    stats = merged(summaries)
+    results = [stat.result() for stat in stats]
+    col = {name: results[k] for name, k in acc.columns.items()}
+    pairs = ScalarMerge()
+    for stat in stats[acc.columns["pairs"]]:
+        pairs.merge(stat.n, stat.mean, stat.m2)
     return {
-        "n_samples": len(table),
+        "n_samples": sum(len(table) for table in summaries),
         "energy_max_l2_sq": col["max_sq"],
         "grad_lp_p": col["grad_total"],
         "increment_sum": col["incr_sum"],
@@ -764,7 +795,7 @@ def reference_report_fields(acc, summaries):
         "martingale_h_beta": col["mart_h"],
         "martingale_sup_r": col["mart_sup"],
         "martingale_sq_by_step": col["m_sq"],
-        "increment_pair_mean": welford(np.concatenate([pairs.ravel() for _, pairs in summaries])),
+        "increment_pair_mean": pairs.result(),
         "extra": col["extra"],
     }
 
@@ -1009,11 +1040,11 @@ class TestCoupledStudy:
         assert built == {"steppers": 3, "transfers": 2}
         # the rows it reduced, by the scalar reference, bit for bit
         assert len(reduced) == 3
-        assert stats == [welford(col) for col in np.concatenate(reduced).T]
+        assert stats == [ref.result() for ref in merged(reduced)]
         rows = reference_coupled_rows(sgds, p_laplace(3.0), noise, sin_pi, 9, self.N_SAMPLES, 3.0)
         assert rows.shape == (self.N_SAMPLES, 2) and np.all(rows > 0.0)
-        for stat, col in zip(stats, rows.T, strict=True):
-            ref = welford(col)
+        for stat, ref in zip(stats, merged([rows]), strict=True):
+            ref = ref.result()
             assert stat.n == ref.n == self.N_SAMPLES
             assert abs(stat.mean - ref.mean) <= 1e-13 * ref.mean
             assert abs(stat.se - ref.se) <= 1e-13 * ref.se

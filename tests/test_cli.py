@@ -31,13 +31,28 @@ def write_config(tmp_path, **overrides):
         "output_dir": str(tmp_path / "out"),
     }
     for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+        # a mesh override replaces the section: each mesh kind has its own keys
+        if isinstance(value, dict) and isinstance(cfg.get(key), dict) and key != "mesh":
             cfg[key].update(value)
         else:
             cfg[key] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
+
+
+# Mesh and noise values a config must reject, naming the key: (id, section, value, key).
+BAD_MESH_AND_NOISE = [
+    ("interval-a-not-below-b", "mesh", {"kind": "interval", "n_cells": 8, "a": 1.0, "b": 1.0}, "mesh.a"),
+    ("rect-x0-not-below-x1", "mesh", {"kind": "rectangle", "nx": 2, "ny": 2, "rect": [[1, 0], [0, 1]]}, "mesh.rect"),
+    ("rect-y0-not-below-y1", "mesh", {"kind": "rectangle", "nx": 2, "ny": 2, "rect": [[0, 2], [1, 2]]}, "mesh.rect"),
+    ("spectrum_s-str", "noise", {"spectrum_s": "1.5"}, "noise.spectrum_s"),
+    ("f0-unknown", "noise", {"f0": "tan"}, "noise.f0"),
+    ("f0-table-decreasing", "noise", {"f0": [[1.0, 0.5], [0.0, 0.5]]}, "noise.f0"),
+    ("f0_constant-str", "noise", {"f0": "constant", "f0_constant": "2"}, "noise.f0_constant"),
+    ("F1-negative", "noise", {"F1": -1.0}, "noise.F1"),
+    ("F2-str", "noise", {"F2": "1"}, "noise.F2"),
+]
 
 
 class TestConfig:
@@ -130,6 +145,23 @@ class TestConfig:
         path.write_text(json.dumps(cfg))
         with pytest.raises(ConfigError, match=key):
             load_config(path)
+
+    @pytest.mark.parametrize("section, value, key", [case[1:] for case in BAD_MESH_AND_NOISE],
+                             ids=[case[0] for case in BAD_MESH_AND_NOISE])
+    def test_bad_mesh_or_noise_value_is_named(self, tmp_path, section, value, key):
+        path, _ = write_config(tmp_path, **{section: value})
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    def test_loaded_config_shares_nothing_with_the_defaults(self, tmp_path):
+        # the config has no solver section and takes moments_q by default
+        path, _ = write_config(tmp_path)
+        first = load_config(path)
+        first["solver"]["max_newton"] = 0
+        first["estimators"]["moments_q"].append(4)
+        again = load_config(path)
+        assert again["solver"]["max_newton"] == 30
+        assert again["estimators"]["moments_q"] == [1, 2, 3]
 
     def test_hash_stable_under_key_order(self, tmp_path):
         path, cfg = write_config(tmp_path)
@@ -335,6 +367,7 @@ class TestCommands:
             pytest.param({"estimators": {"dual_ells": [True]}}, [], id="dual_ells-bool"),
             pytest.param({"estimators": {"moments_q": 2}}, [], id="moments_q-not-a-list"),
             pytest.param({"p": 3.0, "flux": {"kind": "p_laplace", "epsilon": "0.1"}}, [], id="epsilon-str"),
+            *(pytest.param({section: value}, [], id=name) for name, section, value, _ in BAD_MESH_AND_NOISE),
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, overrides, argv):
