@@ -9,7 +9,7 @@ import numpy as np
 
 from sgdm import build_gd, build_uniform_interval
 from sgdm.flux import custom_flux, linear_diffusion, p_laplace, probe_assumptions, regularized_p_laplace
-from sgdm.noise import RngStream, growth_check, make_noise, sample_increment
+from sgdm.noise import growth_check, make_noise, sample_increment
 
 print("flux probes (100000 samples each):")
 for name, model in [
@@ -41,8 +41,8 @@ print(f"  planted unbounded f0(s)=s^2: violations = {rep.violations}")
 
 print("\nincrement sampling is reproducible and counter-keyed:")
 noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
-a = sample_increment(noise, RngStream(123, 0, 1), 0.01).coeffs
-b = sample_increment(noise, RngStream(123, 0, 1), 0.01).coeffs
-c = sample_increment(noise, RngStream(123, 0, 2), 0.01).coeffs
+a = sample_increment(noise, 123, 0, 1, 0.01)
+b = sample_increment(noise, 123, 0, 1, 0.01)
+c = sample_increment(noise, 123, 0, 2, 0.01)
 print(f"  same stream twice: identical = {np.array_equal(a, b)}")
 print(f"  next time index:   identical = {np.array_equal(a, c)} (expected False)")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import ziggurat_tables
+from .noise import sample_increment, ziggurat_tables
 from .scheme import Stepper, StepFailure, run_block, run_trajectory
 
 
@@ -628,9 +628,7 @@ def coupled_increments(noise, master_seed, sample_index, n_fine, dt_fine, n_leve
     ``sample_index`` may be a (B, 1) column of indices: the arrays then have
     a leading sample axis, (B, n_steps, k_max), drawn in the same one call,
     and row b is bit-identical to the arrays of sample b alone."""
-    from .noise import RngStream, sample_increment
-
-    fine = sample_increment(noise, RngStream(master_seed, sample_index, np.arange(1, n_fine + 1)), dt_fine).coeffs
+    fine = sample_increment(noise, master_seed, sample_index, np.arange(1, n_fine + 1), dt_fine)
     levels = [fine]
     for _ in range(n_levels - 1):
         prev = levels[-1]

@@ -28,7 +28,7 @@ from .flux import custom_flux, linear_diffusion, p_laplace, probe_assumptions, r
 from .gd import KINDS, build_gd
 from .indicators import consistency_error, indicator_T, indicator_W, poincare_constant
 from .mesh import build_uniform_interval, build_uniform_triangulation, load_mesh, refine
-from .noise import growth_check, make_noise
+from .noise import F0_KINDS, growth_check, make_noise
 from .scheme import SolverConfig, SpaceTimeGD, StepFailure
 
 
@@ -95,11 +95,11 @@ def _kind(cfg, section, keys):
     return sub, kind
 
 
-def _merged(defaults, given, path=""):
+def _merged(defaults, given):
     out = dict(defaults)
     for k, v in given.items():
         if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merged(out[k], v, f"{path}{k}.")
+            out[k] = _merged(out[k], v)
         else:
             out[k] = v
     return out
@@ -157,9 +157,9 @@ def load_config(path):
     for k in ("F1", "F2"):
         _require(noise, k, real_or_null, "noise.", *nonnegative_or_null)
     f0 = noise["f0"]
-    if not (f0 in ("zero", "constant", "identity", "tanh") or isinstance(f0, list) and f0
+    if not (f0 in F0_KINDS or isinstance(f0, list) and f0
             and all(_reals(row, 2) for row in f0) and all(r[0] < s[0] for r, s in zip(f0, f0[1:]))):
-        raise ConfigError("key noise.f0 must be zero, constant, identity, tanh or a table [[x, y], ...], x increasing")
+        raise ConfigError(f"key noise.f0 must be {', '.join(F0_KINDS)} or a table [[x, y], ...], x increasing")
     _require(cfg, "n_samples", int, "", *positive)
     _require(cfg, "master_seed", int, "", lambda v: v >= 0, "an integer >= 0")
     est = cfg["estimators"]

@@ -160,15 +160,20 @@ class ProbeReport:
         )
 
 
-def probe_assumptions(model, n_samples, value_range=5.0, grad_range=5.0, rng_seed=0, dim=2, slack=1e-12):
-    """Sample (x, y, z) uniformly and count violations of the three structure
-    inequalities beyond the given slack; report empirically tight constants."""
+PROBE_RANGE = 5.0
+PROBE_SLACK = 1e-12
+
+
+def probe_assumptions(model, n_samples, rng_seed=0, dim=2):
+    """Sample x, y and z uniformly from the box of half-width PROBE_RANGE and
+    count violations of the three structure inequalities beyond PROBE_SLACK;
+    report empirically tight constants."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    x = rng.uniform(-value_range, value_range, n_samples)
-    y = rng.uniform(-grad_range, grad_range, (n_samples, dim))
-    z = rng.uniform(-grad_range, grad_range, (n_samples, dim))
+    x = rng.uniform(-PROBE_RANGE, PROBE_RANGE, n_samples)
+    y = rng.uniform(-PROBE_RANGE, PROBE_RANGE, (n_samples, dim))
+    z = rng.uniform(-PROBE_RANGE, PROBE_RANGE, (n_samples, dim))
 
     ay = eval_flux(model, x, y)
     az = eval_flux(model, x, z)
@@ -184,9 +189,9 @@ def probe_assumptions(model, n_samples, value_range=5.0, grad_range=5.0, rng_see
 
     return ProbeReport(
         n_samples=n_samples,
-        coercivity_violations=int(np.sum(coer < -slack)),
-        growth_violations=int(np.sum(growth < -slack)),
-        monotonicity_violations=int(np.sum(mono < -slack)),
+        coercivity_violations=int(np.sum(coer < -PROBE_SLACK)),
+        growth_violations=int(np.sum(growth < -PROBE_SLACK)),
+        monotonicity_violations=int(np.sum(mono < -PROBE_SLACK)),
         tight_c1=tight_c1,
         tight_c2=tight_c2,
     )

@@ -130,16 +130,16 @@ def _cellwise_vector_integral(gd, values, weights):
     ).ravel()
 
 
-def interpolate_best(gd, phi, grad_phi, p=2.0, phat=None):
-    """Minimize ||reconstruction - phi||_phat + ||gradient - grad phi||_p.
+def interpolate_best(gd, phi, grad_phi, p=2.0):
+    """Minimize ||reconstruction - phi||_phat + ||gradient - grad phi||_p,
+    with phat = max(2, p/(p-1)).
 
     A squared-sum surrogate solve provides the starting point; reweighted
     least squares on the true sum-of-norms objective then polishes it. The
     returned ``value`` is attained at the returned coefficients, hence always
     an upper bound for the exact minimum (and equal to it at convergence).
     """
-    if phat is None:
-        phat = max(2.0, p / (p - 1.0))
+    phat = max(2.0, p / (p - 1.0))
     phi_q = np.asarray(phi(gd.quad_x), dtype=float)
     gphi_q = np.asarray(grad_phi(gd.quad_x), dtype=float).reshape(-1, gd.dim)
 
@@ -189,9 +189,10 @@ def interpolate_best(gd, phi, grad_phi, p=2.0, phat=None):
     return BestFit(best_w, best_val, converged, it)
 
 
-def consistency_error(gd, phi, grad_phi, p=2.0, phat=None):
-    """Attained best-interpolation objective (upper bound on the minimum)."""
-    return interpolate_best(gd, phi, grad_phi, p=p, phat=phat).value
+def consistency_error(gd, phi, grad_phi, p=2.0):
+    """Attained best-interpolation objective (upper bound on the minimum),
+    with phat = max(2, p/(p-1)) as in ``interpolate_best``."""
+    return interpolate_best(gd, phi, grad_phi, p=p).value
 
 
 # -- limit-conformity ----------------------------------------------------------

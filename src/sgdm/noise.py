@@ -9,13 +9,13 @@ multiplication operator k |-> f0(v(.)) k(.).
 
 Increments are drawn from counter-based streams keyed by (master seed,
 sample, step), each bit-identical to numpy's ``Generator(Philox(...))`` of
-that key. A block's keys are hashed at once in numpy arrays, by numpy's
-SeedSequence hash (``stream_keys``). Where that pays (many streams of few
-draws, see ``sample_increment``), so are its normals: the raw words by
-Philox4x64-10 (``philox_words``) and the normals by the fast path of
-numpy's ziggurat, whose tables are read from numpy itself once per process
-(``ziggurat_tables``). Every other stream, and a stream with a draw off the
-fast path, is drawn by numpy's own generator (``_KeyedNormals``).
+that key. Every draw, whatever its block's shape, takes one path: the keys
+are hashed at once in numpy arrays, by numpy's SeedSequence hash
+(``stream_keys``), the raw words by Philox4x64-10 (``philox_words``) and
+the normals by the fast path of numpy's ziggurat, whose tables are read
+from numpy itself at a process's first draw (``ziggurat_tables``). A stream
+with a draw off the fast path, and every stream when the tables fail their
+check, is drawn by numpy's own generator (``_KeyedNormals``).
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-F0_KINDS = ("zero", "constant", "identity", "tanh", "custom")
+F0_KINDS = ("zero", "constant", "identity", "tanh")  # or a callable, or a table
 
 
 class SineBasis:
@@ -125,7 +125,7 @@ def make_noise(bbox, k_max, spectrum_s=1.5, f0="tanh", f0_constant=1.0, q=None, 
         F1 = 0.0 if F1 is None else F1
         F2 = 1.0 if F2 is None else F2
     else:
-        raise ValueError(f"unknown f0 {f0!r}; expected callable or one of {F0_KINDS}")
+        raise ValueError(f"unknown f0 {f0!r}; expected one of {F0_KINDS}, a callable or a table [[x, y], ...]")
     return NoiseModel(k_max, q, basis, fn, kind, float(F1), float(F2))
 
 
@@ -156,26 +156,6 @@ class _TableMultiplier:
         return np.interp(s, self.table[:, 0], self.table[:, 1])
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Counter-based random stream keyed by (master seed, sample, time).
-
-    The stream is numpy's ``Generator(Philox(SeedSequence(entropy=
-    master_seed, spawn_key=(sample_index, time_index))))``. Distinct stream
-    ids are statistically independent; the same key is bit-reproducible
-    regardless of sampling order or worker placement. ``sample_index`` and
-    ``time_index`` may be integer arrays, broadcast against each other: the
-    stream then stands for the grid of streams (master_seed, s, n), one per
-    broadcast entry, and ``sample_increment`` draws one increment per entry.
-    A (B, 1) column of samples against an (N,) row of steps is the noise of
-    a block's whole path.
-    """
-
-    master_seed: int
-    sample_index: int
-    time_index: int
-
-
 # numpy's SeedSequence hash (a pool of four 32-bit words), written out so that
 # one array of sample indices is hashed at once; every value is a Python int
 # or a uint64 array holding 32-bit words.
@@ -184,19 +164,6 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _uint32_words(n):
-    """The 32-bit words of a nonnegative integer, least significant first
-    (one word for 0), as SeedSequence splits its entropy."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"stream ids must be nonnegative, got {n}")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
 
 
 def _hashmix(value, const, mult):
@@ -223,21 +190,16 @@ def _successors(const, mult):
 
 @lru_cache(maxsize=64)
 def _master_pool(master_seed):
-    """The pool, a (_POOL_SIZE, 1) column, and the running hash constant after
-    the master seed's words (zero padded to the pool size, as with a spawn
-    key): the part of every stream's hash that the sample and time indices
-    do not touch."""
-    words = _uint32_words(master_seed)
-    words += [0] * (_POOL_SIZE - len(words))
-    consts, const = _successors(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, c, _MULT_A) for word, c in zip(words, consts)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const, _MULT_A))
-                const = const * _MULT_A & _MASK32
-    pool, const = _mix_words(np.array(pool, dtype=np.uint64)[:, None], const, words[_POOL_SIZE:])
+    """The pool of ``SeedSequence(master_seed)``, a (_POOL_SIZE, 1) column,
+    and the running hash constant after it: the part of every stream's hash
+    that the sample and time indices do not touch. Mixing the entropy steps
+    the constant once per pool word, once per ordered pair of pool words and
+    once per pool word for each of the w entropy words past the pool size:
+    4 (4 + w) steps in all."""
+    pool = np.random.SeedSequence(master_seed).pool.astype(np.uint64)[:, None]
     pool.flags.writeable = False  # shared by every call with this seed
+    extra = max(0, -(-master_seed.bit_length() // 32) - _POOL_SIZE)
+    const = _INIT_A * pow(_MULT_A, _POOL_SIZE * (_POOL_SIZE + extra), 2**32) & _MASK32
     return pool, const
 
 
@@ -290,8 +252,8 @@ class _KeyedNormals:
     state, so no draw depends on an earlier one; not thread-safe.
 
     The slow path of ``keyed_normals``, for the streams with a draw off the
-    ziggurat's fast path, and the reference its fast path is checked
-    against."""
+    ziggurat's fast path and for every stream when the tables fail their
+    check, and the reference its fast path is checked against."""
 
     def __init__(self):
         self.bits = np.random.Philox(0)
@@ -450,17 +412,6 @@ def _checked_tables(tables):
     return tables if rows.size and np.array_equal(x[rows], want) else None
 
 
-# The array passes of keyed_normals cost 0.15-0.2 ms per call whatever the
-# count, and numpy draws again every stream with a draw off the fast path,
-# 2.5-3 us each; a stream of k draws leaves the fast path with probability
-# about 1 - 0.985^k. Against numpy's loop (one core of a 2-vCPU VM) the
-# array path took 0.64, 0.89 and 1.05 of the loop's time at 128 streams of
-# k = 1, 8 and 16 draws, 0.14, 0.42 and 0.58 at 4096 streams, and 1.2-2.4
-# at k = 32 and 64 for 64 to 4096 streams. Hence arrays for at least
-# _ARRAY_STREAMS streams of at most _ARRAY_DRAWS draws.
-_ARRAY_STREAMS, _ARRAY_DRAWS = 128, 16
-
-
 @lru_cache(maxsize=None)
 def ziggurat_tables():
     """numpy's ziggurat tables (ki, wi), derived and checked once per process
@@ -477,11 +428,12 @@ def ziggurat_tables():
 def keyed_normals(keys, n, tables):
     """n standard normals of each stream with Philox keys (S, 2), (S, n),
     each row bit-identical to numpy's draws from that stream (see
-    ``_KeyedNormals``). The raw words of every stream come from one
-    ``philox_words`` call and go through the ziggurat's fast path with the
-    ``tables`` (``ziggurat_tables``); a stream with any draw off the fast
-    path is drawn by numpy, and so is every stream when ``tables`` is
-    None."""
+    ``_KeyedNormals``), for any S and n. The raw words of every stream come
+    from one ``philox_words`` call and go through the ziggurat's fast path
+    with the ``tables`` (``ziggurat_tables``); a stream with any draw off
+    the fast path (a stream of n draws leaves it with probability about
+    1 - 0.985^n) is drawn by numpy, and so is every stream when ``tables``
+    is None."""
     keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
     if tables is None:
         return np.array([_keyed_normals(key, n) for key in keys]).reshape(len(keys), n)
@@ -491,36 +443,23 @@ def keyed_normals(keys, n, tables):
     return x
 
 
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """One sampled Wiener increment: coeffs_k = q_k sqrt(dt) xi_k; a grid of
-    increments has coeffs of shape (..., k_max), one row per stream."""
+def sample_increment(noise, master_seed, sample_index, time_index, dt):
+    """Q-Wiener increments over a step of length dt: the coefficients
+    q_k sqrt(dt) xi_k of the stream (master_seed, sample_index, time_index),
+    a (k_max,) array.
 
-    coeffs: np.ndarray
-    dt: float
-
-
-def sample_increment(noise, stream, dt):
-    """Draw a Q-Wiener increment over a step of length dt from an
-    ``RngStream``.
-
-    A stream of index arrays gives coeffs of the broadcast shape of its
-    sample and time indices plus a last axis of k_max, one increment per
-    stream (master seed, s, n), each bit-identical to the increment of that
-    stream drawn alone: one call keys a block's whole path, (B, N, k_max)
-    for a (B, 1) column of samples and N steps. The keys are hashed in one
-    pass (``stream_keys``), and the normals of all the streams are drawn in
-    numpy arrays (``keyed_normals``): Philox words and the ziggurat's fast
-    path, with numpy drawing only the streams that leave the fast path.
-    Fewer than ``_ARRAY_STREAMS`` streams, or more than ``_ARRAY_DRAWS``
-    draws per stream, are all drawn by numpy, which is faster there."""
+    The indices may be integer arrays, broadcast against each other: the
+    result then has their broadcast shape plus a last axis of k_max, one
+    increment per stream (master_seed, s, n), each bit-identical to the
+    increment of that stream drawn alone. One call keys a block's whole
+    path, (B, N, k_max) for a (B, 1) column of samples and N steps. The keys
+    are hashed in one pass (``stream_keys``) and the normals of all the
+    streams drawn in one ``keyed_normals`` call."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    keys = stream_keys(stream.master_seed, stream.sample_index, stream.time_index)
-    arrays = keys.size // 2 >= _ARRAY_STREAMS and noise.k_max <= _ARRAY_DRAWS
-    tables = ziggurat_tables() if arrays else None
-    xi = keyed_normals(keys, noise.k_max, tables).reshape(keys.shape[:-1] + (noise.k_max,))
-    return NoiseIncrement(noise.q * np.sqrt(dt) * xi, float(dt))
+    keys = stream_keys(master_seed, sample_index, time_index)
+    xi = keyed_normals(keys, noise.k_max, ziggurat_tables()).reshape(keys.shape[:-1] + (noise.k_max,))
+    return noise.q * np.sqrt(dt) * xi
 
 
 @dataclass
@@ -534,9 +473,13 @@ class GrowthReport:
         return self.violations == 0
 
 
-def growth_check(noise, gd, trials=1000, amplitude=1.0, rng_seed=0, slack=1e-10):
-    """Verify ||f(v) k||^2 <= F1 ||Pi v||^2 + F2 for random states v and
-    random unit elements k of the truncated covariance space."""
+GROWTH_SLACK = 1e-10  # excess over the growth bound not counted as a violation
+
+
+def growth_check(noise, gd, trials=1000, amplitude=1.0, rng_seed=0):
+    """Verify ||f(v) k||^2 <= F1 ||Pi v||^2 + F2, up to GROWTH_SLACK, for
+    random states v and random unit elements k of the truncated covariance
+    space."""
     rng = np.random.default_rng(rng_seed)
     E = noise.basis.values(gd.quad_x)  # (n_q, k_max)
     violations = 0
@@ -551,6 +494,6 @@ def growth_check(noise, gd, trials=1000, amplitude=1.0, rng_seed=0, slack=1e-10)
         rhs = noise.F1 * float(np.sum(gd.quad_w * vals**2)) + noise.F2
         excess = lhs - rhs
         max_excess = max(max_excess, excess)
-        if excess > slack:
+        if excess > GROWTH_SLACK:
             violations += 1
     return GrowthReport(trials, violations, max_excess)

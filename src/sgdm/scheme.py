@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .flux import P_LAPLACE, REGULARIZED_P_LAPLACE, eval_flux, eval_flux_jacobian
-from .noise import RngStream, sample_increment
+from .noise import sample_increment
 
 LINE_SEARCH_SHRINK = 0.5  # the Newton line search's step factor, down to steps of 1e-10
 
@@ -350,8 +350,8 @@ def run_block(sgd, flux_model, noise, u0, master_seed, samples, cfg=None, increm
     samples = [int(s) for s in samples]
     B = len(samples)
     if increments is None:
-        streams = RngStream(master_seed, np.array(samples, dtype=np.int64)[:, None], np.arange(1, N + 1))
-        increments = sample_increment(noise, streams, sgd.dt).coeffs
+        column = np.array(samples, dtype=np.int64)[:, None]
+        increments = sample_increment(noise, master_seed, column, np.arange(1, N + 1), sgd.dt)
     used = np.array(increments, dtype=float).reshape(B, N, noise.k_max)
     u = np.zeros((B, N + 1, gd.n_dofs))
     u[:, 0] = gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)

@@ -33,7 +33,7 @@ from sgdm.analysis import (
 )
 from sgdm.analysis import _lp_differences, _sample_blocks
 from sgdm.flux import linear_diffusion, p_laplace
-from sgdm.noise import RngStream, make_noise, sample_increment, ziggurat_tables
+from sgdm.noise import make_noise, sample_increment, ziggurat_tables
 from sgdm.scheme import SpaceTimeGD, Stepper, run_block, run_trajectory
 
 from conftest import dual_norm_oracle, sin_pi, sin_product, zero_field
@@ -939,7 +939,7 @@ class TestRefinementTools:
         fine = coupled_increments(noise, 7, 2, n_fine=8, dt_fine=0.0625, n_levels=3)[-1]
         assert fine.shape == (8, 3)
         for n in range(8):
-            np.testing.assert_array_equal(fine[n], sample_increment(noise, RngStream(7, 2, n + 1), 0.0625).coeffs)
+            np.testing.assert_array_equal(fine[n], sample_increment(noise, 7, 2, n + 1, 0.0625))
 
     def test_coupled_increments_of_a_sample_column(self):
         noise = make_noise([[0.0], [1.0]], 3, f0="tanh")

@@ -14,7 +14,6 @@ from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation
 from sgdm import noise as noise_module
 from sgdm.flux import linear_diffusion
 from sgdm.noise import (
-    RngStream,
     growth_check,
     keyed_normals,
     make_noise,
@@ -34,29 +33,19 @@ def gd16():
 class TestIncrements:
     def test_variance_matches_dt(self):
         noise = make_noise([[0.0], [1.0]], 1, q=[1.0], f0="constant")
-        draws = np.array(
-            [
-                sample_increment(noise, RngStream(123, s, 1), 0.01).coeffs[0]
-                for s in range(100_000)
-            ]
-        )
+        draws = sample_increment(noise, 123, np.arange(100_000), 1, 0.01)[:, 0]
         assert 0.0097 <= draws.var() <= 0.0103  # 3 sigma band around 0.01
         assert abs(draws.mean()) <= 3.0 * 0.1 / np.sqrt(len(draws))
 
     def test_zero_spectrum(self):
         noise = make_noise([[0.0], [1.0]], 3, q=[0.0, 0.0, 0.0], f0="constant")
-        inc = sample_increment(noise, RngStream(1, 2, 3), 0.5)
-        np.testing.assert_array_equal(inc.coeffs, 0.0)
+        inc = sample_increment(noise, 1, 2, 3, 0.5)
+        np.testing.assert_array_equal(inc, 0.0)
 
     def test_k_norm_mean_is_trace_times_dt(self):
         noise = make_noise([[0.0], [1.0]], 8, spectrum_s=1.5, f0="tanh")
         dt = 0.125
-        sq = np.array(
-            [
-                np.sum(sample_increment(noise, RngStream(9, s, 1), dt).coeffs ** 2)
-                for s in range(20_000)
-            ]
-        )
+        sq = np.sum(sample_increment(noise, 9, np.arange(20_000), 1, dt) ** 2, axis=1)
         expected = dt * noise.trace
         se = sq.std(ddof=1) / np.sqrt(len(sq))
         assert abs(sq.mean() - expected) <= 3.0 * se
@@ -64,20 +53,20 @@ class TestIncrements:
     def test_nonpositive_dt_rejected(self):
         noise = make_noise([[0.0], [1.0]], 1, f0="zero")
         with pytest.raises(ValueError):
-            sample_increment(noise, RngStream(0, 0, 0), 0.0)
+            sample_increment(noise, 0, 0, 0, 0.0)
 
     def test_bit_reproducible(self):
         noise = make_noise([[0.0], [1.0]], 4, f0="tanh")
-        a = sample_increment(noise, RngStream(77, 5, 9), 0.1).coeffs
-        b = sample_increment(noise, RngStream(77, 5, 9), 0.1).coeffs
+        a = sample_increment(noise, 77, 5, 9, 0.1)
+        b = sample_increment(noise, 77, 5, 9, 0.1)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_streams_uncorrelated(self):
         noise = make_noise([[0.0], [1.0]], 1, q=[1.0], f0="constant")
         n = 10_000
-        a = np.array([sample_increment(noise, RngStream(5, s, 1), 1.0).coeffs[0] for s in range(n)])
-        b = np.array([sample_increment(noise, RngStream(5, s, 2), 1.0).coeffs[0] for s in range(n)])
-        c = np.array([sample_increment(noise, RngStream(6, s, 1), 1.0).coeffs[0] for s in range(n)])
+        a = sample_increment(noise, 5, np.arange(n), 1, 1.0)[:, 0]
+        b = sample_increment(noise, 5, np.arange(n), 2, 1.0)[:, 0]
+        c = sample_increment(noise, 6, np.arange(n), 1, 1.0)[:, 0]
         assert abs(np.corrcoef(a, b)[0, 1]) <= 3.0 / np.sqrt(n)
         assert abs(np.corrcoef(a, c)[0, 1]) <= 3.0 / np.sqrt(n)
 
@@ -94,14 +83,14 @@ class TestBlockStreams:
     @pytest.mark.parametrize("step", [0, 1, 16])
     def test_block_draws_bit_identical_to_per_key_generators(self, master_seed, step):
         noise = make_noise([[0.0], [1.0]], 6, q=np.ones(6), f0="constant")
-        block = sample_increment(noise, RngStream(master_seed, self.SAMPLES, step), 1.0).coeffs
+        block = sample_increment(noise, master_seed, self.SAMPLES, step, 1.0)
         assert block.shape == (len(self.SAMPLES), 6)
         for row, s in zip(block, self.SAMPLES.tolist()):
             np.testing.assert_array_equal(row, _numpy_stream(master_seed, s, step).standard_normal(6))
-            alone = sample_increment(noise, RngStream(master_seed, s, step), 1.0).coeffs
+            alone = sample_increment(noise, master_seed, s, step, 1.0)
             np.testing.assert_array_equal(row, alone)
 
-    @pytest.mark.parametrize("master_seed", [0, 11, 2**32 + 5, 2**70])
+    @pytest.mark.parametrize("master_seed", [0, 11, 2**32 + 5, 2**70, 2**128 + 3])
     def test_block_keys_are_seed_sequence_states(self, master_seed):
         samples = np.concatenate([np.arange(40), self.SAMPLES])
         for step in (0, 1, 16, 2**40):
@@ -114,15 +103,20 @@ class TestBlockStreams:
 
     def test_scaled_rows_and_row_norms(self):
         noise = make_noise([[0.0], [1.0]], 4, f0="tanh")
-        inc = sample_increment(noise, RngStream(7, np.arange(3), 2), 0.25)
+        inc = sample_increment(noise, 7, np.arange(3), 2, 0.25)
         for s in range(3):
-            alone = sample_increment(noise, RngStream(7, s, 2), 0.25)
-            np.testing.assert_array_equal(inc.coeffs[s], alone.coeffs)
+            alone = sample_increment(noise, 7, s, 2, 0.25)
+            np.testing.assert_array_equal(inc[s], alone)
 
     def test_negative_sample_rejected(self):
         noise = make_noise([[0.0], [1.0]], 1, f0="constant")
         with pytest.raises(ValueError, match="nonnegative"):
-            sample_increment(noise, RngStream(1, np.array([3, -1]), 1), 0.1)
+            sample_increment(noise, 1, np.array([3, -1]), 1, 0.1)
+
+    def test_negative_master_seed_rejected(self):
+        noise = make_noise([[0.0], [1.0]], 1, f0="constant")
+        with pytest.raises(ValueError):
+            sample_increment(noise, -1, 0, 1, 0.1)
 
     def test_philox_words_are_numpy_raw_words(self):
         # keys of streams, random keys and the extreme ones, over several
@@ -144,20 +138,20 @@ class TestBlockStreams:
         loop, calls = noise_module._keyed_normals, []
         monkeypatch.setattr(noise_module, "_keyed_normals", lambda key, n: calls.append(n) or loop(key, n))
         noise = make_noise([[0.0], [1.0]], 1, q=[1.0], f0="constant")
-        coeffs = sample_increment(noise, RngStream(5, np.arange(1000), 2), 1.0).coeffs
+        coeffs = sample_increment(noise, 5, np.arange(1000), 2, 1.0)
         assert 0 < len(calls) < 50
         want = [_numpy_stream(5, s, 2).standard_normal(1) for s in range(1000)]
         np.testing.assert_array_equal(coeffs, want)
 
     def test_tables_derived_on_the_first_array_draw(self):
-        # in a fresh process: not by importing sgdm or building a noise model
+        # in a fresh process: not by importing sgdm or building a noise model,
+        # but by the first draw, of a single stream
         script = (
-            "import numpy as np, sgdm\n"
-            "from sgdm.noise import RngStream, make_noise, sample_increment, ziggurat_tables\n"
+            "import sgdm\n"
+            "from sgdm.noise import make_noise, sample_increment, ziggurat_tables\n"
             "noise = make_noise([[0.0], [1.0]], 4)\n"
-            "sample_increment(noise, RngStream(0, np.arange(8), 1), 0.1)\n"
             "assert ziggurat_tables.cache_info().currsize == 0\n"
-            "sample_increment(noise, RngStream(0, np.arange(256), 1), 0.1)\n"
+            "sample_increment(noise, 0, 0, 1, 0.1)\n"
             "assert ziggurat_tables.cache_info().currsize == 1\n"
         )
         src_dir = str(Path(noise_module.__file__).resolve().parents[1])
@@ -187,7 +181,7 @@ class TestStreamGrid:
     SAMPLES = np.array([0, 3, 2**32 - 1, 2**32, 2**32 + 1])
     STEPS = np.array([0, 1, 16, 2**32 - 1, 2**32, 2**40])
 
-    @pytest.mark.parametrize("master_seed", [0, 11, 2**32 + 5, 2**70])
+    @pytest.mark.parametrize("master_seed", [0, 11, 2**32 + 5, 2**70, 2**128 + 3])
     def test_grid_keys_are_seed_sequence_states(self, master_seed):
         keys = stream_keys(master_seed, self.SAMPLES[:, None], self.STEPS)
         assert keys.shape == (len(self.SAMPLES), len(self.STEPS), 2)
@@ -199,11 +193,11 @@ class TestStreamGrid:
     def test_path_draw_is_the_per_step_draws(self):
         noise = make_noise([[0.0], [1.0]], 5, f0="tanh")
         samples = np.array([4, 2**32 + 3, 9])
-        block = sample_increment(noise, RngStream(11, samples[:, None], np.arange(1, 9)), 0.1).coeffs
+        block = sample_increment(noise, 11, samples[:, None], np.arange(1, 9), 0.1)
         assert block.shape == (3, 8, 5)
         for row, s in zip(block, samples.tolist()):
             for n in range(8):
-                alone = sample_increment(noise, RngStream(11, s, n + 1), 0.1).coeffs
+                alone = sample_increment(noise, 11, s, n + 1, 0.1)
                 np.testing.assert_array_equal(row[n], alone)
 
     # 1000 samples on both sides of 2**32 by 4 steps, two of them above 2**32
@@ -213,17 +207,16 @@ class TestStreamGrid:
     @pytest.mark.parametrize("k_max", [1, 8, 16, 64])
     def test_grid_draws_are_numpy_draws_through_both_slow_paths(self, k_max):
         noise = make_noise([[0.0], [1.0]], k_max, q=np.ones(k_max), f0="constant")
-        stream = RngStream(2024, self.MANY_SAMPLES[:, None], self.MANY_STEPS)
-        keys = stream_keys(2024, stream.sample_index, stream.time_index).reshape(-1, 2)
+        keys = stream_keys(2024, self.MANY_SAMPLES[:, None], self.MANY_STEPS).reshape(-1, 2)
         want = [
             _numpy_stream(2024, s, n).standard_normal(k_max)
             for s, n in itertools.product(self.MANY_SAMPLES.tolist(), self.MANY_STEPS.tolist())
         ]
-        # the array path, and sample_increment, which takes it up to 16 draws
+        # the array path, and sample_increment, which takes it at every k_max
         block = keyed_normals(keys, k_max, ziggurat_tables())
         assert block.shape == (4000, k_max)
         np.testing.assert_array_equal(block, want)
-        np.testing.assert_array_equal(sample_increment(noise, stream, 1.0).coeffs.reshape(-1, k_max), want)
+        np.testing.assert_array_equal(sample_increment(noise, 2024, self.MANY_SAMPLES[:, None], self.MANY_STEPS, 1.0).reshape(-1, k_max), want)
         # some streams leave the fast path first at layer 0 (the tail) and
         # some at another layer (a wedge)
         ki, _ = ziggurat_tables()
@@ -237,7 +230,7 @@ class TestStreamGrid:
     def test_negative_step_rejected(self):
         noise = make_noise([[0.0], [1.0]], 1, f0="constant")
         with pytest.raises(ValueError, match="nonnegative"):
-            sample_increment(noise, RngStream(1, np.array([[3]]), np.array([2, -1])), 0.1)
+            sample_increment(noise, 1, np.array([[3]]), np.array([2, -1]), 0.1)
 
 
 class TestBasis:
@@ -264,36 +257,36 @@ class TestBasis:
         assert vals.shape == (64, 4)
 
 
-def noise_values(noise, gd, v, inc):
+def noise_values(noise, gd, v, inc, dt):
     """f0(Pi v) * sum_k c_k e_k at the quadrature points, as a step
     evaluates it (``Stepper.noise_values`` on a block of one)."""
-    stepper = Stepper(SpaceTimeGD(gd, T=inc.dt, n_steps=1), linear_diffusion(), noise)
-    return stepper.noise_values(v[None], inc.coeffs[None])[0]
+    stepper = Stepper(SpaceTimeGD(gd, T=dt, n_steps=1), linear_diffusion(), noise)
+    return stepper.noise_values(v[None], inc[None])[0]
 
 
 class TestApplyNoise:
     def test_zero_multiplier(self, gd16):
         noise = make_noise(gd16.mesh.bounding_box, 4, f0="zero")
-        inc = sample_increment(noise, RngStream(3, 0, 1), 0.1)
+        inc = sample_increment(noise, 3, 0, 1, 0.1)
         v = np.random.default_rng(1).standard_normal(gd16.n_dofs)
-        np.testing.assert_array_equal(noise_values(noise, gd16, v, inc), 0.0)
+        np.testing.assert_array_equal(noise_values(noise, gd16, v, inc, 0.1), 0.0)
 
     def test_constant_multiplier_single_mode(self, gd16):
         noise = make_noise(gd16.mesh.bounding_box, 1, q=[0.5], f0="constant")
-        inc = sample_increment(noise, RngStream(3, 1, 1), 0.1)
-        out = noise_values(noise, gd16, np.zeros(gd16.n_dofs), inc)
+        inc = sample_increment(noise, 3, 1, 1, 0.1)
+        out = noise_values(noise, gd16, np.zeros(gd16.n_dofs), inc, 0.1)
         e1 = noise.basis.values(gd16.quad_x)[:, 0]
-        np.testing.assert_allclose(out, inc.coeffs[0] * e1, atol=1e-13)
+        np.testing.assert_allclose(out, inc[0] * e1, atol=1e-13)
 
     def test_identity_multiplier_hand_formula(self):
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1_lumped")
         noise = make_noise(gd.mesh.bounding_box, 3, f0="identity")
-        inc = sample_increment(noise, RngStream(4, 0, 2), 0.05)
+        inc = sample_increment(noise, 4, 0, 2, 0.05)
         c = 0.8
         v = np.full(gd.n_dofs, c)  # lumped reconstruction is exactly c inside
         inside = (gd.quad_x[:, 0] > 0.07) & (gd.quad_x[:, 0] < 0.93)
-        out = noise_values(noise, gd, v, inc)[inside]
-        expected = c * (noise.basis.values(gd.quad_x[inside]) @ inc.coeffs)
+        out = noise_values(noise, gd, v, inc, 0.05)[inside]
+        expected = c * (noise.basis.values(gd.quad_x[inside]) @ inc)
         np.testing.assert_allclose(out, expected, atol=1e-13)
 
 
@@ -320,6 +313,14 @@ class TestGrowthCheck:
         noise = make_noise(gd16.mesh.bounding_box, 4, f0=lambda s: s**2, F1=1.0, F2=1.0)
         rep = growth_check(noise, gd16, trials=2_000, amplitude=50.0, rng_seed=3)
         assert rep.violations > 0
+
+    def test_unknown_f0_offers_the_other_forms(self, gd16):
+        # "custom" is the kind a callable or a table gets, not a value to pass
+        with pytest.raises(ValueError, match="unknown f0 'custom'") as err:
+            make_noise(gd16.mesh.bounding_box, 4, f0="custom")
+        offered = str(err.value).split("expected", 1)[1]
+        assert "custom" not in offered
+        assert "callable" in offered and "table" in offered
 
     def test_custom_requires_constants(self, gd16):
         with pytest.raises(ValueError):

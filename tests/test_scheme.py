@@ -18,7 +18,7 @@ from sgdm.flux import (
     regularized_p_laplace,
 )
 from sgdm.analysis import map_blocks
-from sgdm.noise import NoiseIncrement, RngStream, make_noise, sample_increment
+from sgdm.noise import make_noise, sample_increment
 from sgdm.scheme import (
     SolverConfig,
     SpaceTimeGD,
@@ -89,8 +89,8 @@ class TestSolveStep:
         flux = linear_diffusion()
         rng = np.random.default_rng(9)
         u_a, u_b = rng.standard_normal((2, sgd.gd.n_dofs))
-        c_a = sample_increment(noise, RngStream(1, 0, 1), sgd.dt).coeffs
-        c_b = sample_increment(noise, RngStream(1, 1, 1), sgd.dt).coeffs
+        c_a = sample_increment(noise, 1, 0, 1, sgd.dt)
+        c_b = sample_increment(noise, 1, 1, 1, sgd.dt)
         # noise multiplier must be state-independent for superposition
         noise_add = make_noise(sgd.gd.mesh.bounding_box, noise.k_max, f0="constant")
         stepper = Stepper(sgd, flux, noise_add)
@@ -127,8 +127,8 @@ class TestTrajectory:
         noise = setup16[1]
         flux = p_laplace(3.0)
         traj = run_trajectory(sgd_1, flux, noise, sin_pi, master_seed=3, sample_index=5)
-        inc = sample_increment(noise, RngStream(3, 5, 1), sgd_1.dt)
-        (u1,), _, _ = Stepper(sgd_1, flux, noise).step(traj.u[:1], inc.coeffs[None])
+        inc = sample_increment(noise, 3, 5, 1, sgd_1.dt)
+        (u1,), _, _ = Stepper(sgd_1, flux, noise).step(traj.u[:1], inc[None])
         np.testing.assert_array_equal(traj.u[1], u1)
 
     def test_deterministic_in_seed(self, setup16):
@@ -160,7 +160,7 @@ class TestTrajectory:
         sgd, noise = setup16
         flux = p_laplace(3.0)
         incs = np.array(
-            [sample_increment(noise, RngStream(13, 0, n + 1), sgd.dt).coeffs for n in range(sgd.n_steps)]
+            [sample_increment(noise, 13, 0, n + 1, sgd.dt) for n in range(sgd.n_steps)]
         )
         base = run_trajectory(sgd, flux, noise, sin_pi, 13, 0, increments=incs)
         tampered = incs.copy()
@@ -173,8 +173,8 @@ class TestTrajectory:
         sgd, noise = setup16
         traj = run_trajectory(sgd, p_laplace(3.0), noise, sin_pi, 17, 2)
         gd = sgd.gd
-        inc = sample_increment(noise, RngStream(17, 2, 1), sgd.dt)
-        z0 = noise.f0(gd.reconstruct(traj.u[0])) * (noise.basis.values(gd.quad_x) @ inc.coeffs)
+        inc = sample_increment(noise, 17, 2, 1, sgd.dt)
+        z0 = noise.f0(gd.reconstruct(traj.u[0])) * (noise.basis.values(gd.quad_x) @ inc)
         z = Stepper(sgd, p_laplace(3.0), noise).noise_values(traj.u[:-1], traj.increments)
         np.testing.assert_allclose(z[0], z0, atol=1e-14)
 
@@ -270,7 +270,7 @@ def _reference_jacobian(stepper, u):
 
 def _step(stepper, u, inc):
     """One step of the single state u, as a block of one."""
-    U, res, iters = stepper.step(u[None], inc.coeffs[None])
+    U, res, iters = stepper.step(u[None], inc[None])
     return U[0], res[0], iters[0]
 
 
@@ -305,7 +305,7 @@ def assembly_case(request):
     noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
     rng = np.random.default_rng(41)
     u = 0.5 * rng.standard_normal(gd.n_dofs)
-    inc = NoiseIncrement(0.3 * rng.standard_normal(4), sgd.dt)
+    inc = 0.3 * rng.standard_normal(4)
     return sgd, noise, u, inc
 
 
@@ -492,7 +492,7 @@ def test_kacanov_fallback_converges_for_value_dependent_flux():
     noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
     rng = np.random.default_rng(41)
     u = 1.5 * rng.standard_normal(gd.n_dofs)
-    inc = NoiseIncrement(0.3 * rng.standard_normal(4), sgd.dt)
+    inc = 0.3 * rng.standard_normal(4)
     flux = _value_dependent_flux()
     u_newton, res_newton, _ = _step(Stepper(sgd, flux, noise), u, inc)
     u_kacanov, res_kacanov, _ = _step(Stepper(sgd, flux, noise, SolverConfig(max_newton=0)), u, inc)
@@ -537,9 +537,9 @@ class TestBlocks:
         sgd, noise, u, inc = assembly_case
         stepper = Stepper(sgd, p_laplace(3.0), noise)
         U = np.array([0.0, 0.01, 0.3, 1.0, 4.0])[:, None] * u
-        C = np.array([0.0, 0.5, 1.0, 1.0, 2.0])[:, None] * inc.coeffs
+        C = np.array([0.0, 0.5, 1.0, 1.0, 2.0])[:, None] * inc
         U1, res, iters = stepper.step(U, C)
-        singles = [_step(stepper, U[b], NoiseIncrement(C[b], sgd.dt)) for b in range(len(U))]
+        singles = [_step(stepper, U[b], C[b]) for b in range(len(U))]
         _assert_rows_match_alone(U1, res, iters, singles)
         assert iters[0] == 0 and len(set(iters.tolist())) >= 3
         z = stepper.noise_values(U[2:3], C[2:3])[0]
@@ -552,9 +552,9 @@ class TestBlocks:
         short = SpaceTimeGD(sgd.gd, T=0.004, n_steps=4)
         stepper = Stepper(short, p_laplace(3.0), noise, SolverConfig(max_newton=1))
         U = np.array([0.0, 0.1, 0.5, 1.0, 2.0])[:, None] * u
-        C = np.array([0.0, 1.0, 1.0, 1.0, 1.0])[:, None] * inc.coeffs
+        C = np.array([0.0, 1.0, 1.0, 1.0, 1.0])[:, None] * inc
         U1, res, iters = stepper.step(U, C)
-        singles = [_step(stepper, U[b], NoiseIncrement(C[b], short.dt)) for b in range(len(U))]
+        singles = [_step(stepper, U[b], C[b]) for b in range(len(U))]
         _assert_rows_match_alone(U1, res, iters, singles)
         assert iters[0] == 0 and np.all(iters[1:] > 1)
 
