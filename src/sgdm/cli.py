@@ -46,7 +46,7 @@ DEFAULTS = {
     "u0": "sine",
     "n_samples": 100,
     "master_seed": 0,
-    "solver": {"newton_tol": 1e-10, "max_newton": 30, "max_fixed_point": 200},
+    "solver": {"newton_tol": 1e-10, "max_newton": 30},
     "estimators": {
         "moments_q": [1, 2, 3],
         "translate_ells": [1, 2, 4, 8],
@@ -105,11 +105,20 @@ def _merged(defaults, given):
     return out
 
 
+def _finite(literal):
+    """The number of a JSON literal; ``json`` turns NaN, Infinity and an
+    overflowing literal such as 1e400 into floats that are not finite."""
+    value = float(literal)
+    if not np.isfinite(value):
+        raise ConfigError(f"number {literal} is not finite")
+    return value
+
+
 def load_config(path):
     """Parse and validate a JSON experiment config; returns the merged dict."""
     try:
         with open(path) as f:
-            raw = json.load(f)
+            raw = json.load(f, parse_constant=_finite, parse_float=_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     cfg = _merged(copy.deepcopy(DEFAULTS), raw)

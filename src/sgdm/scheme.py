@@ -6,21 +6,21 @@ Each step solves the nonlinear variational system
         = <f0(Pi u_n) dW, Pi phi>      for all discrete test functions phi,
 
 with the noise term explicit in the previous iterate. The nonlinear solver
-is damped Newton with the smoothed flux Jacobian, falling back to the
-frozen-coefficient (Kacanov) iteration; time steps are uniform and a step
-that fails both strategies aborts the trajectory with diagnostics.
+is damped Newton with the smoothed flux Jacobian; time steps are uniform
+and a step on which Newton does not converge aborts the trajectory with
+diagnostics.
 
 Samples advance in lockstep blocks (``run_block``): the states of B samples
 are one (B, n) array, one keyed noise call draws the increments of every
 sample and every step before the first step, and ``Stepper.step`` moves the
 whole block one step at a time, carrying a per-sample active mask through
-Newton, its line search and the fallback, so each sample stops once it has
-converged. A single path (``run_trajectory``) is a block of one.
+Newton and its line search, so each sample stops once it has converged. A
+single path (``run_trajectory``) is a block of one.
 
-All three system matrices (Newton Jacobian, Kacanov matrix, linear
-operator) are the mass plus ``dt`` times a weighted gradient form: the
-discretisation fills their slot values from per-cell blocks and solves them
-by one LAPACK band LU (``gd.form_solver``), at every size.
+Both system matrices (the Newton Jacobian and the linear operator) are the
+mass plus ``dt`` times a weighted gradient form: the discretisation fills
+their slot values from per-cell blocks and solves them by one LAPACK band
+LU (``gd.form_solver``), at every size.
 
 The reconstructed gradient is constant on each cell, so a flux that does
 not read the value (every built-in kind) is constant per cell too: the flux
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .flux import P_LAPLACE, REGULARIZED_P_LAPLACE, eval_flux, eval_flux_jacobian
+from .flux import eval_flux, eval_flux_jacobian
 from .noise import sample_increment
 
 LINE_SEARCH_SHRINK = 0.5  # the Newton line search's step factor, down to steps of 1e-10
@@ -45,13 +45,13 @@ LINE_SEARCH_SHRINK = 0.5  # the Newton line search's step factor, down to steps 
 class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 30
-    max_fixed_point: int = 200
 
     def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        if any(type(n) is not int or n < 0 for n in (self.max_newton, self.max_fixed_point)):
-            raise ValueError("max_newton and max_fixed_point must be non-negative integers")
+        # a NaN tolerance would pass every residual test untouched
+        if isinstance(self.newton_tol, bool) or not 0 < self.newton_tol < float("inf"):
+            raise ValueError("newton_tol must be a positive finite number")
+        if type(self.max_newton) is not int or self.max_newton < 0:
+            raise ValueError("max_newton must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -139,21 +139,21 @@ class Stepper:
 
     ``step`` advances B samples at once, states held as a (B, n) array; a
     single sample is a block of one. Rows never mix: each is the step of its
-    own sample, and the nonlinear solver carries a per-row active mask, so a
-    row stops as soon as it has converged and its iterates depend only on
-    its own data. Every evaluation covers the active rows at once: one flux
+    own sample, and damped Newton, the one nonlinear solver, carries a
+    per-row active mask, so a row stops as soon as it has converged or
+    failed and its iterates depend only on its own data. Every evaluation covers the active rows at once: one flux
     and one flux-Jacobian call on all their points, and one
     ``gd.form_values`` fill of all their systems.
 
     Every system the step solves has the form ``M + dt sum_c C_c^T B_c C_c``
     with the per-cell gradient stencils C_c of the discretisation
-    (``gd.stencils``); the Newton Jacobian, the frozen-coefficient matrix and
-    the linear operator differ only in the per-cell blocks B_c. ``_system``
-    adds the mass's slot values, filled once here by ``gd.mass_values``, to
-    ``dt`` times the fill ``gd.form_values``, and ``_solve`` factors and
-    solves each row's slot values by the band LU ``gd.form_solver``. The
-    linear operator is factored once, and a step solves it for the B
-    right-hand sides in one call.
+    (``gd.stencils``); the Newton Jacobian and the linear operator differ
+    only in the per-cell blocks B_c. ``_system`` adds the mass's slot
+    values, filled once here by ``gd.mass_values``, to ``dt`` times the fill
+    ``gd.form_values``, and ``_solve`` factors and solves each row's slot
+    values by the band LU ``gd.form_solver``. The linear operator is
+    factored once, and a step solves it for the B right-hand sides in one
+    call.
 
     The flux and its Jacobian are evaluated on a flux rule of k points per
     cell, held cell-major with their weights (n_cells, k), and a cell's
@@ -240,50 +240,35 @@ class Stepper:
         ``b[i]``."""
         return np.array([self.gd.form_solver(v)(r) for v, r in zip(values, b)]).reshape(b.shape)
 
-    def _kacanov_weights(self, U):
-        """Frozen-coefficient weights (B, n_cells) at every row of U."""
-        g = self._gradients(U)
-        r = np.linalg.norm(g, axis=2)
-        p = self.flux.p
-        if self.flux.kind == P_LAPLACE:
-            eps = max(self.flux.newton_epsilon, 1e-12)
-            return (eps**2 + r**2) ** ((p - 2.0) / 2.0)
-        if self.flux.kind == REGULARIZED_P_LAPLACE:
-            return (1.0 + r) ** (p - 2.0)
-        # custom: project the cell integral of the flux on the gradient
-        a = self._cell_sums(eval_flux, U, g)
-        w = np.ones_like(r)
-        nz = r > 1e-14
-        w[nz] = np.sum(a[nz] * g[nz], axis=1) / (self.gd.mesh.cell_measures * r**2)[nz]
-        return np.maximum(w, 1e-14)
-
     def step(self, U_n, C):
         """Advance a block one step: states U_n (B, n) and increment
         coefficients C (B, k_max). Returns (U, residual norms (B,),
         iterations (B,)).
 
-        Damped Newton runs on the rows not yet converged; a row whose line
-        search fails, or that is still unconverged after ``max_newton``
-        iterations, goes on to the frozen-coefficient (Kacanov) iteration.
-        A row unconverged after both raises ``StepFailure`` for the first
-        such row (``block_row``)."""
-        cfg = self.cfg
-        tol = cfg.newton_tol
+        Damped Newton runs on the rows not yet converged, for at most
+        ``max_newton`` iterations; a row whose line search fails stops. The
+        line search accepts only a lower residual, so a row's last iterate
+        is its best. A row still unconverged raises ``StepFailure`` for the
+        first such row (``block_row``), carrying that iterate."""
+        tol = self.cfg.newton_tol
         b_noise = _rows(self._PTw, self.noise_values(U_n, C))
-        rhs = _rows(self._M, U_n) + b_noise
         B = len(U_n)
 
         if self._linear_solve is not None:
+            rhs = _rows(self._M, U_n) + b_noise
             U = self._linear_solve(rhs.T).T
             return U, np.linalg.norm(_rows(self._A_lin, U) - rhs, axis=1), np.ones(B, dtype=int)
 
         U = U_n.copy()
         R = self.residual(U, U_n, b_noise)
         nr = np.linalg.norm(R, axis=1)
-        best_U, best_nr = U.copy(), nr.copy()
         iters = np.zeros(B, dtype=int)
-
-        def newton(rows):  # one damped Newton step; returns the rows whose line search failed
+        active = nr > tol
+        for _ in range(self.cfg.max_newton):
+            rows = np.flatnonzero(active)
+            if rows.size == 0:
+                break
+            iters[rows] += 1
             dU = self._solve(self._jacobian(U[rows]), -R[rows])
             t = 1.0
             searching = np.arange(rows.size)  # positions in rows
@@ -296,33 +281,13 @@ class Stepper:
                 U[r[ok]], R[r[ok]], nr[r[ok]] = U_try[ok], R_try[ok], nr_try[ok]
                 searching = searching[~ok]
                 t *= LINE_SEARCH_SHRINK
-            return rows[searching]
-
-        def kacanov(rows):  # one frozen-coefficient step, blocks meas * w * I; it cannot fail
-            w = self.gd.mesh.cell_measures * self._kacanov_weights(U[rows])
-            U[rows] = self._solve(self._system(w), rhs[rows])
-            nr[rows] = np.linalg.norm(self.residual(U[rows], U_n[rows], b_noise[rows]), axis=1)
-            return rows[:0]
-
-        for update, max_iter in ((newton, cfg.max_newton), (kacanov, cfg.max_fixed_point)):
-            active = nr > tol
-            for _ in range(max_iter):
-                rows = np.flatnonzero(active)
-                if rows.size == 0:
-                    break
-                iters[rows] += 1
-                failed = update(rows)
-                better = rows[nr[rows] < best_nr[rows]]
-                best_U[better], best_nr[better] = U[better], nr[better]
-                active[rows] = nr[rows] > tol
-                active[failed] = False  # a failed line search ends Newton
-        if active.any():
-            row = int(np.flatnonzero(active)[0])
+            active[rows] = nr[rows] > tol
+            active[rows[searching]] = False  # a failed line search ends the row
+        unconverged = np.flatnonzero(nr > tol)
+        if unconverged.size:
+            row = int(unconverged[0])
             raise StepFailure(
-                f"nonlinear step did not converge (best residual {best_nr[row]:.3e})",
-                best_U[row],
-                best_nr[row],
-                block_row=row,
+                f"nonlinear step did not converge (best residual {nr[row]:.3e})", U[row], nr[row], block_row=row
             )
         return U, nr, iters
 

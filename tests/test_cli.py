@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
+    def test_readme_config_examples_load(self, tmp_path):
+        # a documented config must not hold a key the loader rejects
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        examples = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert examples
+        for i, text in enumerate(examples):
+            path = tmp_path / f"readme{i}.json"
+            path.write_text(text)
+            load_config(path)
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_is_named(self, tmp_path, literal):
+        # json reads these literals as floats that are not finite
+        path, _ = write_config(tmp_path)
+        path.write_text(path.read_text().replace('"T": 0.25', f'"T": {literal}'))
+        with pytest.raises(ConfigError, match=f"number {literal} is not finite"):
+            load_config(path)
+
     @pytest.mark.parametrize(
         "overrides, key",
         [
@@ -94,6 +113,7 @@ class TestConfig:
             ({"solver": {"newton_tolerance": 1e-8}}, "solver.newton_tolerance"),
             ({"estimators": {"moment_q": [2]}}, "estimators.moment_q"),
             ({"solver": {"line_search_shrink": 0.5}}, "solver.line_search_shrink"),
+            ({"solver": {"max_fixed_point": 200}}, "solver.max_fixed_point"),
         ],
     )
     def test_unknown_key_is_named(self, tmp_path, overrides, key):
@@ -317,7 +337,7 @@ class TestCommands:
     def test_convergence_records_a_failed_step(self, tmp_path):
         path, _ = write_config(
             tmp_path, n_samples=4, flux={"kind": "p_laplace"}, p=3.0,
-            solver={"max_newton": 1, "max_fixed_point": 1},
+            solver={"max_newton": 1},
         )
         for workers in (1, 2):
             out = tmp_path / f"fail{workers}"
@@ -361,6 +381,8 @@ class TestCommands:
             pytest.param({"estimators": {"dual_r": 3}}, [], id="dual_r-not-power-of-two"),
             pytest.param({"estimators": {"beta": 0.7}}, [], id="beta-too-large"),
             pytest.param({"solver": {"max_newton": -1}}, [], id="max_newton-negative"),
+            pytest.param({"solver": {"newton_tol": float("nan")}}, [], id="newton_tol-nan"),
+            pytest.param({"time": {"T": float("inf")}}, [], id="T-infinity"),
             pytest.param({"estimators": {"moments_q": [1.5]}}, [], id="moments_q-float"),
             pytest.param({"estimators": {"translate_ells": ["2"]}}, [], id="translate_ells-str"),
             pytest.param({"estimators": {"dual_ells": [0]}}, [], id="dual_ells-zero"),
