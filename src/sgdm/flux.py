@@ -17,6 +17,7 @@ the Jacobian of the smoothed flux (eps^2 + |y|^2)^((p-2)/2) y controlled by
 ``newton_epsilon``, while residuals use the flux itself.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,10 +46,13 @@ class FluxModel:
     jac: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError(f"p must be > 1, got {self.p}")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("c1 and c2 must be positive")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"p must be > 1 and finite, got {self.p}")
+        for name in ("c1", "c2"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a positive finite number, got {getattr(self, name)}")
+        if not 0.0 <= self.newton_epsilon < math.inf:
+            raise ValueError(f"newton_epsilon must be a non-negative finite number, got {self.newton_epsilon}")
 
     @property
     def is_linear(self):
@@ -82,62 +86,84 @@ def custom_flux(p, fn, jac=None, c1=1.0, c2=1.0):
 
 
 def eval_flux(model, x, y):
-    """Evaluate a(x, y) for batched values x (n,) and gradients y (n, d)."""
+    """Evaluate a(x, y) for batched values x (n,) and gradients y (n, d).
+
+    The built-in kinds compute on the components ``y[:, k]`` as rows, so an
+    F-ordered y (a view of (d, n) memory, as the stepper passes it) runs
+    every operation over n contiguous entries; the result has the layout of
+    y, and its values do not depend on it."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if np.any(~np.isfinite(x)) or np.any(~np.isfinite(y)):
         raise ValueError("flux arguments must be finite")
     if model.kind == LINEAR_DIFFUSION:
-        return y.copy()
+        return y.copy(order="K")
     if model.kind == P_LAPLACE:
-        r = np.linalg.norm(y, axis=1)
+        r = np.sqrt(_square_sum(y.T))
         w = np.zeros_like(r)
         nz = r > 0
         w[nz] = r[nz] ** (model.p - 2.0)
-        return w[:, None] * y
+        return (w * y.T).T
     if model.kind == REGULARIZED_P_LAPLACE:
-        r = np.linalg.norm(y, axis=1)
-        return ((1.0 + r) ** (model.p - 2.0))[:, None] * y
+        r = np.sqrt(_square_sum(y.T))
+        return ((1.0 + r) ** (model.p - 2.0) * y.T).T
     return np.asarray(model.fn(x, y), dtype=float).reshape(y.shape)
 
 
 def eval_flux_jacobian(model, x, y):
-    """Jacobian in y of the (smoothed) flux, batched: returns (n, d, d)."""
+    """Jacobian in y of the (smoothed) flux, batched: returns (n, d, d).
+
+    For the built-in kinds and the finite-difference Jacobian the result is
+    a view of (d, d, n) memory, entry (k, l) one contiguous row over the n
+    points, filled row by row from the components of y as in ``eval_flux``.
+    A custom ``jac`` is returned as it lays its result out."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     n, d = y.shape
-    eye = np.broadcast_to(np.eye(d), (n, d, d))
+    yt = y.T
     if model.kind == LINEAR_DIFFUSION:
-        return eye.copy()
+        out = np.zeros((d, d, n))
+        out[range(d), range(d)] = 1.0
+        return out.transpose(2, 0, 1)
     if model.kind == P_LAPLACE:
-        eps2 = model.newton_epsilon**2
-        r2 = np.sum(y**2, axis=1) + eps2
-        r2 = np.maximum(r2, 1e-300)
+        r2 = np.maximum(_square_sum(yt) + model.newton_epsilon**2, 1e-300)
         a = r2 ** ((model.p - 2.0) / 2.0)
         b = (model.p - 2.0) * r2 ** ((model.p - 4.0) / 2.0)
-        return a[:, None, None] * eye + b[:, None, None] * np.einsum("ni,nj->nij", y, y)
-    if model.kind == REGULARIZED_P_LAPLACE:
-        r = np.linalg.norm(y, axis=1)
+    elif model.kind == REGULARIZED_P_LAPLACE:
+        r = np.sqrt(_square_sum(yt))
         a = (1.0 + r) ** (model.p - 2.0)
-        out = a[:, None, None] * eye.copy()
-        nz = r > 0
-        if np.any(nz):
-            b = (model.p - 2.0) * (1.0 + r[nz]) ** (model.p - 3.0) / r[nz]
-            out[nz] += b[:, None, None] * np.einsum("ni,nj->nij", y[nz], y[nz])
-        return out
-    if model.jac is not None:
+        b = np.zeros(n)
+        np.divide((model.p - 2.0) * (1.0 + r) ** (model.p - 3.0), r, out=b, where=r > 0)
+    elif model.jac is not None:
         return np.asarray(model.jac(x, y), dtype=float).reshape(n, d, d)
-    return _fd_jacobian(model, x, y)
+    else:
+        return _fd_jacobian(model, x, y)
+    # a I + b y y^T entry by entry, exactly symmetric; off the diagonal the
+    # zero of a I is added too, as it turns a product -0.0 into 0.0
+    out = np.empty((d, d, n))
+    for k in range(d):
+        out[k, k] = a + b * (yt[k] * yt[k])
+        for l in range(k):
+            out[k, l] = out[l, k] = b * (yt[k] * yt[l]) + 0.0
+    return out.transpose(2, 0, 1)
+
+
+def _square_sum(rows):
+    """|y|^2 from the component rows (d, n) of y, added in component order."""
+    total = rows[0] * rows[0]
+    for row in rows[1:]:
+        total += row * row
+    return total
 
 
 def _fd_jacobian(model, x, y, h=1e-7):
     n, d = y.shape
-    out = np.empty((n, d, d))
+    out = np.empty((d, d, n))
     for k in range(d):
         dy = np.zeros_like(y)
         dy[:, k] = h
-        out[:, :, k] = (eval_flux(model, x, y + dy) - eval_flux(model, x, y - dy)) / (2 * h)
-    return out
+        out[:, k] = ((eval_flux(model, x, y + dy) - eval_flux(model, x, y - dy)) / (2 * h)).T
+    return out.transpose(2, 0, 1)
 
 
 @dataclass

@@ -22,6 +22,13 @@ C_c and basis values Phi_c are all built from that description. The forms
 Phi_c`` (``mass_values``) are filled by one routine into the slots of one
 pattern per space, and solved by one LAPACK band LU, ``form_solver``.
 
+The gradient forms are computed component-major: the stencils hold their
+coefficients as rows over the cells, (dim, w, n_cells), and the per-cell
+blocks are read as rows B[k, l] over the cells (and forms), so each local
+entry is a few elementwise multiply-adds over long rows, not a small matrix
+product per cell. Both fills hold their local matrices slot-major, entry
+(i, j) of every cell in one row.
+
 Scalar fields are callables mapping an (n, dim) coordinate array to (n,)
 values; vector fields map to (n, dim).
 """
@@ -55,10 +62,11 @@ class GradientDiscretisation:
     ``P`` maps DOF vectors to function values at the quadrature points,
     ``G`` maps DOF vectors to the per-cell constant gradients (row layout
     cell-major: row ``c*dim + k`` is component k on cell c). ``stencils``
-    gives them cell by cell; ``form_values`` and ``mass_values`` fill the
-    gradient and value forms (the stiffness: B_c = meas I; the mass: w_c the
-    quadrature weights) into one pattern kept per space, and ``form_solver``
-    factors a matrix with that pattern in band storage.
+    gives them per cell, component-major; ``form_values`` and
+    ``mass_values`` fill the gradient and value forms (the stiffness: B_c =
+    meas I; the mass: w_c the quadrature weights) into one pattern kept per
+    space, and ``form_solver`` factors a matrix with that pattern in band
+    storage.
     """
 
     def __init__(self, mesh, kind, cell_dofs, alpha, beta, dof_positions):
@@ -90,8 +98,8 @@ class GradientDiscretisation:
             self.P = _basis_matrix(cell_dofs[self.quad_cell], np.tile(phi, (mesh.n_cells, 1)), n_dofs)
         # Phi_c = phi diag(ok_c): phi holds the local basis values at one cell's points in
         # stencil-slot order (the owner indicator on p1_lumped), the same on every cell
-        ok = (cell_dofs >= 0)[:, : self.stencils[0].shape[1]]
-        self._phi, self._phi_mask = phi[:, : ok.shape[1]], ok[:, :, None] & ok[:, None, :]
+        ok = (cell_dofs >= 0)[:, : len(self.stencils[0])]
+        self._phi, self._phi_mask = phi[:, : ok.shape[1]], ok.T[:, None, :] & ok.T[None, :, :]
         self.mass = self.form_matrix(self.mass_values(self.quad_w))
         self.mass.eliminate_zeros()  # the zero slots: the lumped mass is diagonal
         stiff = self.gradient_form(mesh.cell_measures)
@@ -119,30 +127,35 @@ class GradientDiscretisation:
 
     @cached_property
     def stencils(self):
-        """Per-cell gradient stencils ``(dofs, coef)``: gradient component k
-        on cell c is ``sum_i coef[c, k, i] v[dofs[c, i]]``. An eliminated
-        basis function is padded with a DOF of its cell (or DOF 0) and
-        coefficient 0; a space without DOFs has stencils of width 0."""
+        """Per-cell gradient stencils ``(dofs, coef)``, component-major with
+        the cells last: gradient component k on cell c is ``sum_i coef[k,
+        i, c] v[dofs[i, c]]``, with dofs (w, n_cells) and coef (dim, w,
+        n_cells). An eliminated basis function is padded with a DOF of its
+        cell (or DOF 0) and coefficient 0; a space without DOFs has
+        stencils of width 0."""
         ok = self.cell_dofs >= 0
         pad = np.maximum(self.cell_dofs.max(axis=1, keepdims=True), 0)
         width = self.dim + 1 if self.n_dofs else 0
         dofs = np.where(ok, self.cell_dofs, pad)[:, :width]
-        return dofs, (self.local_gradients * ok[:, None, :])[:, :, :width]
+        coef = (self.local_gradients * ok[:, None, :])[:, :, :width]
+        return np.ascontiguousarray(dofs.T), np.ascontiguousarray(coef.transpose(1, 2, 0))
 
     @cached_property
     def _form_layout(self):
         """The sorted column-major keys ``col * n + row`` of all stencil
-        blocks (CSC order), each block entry's slot, and the CSC indptr."""
+        blocks (CSC order), the slot of each block entry (i, j) of each
+        cell, slot-major (w, w, n_cells), and the CSC indptr."""
         dofs, _ = self.stencils
         n = self.n_dofs
-        keys = (dofs[:, None, :] * n + dofs[:, :, None]).ravel()
+        keys = (dofs[None, :, :] * n + dofs[:, None, :]).ravel()
         pattern, slots = np.unique(keys, return_inverse=True)
         return pattern, slots, np.searchsorted(pattern, np.arange(n + 1) * n)
 
     def _fill(self, local):
-        """Slot values of per-cell local matrices (n_cells, w, w), or (B,
-        n_slots) for (B, n_cells, w, w) by one ``bincount`` over slots offset
-        by n_slots per form, each summed in the same order as alone."""
+        """Slot values of local matrices held slot-major, entry (i, j) of
+        every cell in one row: (n_slots,) for (w, w, n_cells), or (B,
+        n_slots) for (B, w, w, n_cells) by one ``bincount`` over slots
+        offset by n_slots per form, each summed in the same order as alone."""
         pattern, slots, _ = self._form_layout
         n, B = len(pattern), len(local)
         if local.ndim == 3:
@@ -154,11 +167,23 @@ class GradientDiscretisation:
         """Slot values of ``sum_c C_c^T blocks[c] C_c``: blocks are
         (n_cells, dim, dim), or (n_cells,) weights w for the blocks w * I;
         a block of B forms, (B, n_cells, dim, dim) or (B, n_cells), gives
-        (B, n_slots)."""
-        if np.ndim(blocks) in (1, 2):
-            blocks = blocks[..., None, None] * np.eye(self.dim)
-        _, coef = self.stencils
-        return self._fill(coef.transpose(0, 2, 1) @ (blocks @ coef))
+        (B, n_slots).
+
+        Computed component-major, with the cells on the last, contiguous
+        axis: from the stencil coefficients C[k, i] (rows over the cells),
+        T[k, j] = sum_l B[k, l] C[l, j] (w C[k, j] for weights) and local
+        entry (i, j) = sum_k C[k, i] T[k, j], each sum a few elementwise
+        multiply-adds over every form and cell. Blocks whose entries B[k, l]
+        are contiguous rows (the stepper's) are read in place; no small
+        matrix product is taken."""
+        _, C = self.stencils
+        blocks = np.asarray(blocks)
+        if blocks.ndim in (1, 2):
+            T = blocks[..., None, None, :] * C
+        else:
+            rows = blocks.swapaxes(-3, -1)  # (..., l, k, n_cells)
+            T = _sum_of_products((rows[..., l, :, None, :], C[l]) for l in range(len(C)))
+        return self._fill(_sum_of_products((C[k, :, None], T[..., k, None, :, :]) for k in range(len(C))))
 
     def mass_values(self, weights):
         """Slot values of ``sum_c Phi_c^T diag(weights_c) Phi_c`` (the mass
@@ -170,7 +195,7 @@ class GradientDiscretisation:
         local = np.reshape(weights, np.shape(weights)[:-1] + (self.mesh.n_cells, len(phi))) @ pairs
         # entry (i, j) read from the upper triangle: each block exactly symmetric
         upper = np.minimum.outer(k, k) * len(k) + np.maximum.outer(k, k)
-        return self._fill(local[..., upper] * self._phi_mask)
+        return self._fill(local.swapaxes(-1, -2)[..., upper, :] * self._phi_mask)
 
     def form_matrix(self, values):
         """The (n_dofs, n_dofs) CSC matrix with these slot values."""
@@ -361,6 +386,15 @@ def build_gd(mesh, kind):
     return GradientDiscretisation(
         mesh, kind, vert_to_dof[mesh.cells], 0.0, 1.0, mesh.vertices[interior]
     )
+
+
+def _sum_of_products(pairs):
+    """The sum of a * b over the (a, b) pairs, added in order."""
+    (a, b), *rest = pairs
+    out = a * b
+    for a, b in rest:
+        out += a * b
+    return out
 
 
 def _basis_matrix(dof, vals, n_dofs):

@@ -27,9 +27,18 @@ not read the value (every built-in kind) is constant per cell too: the flux
 term and its Jacobian are integrated exactly with one point per cell. A
 custom flux may read Pi u, which varies inside a cell, and is evaluated at
 the quadrature points.
+
+The step holds its per-cell arrays component-major, with the samples and
+the cells as the long, contiguous axes: the gradients are (dim, B, n_cells)
+memory, the flux and its Jacobian come back as (dim, n) and (dim, dim, n)
+memory for the n = B n_cells k points, and the cell sums of the Jacobian
+reach ``gd.form_values`` as rows of (dim, dim, B, n_cells). Every
+elementwise operation and every sum over the 1-3 components runs over rows
+of every sample and cell.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +72,11 @@ class SpaceTimeGD:
     n_steps: int
 
     def __post_init__(self):
-        if self.n_steps < 1 or self.T <= 0:
-            raise ValueError("need n_steps >= 1 and T > 0")
+        # a NaN or infinite T would give every step a NaN or infinite dt
+        if isinstance(self.T, bool) or not 0 < self.T < float("inf"):
+            raise ValueError("T must be a positive finite number")
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
+            raise ValueError("n_steps must be a positive integer")
 
     @property
     def dt(self):
@@ -156,12 +168,19 @@ class Stepper:
     call.
 
     The flux and its Jacobian are evaluated on a flux rule of k points per
-    cell, held cell-major with their weights (n_cells, k), and a cell's
-    integral is the weighted sum of its k values. A flux of the gradient
-    alone (``FluxModel.depends_on_value`` false) gets k = 1, weighted by the
-    cell measure, and zeros as its value argument; a custom flux gets the
-    quadrature points and weights, and Pi u there. The noise term stays at
-    the quadrature points, since the noise basis varies inside a cell.
+    cell, with weights (n_cells, k), and a cell's integral is the weighted
+    sum of its k values. A flux of the gradient alone
+    (``FluxModel.depends_on_value`` false) gets k = 1, weighted by the cell
+    measure, and zeros as its value argument; a custom flux gets the
+    quadrature points and weights, and Pi u there. The points are laid out
+    component-major: the flux sees its gradients as an F-ordered (n, dim)
+    view of (dim, n) memory, the n points running over sample, cell and
+    point (the order of the values Pi u), and its results stay in that
+    layout through the cell sums: (dim, B, n_cells) for the flux,
+    (dim, dim, B, n_cells) for the Jacobian. The gradient operator is
+    stored with its rows in that order; the flux vector is taken back to
+    the cell-major columns of G^T in one copy. The noise term stays at the
+    quadrature points, since the noise basis varies inside a cell.
 
     The number of unknowns picks only the storage of the constant operators
     (the reconstruction, its weighted transpose, the mass, the gradient
@@ -187,7 +206,10 @@ class Stepper:
         self._P = store(gd.P)
         self._PTw = store(gd.P.T @ sp.diags(gd.quad_w))
         self._M = store(gd.mass)
-        self._G, self._GT = store(gd.G), store(gd.G.T)
+        # the gradient rows component-major: row k * n_cells + c is
+        # component k on cell c
+        cm = np.arange(gd.G.shape[0]).reshape(-1, gd.dim).T.ravel()
+        self._G, self._GT = store(gd.G)[cm], store(gd.G.T)
         # the flux rule's weights (see the class docstring): a(grad u) is
         # constant per cell, so one point per cell integrates it exactly
         rule_w = gd.quad_w if flux_model.depends_on_value else gd.mesh.cell_measures
@@ -205,8 +227,11 @@ class Stepper:
         return self._mass_vals + self.dt * self.gd.form_values(blocks)
 
     def _gradients(self, U):
-        """Per-cell gradients (B, n_cells, dim) of the rows of U."""
-        return _rows(self._G, U).reshape(len(U), -1, self.gd.dim)
+        """Per-cell gradients (B, n_cells, dim) of the rows of U, held
+        component-major: a view of (dim, B, n_cells) memory."""
+        d, n_cells = self.gd.dim, self.gd.mesh.n_cells
+        g = (self._G @ U.T).reshape(d, n_cells, len(U)).transpose(0, 2, 1)
+        return np.ascontiguousarray(g).transpose(1, 2, 0)
 
     def noise_values(self, U_n, C):
         """f0(Pi u_n) * sum_k c_k e_k at the quadrature points, (B, n_q), for
@@ -214,18 +239,24 @@ class Stepper:
         return self.noise.f0(_rows(self._P, U_n)) * (C @ self.E.T)
 
     def _cell_sums(self, evaluate, U, g):
-        """Cell integrals (B, n_cells, ...) by the flux rule of ``evaluate``
-        (``eval_flux`` or ``eval_flux_jacobian``) for the rows of U and their
-        per-cell gradients g: the weighted sum of each cell's k values."""
+        """Cell integrals by the flux rule of ``evaluate`` (``eval_flux`` or
+        ``eval_flux_jacobian``) for the rows of U and their per-cell
+        gradients g, component-major: (dim, B, n_cells) for the flux,
+        (dim, dim, B, n_cells) for its Jacobian. Each cell's k points are
+        evaluated on one array of component rows (k = 1 passes g itself), and
+        a cell's integral is the weighted sum of its k values."""
         w = self._rule_w
         x = _rows(self._P, U).ravel() if self.flux.depends_on_value else np.zeros(len(U) * w.size)
-        X = evaluate(self.flux, x, np.repeat(g, w.shape[1], axis=1).reshape(-1, self.gd.dim))
-        X = X.reshape((len(U),) + w.shape + X.shape[1:])
-        return np.sum(X * w.reshape(w.shape + (1,) * (X.ndim - 3)), axis=2)
+        g = g.transpose(2, 0, 1)[..., None]
+        y = np.broadcast_to(g, g.shape[:-1] + w.shape[1:]).reshape(len(g), -1).T
+        X = evaluate(self.flux, x, y)
+        X = X.transpose(tuple(range(1, X.ndim)) + (0,))  # the points last
+        return np.sum(X.reshape(X.shape[:-1] + (len(U),) + w.shape) * w, axis=-1)
 
     def _flux_vector(self, U):
         """The flux term <a(Pi u, grad u), grad phi_i> of every row, (B, n)."""
-        return _rows(self._GT, self._cell_sums(eval_flux, U, self._gradients(U)).reshape(len(U), -1))
+        a = self._cell_sums(eval_flux, U, self._gradients(U))
+        return (self._GT @ a.transpose(2, 0, 1).reshape(-1, len(U))).T
 
     def residual(self, U, U_n, b_noise):
         """Residuals (B, n) of the step equation at the rows of U."""
@@ -233,7 +264,7 @@ class Stepper:
 
     def _jacobian(self, U):
         """Slot values (B, n_slots) of the Newton matrix at every row of U."""
-        return self._system(self._cell_sums(eval_flux_jacobian, U, self._gradients(U)))
+        return self._system(self._cell_sums(eval_flux_jacobian, U, self._gradients(U)).transpose(2, 3, 0, 1))
 
     def _solve(self, values, b):
         """Solve, row by row, the system with slot values ``values[i]`` for
@@ -354,24 +385,26 @@ def energy_identity_residual(traj):
     """Max violation over steps of the per-step energy identity obtained by
     testing the scheme with u^(n+1):
     1/2||Pi u^(n+1)||^2 + 1/2||Pi(u^(n+1)-u^(n))||^2 + dt<a, grad u^(n+1)>
-        = 1/2||Pi u^(n)||^2 + <f dW, Pi u^(n+1)>."""
-    gd = traj.sgd.gd
+        = 1/2||Pi u^(n)||^2 + <f dW, Pi u^(n+1)>.
+
+    Every step is read at once; each step's inner products sum as
+    ``gd.l2_inner`` and a vector dot product do for it alone."""
+    gd, U = traj.sgd.gd, traj.u
     stepper = Stepper(traj.sgd, traj.flux, traj.noise)
-    flux_terms = stepper._flux_vector(traj.u[1:])
-    noise_terms = stepper.noise_values(traj.u[:-1], traj.increments)
-    worst = 0.0
-    for n, z in enumerate(noise_terms):
-        u_new, u_old = traj.u[n + 1], traj.u[n]
-        lhs = (
-            0.5 * gd.l2_inner(u_new, u_new)
-            + 0.5 * gd.l2_inner(u_new - u_old, u_new - u_old)
-            + traj.sgd.dt * float(flux_terms[n] @ u_new)
-        )
-        rhs = 0.5 * gd.l2_inner(u_old, u_old) + float(
-            (gd.P.T @ (gd.quad_w * z)) @ u_new
-        )
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+
+    def squared_norms(V):
+        PV = np.ascontiguousarray(_rows(gd.P, V))
+        return np.sum(gd.quad_w * (PV * PV), axis=1)
+
+    def dots(V, W):
+        return (V[:, None, :] @ W[:, :, None])[:, 0, 0]
+
+    norms = squared_norms(U)
+    noise_loads = np.ascontiguousarray(_rows(gd.P.T, gd.quad_w * stepper.noise_values(U[:-1], traj.increments)))
+    lhs = 0.5 * norms[1:] + 0.5 * squared_norms(U[1:] - U[:-1])
+    lhs += traj.sgd.dt * dots(stepper._flux_vector(U[1:]), U[1:])
+    rhs = 0.5 * norms[:-1] + dots(noise_loads, U[1:])
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def save_trajectory(traj, csv_path, sidecar_path=None, config_hash=None):

@@ -965,6 +965,30 @@ class TestRefinementTools:
         t_f = run_trajectory(sgd_f, linear_diffusion(), noise, sin_pi, 0, 0)
         assert _lp_differences(E, sgd_f, t_c.u[None], t_f.u[None], 2.0)[0] > 0.0
 
+    @pytest.mark.parametrize("mesh", ["interval", "square"])
+    def test_deterministic_errors_match_per_step_loop(self, mesh):
+        m = build_uniform_interval(16, 0.0, 1.0) if mesh == "interval" else build_uniform_triangulation(8, 8)
+        sgds = [SpaceTimeGD(build_gd(m, kind), T=0.1, n_steps=7) for kind in ("p1", "cr")]
+        noise = make_noise(m.bounding_box, 1, f0="zero")
+
+        def u0(x):
+            return np.prod(np.sin(np.pi * x), axis=1)
+
+        def exact(t, x):
+            return np.exp(-np.pi**2 * t) * u0(x)
+
+        want = []
+        for sgd in sgds:
+            gd = sgd.gd
+            traj = run_trajectory(sgd, p_laplace(3.0), noise, u0, 0, 0)
+            worst = 0.0
+            for n, t in enumerate(sgd.t_grid):
+                diff = gd.P @ traj.u[n] - exact(t, gd.quad_x)
+                worst = max(worst, math.sqrt(float(np.sum(gd.quad_w * diff**2))))
+            want.append(worst.hex())
+        got = analysis.deterministic_errors(sgds, p_laplace(3.0), noise, u0, exact)
+        assert [e.hex() for e in got] == want
+
     def test_slope_fit(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])
         assert abs(loglog_slope(x, 3.0 * x**1.4) - 1.4) <= 1e-12

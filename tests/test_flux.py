@@ -40,6 +40,62 @@ class TestEval:
         with pytest.raises(ValueError):
             FluxModel("p_laplace", 1.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("p", float("inf")),
+            ("c1", float("nan")),
+            ("c1", float("inf")),
+            ("c2", float("nan")),
+            ("c2", 0.0),
+            ("newton_epsilon", -1.0),
+            ("newton_epsilon", float("nan")),
+            ("newton_epsilon", float("inf")),
+        ],
+    )
+    def test_bad_constant_rejected_by_name(self, name, value):
+        kwargs = {"kind": "p_laplace", "p": 3.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            FluxModel(**kwargs)
+
+
+BUILT_IN = {
+    "p3": p_laplace(3.0),
+    "p1.5_eps": p_laplace(1.5),
+    "regularized_p3": regularized_p_laplace(3.0),
+    "regularized_p1.5": regularized_p_laplace(1.5),
+    "linear": linear_diffusion(),
+}
+
+
+class TestComponentLayout:
+    """The stepper passes gradients as an F-ordered (n, d) view of (d, n)
+    memory; the kernels compute on component rows either way."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", list(BUILT_IN))
+    def test_f_ordered_gradients_give_the_same_bits(self, name, d):
+        model = BUILT_IN[name]
+        y = np.random.default_rng(4).uniform(-2.0, 2.0, (200, d))
+        y[::5] = 0.0  # rows where y = 0
+        y[1::7, 0] = -0.0
+        x = np.zeros(len(y))
+        y_f = np.asfortranarray(y)
+        for evaluate in (eval_flux, eval_flux_jacobian):
+            c, f = evaluate(model, x, y), evaluate(model, x, y_f)
+            assert c.shape == f.shape
+            assert np.ascontiguousarray(c).tobytes() == np.ascontiguousarray(f).tobytes()
+        assert eval_flux(model, x, y_f).T.flags.c_contiguous
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", list(BUILT_IN) + ["finite_difference"])
+    def test_jacobian_held_component_major(self, name, d):
+        model = BUILT_IN.get(name) or custom_flux(3.0, lambda x, y: np.abs(y) * y)
+        y = np.random.default_rng(5).uniform(-2.0, 2.0, (50, d))
+        J = eval_flux_jacobian(model, np.zeros(len(y)), np.asfortranarray(y))
+        assert J.shape == (50, d, d)
+        assert J.transpose(1, 2, 0).flags.c_contiguous  # (d, d, n) memory
+
 
 class TestJacobian:
     def test_linear_identity_matrix(self):

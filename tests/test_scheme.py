@@ -59,6 +59,48 @@ def test_solver_config_rejects_bad_values(kwargs):
         SolverConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("T", float("nan")),
+        ("T", float("inf")),
+        ("T", 0.0),
+        ("n_steps", 2.5),
+        ("n_steps", 4.0),
+        ("n_steps", 0),
+        ("n_steps", True),
+    ],
+)
+def test_time_grid_rejects_bad_values(single_dof_gd, name, value):
+    kwargs = {"T": 1.0, "n_steps": 4, name: value}
+    with pytest.raises(ValueError, match=name):
+        SpaceTimeGD(single_dof_gd, **kwargs)
+
+
+def test_newton_step_reaches_the_traced_names(monkeypatch, setup16):
+    # the benchmark's per-layer spans wrap these three names; a step that
+    # stops calling one of them would read 0 there
+    sgd, noise = setup16
+    stepper = Stepper(sgd, p_laplace(3.0), noise)
+    calls = {}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((sgdm.scheme, "eval_flux"), (sgdm.scheme, "eval_flux_jacobian"), (Stepper, "_solve")):
+        counted(owner, name)
+    u = sgd.gd.interpolate(sin_pi)
+    stepper.step(u[None], 0.1 * np.ones((1, noise.k_max)))
+    assert set(calls) == {"eval_flux", "eval_flux_jacobian", "_solve"}
+    assert min(calls.values()) > 0
+
+
 class TestSolveStep:
     def test_single_dof_hand_formula(self, single_dof_gd):
         sgd = SpaceTimeGD(single_dof_gd, T=0.1, n_steps=10)
@@ -192,6 +234,29 @@ class TestTrajectory:
         traj = run_trajectory(sgd, p_laplace(3.0), noise, sin_pi, 23, 1)
         bound = 10.0 * 1e-10 * (1.0 + max(np.linalg.norm(traj.u[n]) for n in range(sgd.n_steps + 1)))
         assert energy_identity_residual(traj) <= bound
+
+    @pytest.mark.parametrize("mesh", ["interval", "square"])
+    def test_energy_identity_residual_matches_per_step_loop(self, mesh):
+        # the array form reads every step at once; each step still sums as
+        # gd.l2_inner and a vector dot product do for it alone
+        m = build_uniform_interval(16, 0.0, 1.0) if mesh == "interval" else build_uniform_triangulation(12, 12)
+        gd = build_gd(m, "p1")
+        sgd = SpaceTimeGD(gd, T=0.25, n_steps=9)
+        noise = make_noise(m.bounding_box, 4, f0="tanh")
+        traj = run_trajectory(sgd, p_laplace(3.0), noise, lambda x: np.prod(np.sin(np.pi * x), axis=1), 23, 1)
+        stepper = Stepper(sgd, traj.flux, noise)
+        flux_terms = stepper._flux_vector(traj.u[1:])
+        worst = 0.0
+        for n, z in enumerate(stepper.noise_values(traj.u[:-1], traj.increments)):
+            u_new, u_old = traj.u[n + 1], traj.u[n]
+            lhs = (
+                0.5 * gd.l2_inner(u_new, u_new)
+                + 0.5 * gd.l2_inner(u_new - u_old, u_new - u_old)
+                + sgd.dt * float(flux_terms[n] @ u_new)
+            )
+            rhs = 0.5 * gd.l2_inner(u_old, u_old) + float((gd.P.T @ (gd.quad_w * z)) @ u_new)
+            worst = max(worst, abs(lhs - rhs))
+        assert energy_identity_residual(traj).hex() == worst.hex()
 
     def test_energy_identity_zero_path(self, setup16):
         sgd, _ = setup16
