@@ -1,16 +1,18 @@
 """Monte Carlo estimator suite: energy and moment estimators, time-translate
 and dual-norm increment statistics, fractional time-regularity norms of
 piecewise-constant paths, noise-accumulator (martingale) statistics from
-each path's states and increments, coupled refinement studies, and the exact
+each path's states and increments, coupled refinement levels, and the exact
 single-unknown linear-scheme oracle.
 
-Every Monte Carlo path runs through one block driver, ``map_blocks``: it
-maps a task, built once with the steppers and whatever else it reuses, over
-fixed lockstep blocks of sample indices (``_sample_blocks``), in this
-process or on a fork pool. ``run_ensemble``'s task summarises a
-block's paths in one ``EnsembleAccumulator.summarize`` call, a table with a
-row per sample; ``coupled_refinement_study``'s runs the block on every
-refinement level and gives its rows of coarse-to-fine differences.
+Every Monte Carlo ensemble runs through one driver, ``run_levels``, over a
+list of refinement levels (one level for a plain ensemble,
+``run_ensemble``). Its one task runs a block of sample indices
+(``_sample_blocks``) on every level under the block's coupled noise, one
+keyed draw, summarises each level's paths in one
+``EnsembleAccumulator.summarize`` call, a table with a row per sample, and
+gives the block's rows of coarse-to-fine differences. ``map_blocks`` maps
+the task, built once with the steppers and whatever else it reuses, over
+the blocks, in this process or on a fork pool.
 
 Every Monte Carlo reduction is one streaming statistic, ``RunningVector``:
 one pairwise merge per block of each column's mean and squared deviations,
@@ -23,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import sample_increment, ziggurat_tables
-from .scheme import Stepper, StepFailure, run_block, run_trajectory
+from .noise import ziggurat_tables
+from .scheme import Stepper, StepFailure, coupled_increments, run_block, run_trajectory
 
 
 # -- streaming statistics ------------------------------------------------------
@@ -53,7 +55,8 @@ class RunningVector:
 
     def add(self, x):
         """Add one vector, or an (m, size) block of rows in one merge."""
-        cols = np.asarray(x, dtype=float).reshape(-1, len(self.mean)).T.copy()  # a row per column
+        x = np.asarray(x, dtype=float)
+        cols = x.reshape(len(x) if x.ndim == 2 else 1, len(self.mean)).T.copy()  # a row per column
         mean = cols[:, 0] + (cols - cols[:, :1]).mean(axis=1)
         dev = cols - mean[:, None]
         self.merge(cols.shape[1], mean, np.sum(dev * dev, axis=1))
@@ -232,6 +235,9 @@ class DualNormSolver:
 # -- ensemble estimators ---------------------------------------------------------
 
 
+MARTINGALE_R = 2  # the exponent r of the martingale estimator E sup_n ||M_n||^r
+
+
 @dataclass
 class EstimatorReport:
     """Aggregated Monte Carlo statistics of one trajectory ensemble.
@@ -299,7 +305,6 @@ class EnsembleAccumulator:
         dual_ells=(1, 2, 4, 8),
         dual_r=2,
         beta=0.25,
-        martingale_r=2,
         with_dual=True,
         with_martingale=True,
         extra_fn=None,
@@ -317,7 +322,6 @@ class EnsembleAccumulator:
         self.dual_ells = tuple(e for e in dual_ells if 1 <= e <= N - 1) if with_dual and gd.n_dofs else ()
         self.dual_r = dual_r
         self.beta = beta
-        self.martingale_r = martingale_r
         self.with_martingale = with_martingale
         self.extra_fn = extra_fn
         self._dual = DualNormSolver(gd) if self.dual_ells else None
@@ -365,7 +369,7 @@ class EnsembleAccumulator:
         if self.with_martingale:
             rows = [self._martingale_rows(stepper, traj) for traj in trajs]
             mart_h, m_sq, pairs = (np.array(col) for col in zip(*rows))
-            cols += [mart_h, m_sq.max(axis=1) ** (self.martingale_r / 2.0), m_sq, pairs]
+            cols += [mart_h, m_sq.max(axis=1) ** (MARTINGALE_R / 2.0), m_sq, pairs]
         if self.extra_fn is not None:
             cols.append(np.array([np.asarray(self.extra_fn(traj), dtype=float) for traj in trajs]))
         return np.column_stack(cols)
@@ -486,10 +490,10 @@ BLOCK_BYTES = 32 * 2**20
 
 def ensemble_block(flux_model, noise, *sgds):
     """Samples per block when each sample holds one path on every
-    space-time grid of ``sgds`` (one grid for an ensemble, every level for
-    a coupled study): ``ENSEMBLE_BLOCK``, or ``LINEAR_ENSEMBLE_BLOCK`` for
-    a linear flux, or fewer when what the block's rows hold at its peak
-    would pass ``BLOCK_BYTES``; at least one. A row holds, on every grid,
+    space-time grid of ``sgds`` (every level of ``run_levels``):
+    ``ENSEMBLE_BLOCK``, or ``LINEAR_ENSEMBLE_BLOCK`` for a linear flux, or
+    fewer when what the block's rows hold at its peak would pass
+    ``BLOCK_BYTES``; at least one. A row holds, on every grid,
     its path (``scheme.run_block`` stores N+1 states, N increments,
     residuals and iteration counts), one step's noise values at the n_q
     quadrature points (``scheme.Stepper.noise_values``), and the (N+1)^2
@@ -548,35 +552,66 @@ def map_blocks(task, blocks, workers):
         yield from pool.imap(_run_in_worker, blocks, chunksize=max(1, len(blocks) // (workers * 16)))
 
 
-def run_ensemble(sgd, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=None, cfg=None, workers=1):
-    """Run a sample ensemble and reduce it to an EstimatorReport.
+def run_levels(sgds, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=None, cfg=None, workers=1):
+    """Run a sample ensemble on every refinement level of ``sgds`` (coarse
+    to fine, each doubling the step count on a mesh nested in the previous)
+    under one noise path per sample. Returns one ``EstimatorReport`` per
+    level and one ``MeanSE`` per consecutive pair, the mean pathwise
+    L^p(space-time) difference for the accumulators' p (``acc_kwargs``,
+    shared by every level; p defaults to the flux's).
 
-    Samples advance in fixed blocks of B = ``ensemble_block(flux_model, noise, sgd)``
-    consecutive indices (``_sample_blocks``), run by ``map_blocks`` on one
-    stepper (its stored operators, noise basis values, the mass in the
-    form's slots, and the factorised operator of a linear flux), each block
-    by ``scheme.run_block`` and summarised in one
-    ``EnsembleAccumulator.summarize`` call on the same stepper. A sample's
-    noise is bit-identical to the stream of (master_seed, sample, step)
-    drawn alone; its states agree with ``run_trajectory`` for that sample
-    alone up to the rounding of the block's row arithmetic. The summaries
-    are merged block after block in sample order (``add_summary``), so the
-    report is bit-identical for any worker count.
+    Samples advance in fixed blocks of ``ensemble_block(flux_model, noise,
+    *sgds)`` consecutive indices (``_sample_blocks``), run by ``map_blocks``
+    on one stepper per level and one ``transfer_matrix`` per pair. Per
+    block: one keyed ``coupled_increments`` draw (at one level, the paths'
+    own streams (master_seed, sample, step)), one ``scheme.run_block`` and
+    one ``EnsembleAccumulator.summarize`` per level, then the differences of
+    all the block's samples at once. A sample's states agree with
+    ``run_trajectory`` on its increments up to the rounding of the block's
+    row arithmetic. The blocks are merged in sample order, so the results
+    are bit-identical for any worker count. A ``StepFailure`` ends the run
+    on every level and names the ``level`` whose step failed.
     """
+    for a, b in zip(sgds[:-1], sgds[1:]):
+        if b.n_steps != 2 * a.n_steps:
+            raise ValueError("levels must double the step count")
     acc_kwargs = dict(acc_kwargs or {})
     acc_kwargs.setdefault("p", flux_model.p)
-    acc = EnsembleAccumulator(sgd, **acc_kwargs)
-    u0_vec = sgd.gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)
-    stepper = Stepper(sgd, flux_model, noise, cfg)
+    accs = [EnsembleAccumulator(sgd, **acc_kwargs) for sgd in sgds]
+    steppers = [Stepper(sgd, flux_model, noise, cfg) for sgd in sgds]
+    transfers = [c.gd.transfer_matrix(f.gd) for c, f in zip(sgds[:-1], sgds[1:])]
 
-    def summarize(block):
-        trajs = run_block(sgd, flux_model, noise, u0_vec, master_seed, block, cfg, _stepper=stepper)
-        return acc.summarize(trajs, stepper)
+    def run(block):
+        """The block's summary table on every level and its rows of differences."""
+        samples = np.array(block, dtype=np.int64)[:, None]
+        incs = coupled_increments(noise, master_seed, samples, sgds[-1].n_steps, sgds[-1].dt, len(sgds))
+        tables, paths = [], []
+        for level, (sgd, inc, stepper, acc) in enumerate(zip(sgds, incs, steppers, accs)):
+            try:
+                trajs = run_block(sgd, flux_model, noise, u0, master_seed, block, cfg, inc, _stepper=stepper)
+            except StepFailure as exc:
+                exc.level = level
+                raise
+            tables.append(acc.summarize(trajs, stepper))
+            paths.append(trajs)
+        U = [np.stack([t.u for t in trajs]) for trajs in paths] if transfers else []
+        rows = [_lp_differences(E, sgds[i + 1], U[i], U[i + 1], accs[0].p) for i, E in enumerate(transfers)]
+        return tables, np.reshape(rows, (len(transfers), len(block))).T
 
-    blocks = _sample_blocks(n_samples, ensemble_block(flux_model, noise, sgd))
-    for summary in map_blocks(summarize, blocks, workers):
-        acc.add_summary(summary)
-    return acc.report()
+    stat = RunningVector(len(transfers))
+    blocks = _sample_blocks(n_samples, ensemble_block(flux_model, noise, *sgds))
+    for tables, rows in map_blocks(run, blocks, workers):
+        for acc, table in zip(accs, tables):
+            acc.add_summary(table)
+        stat.add(rows)
+    return [acc.report() for acc in accs], stat.results()
+
+
+def run_ensemble(sgd, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=None, cfg=None, workers=1):
+    """Run a sample ensemble on one space-time grid and reduce it to an
+    ``EstimatorReport``: ``run_levels`` at one level."""
+    (report,), _ = run_levels([sgd], flux_model, noise, u0, master_seed, n_samples, acc_kwargs, cfg, workers)
+    return report
 
 
 # -- oracles and convergence studies ---------------------------------------------
@@ -610,73 +645,13 @@ def _lp_differences(E, sgd_fine, U_c, U_f, p):
     B, Nc = len(U_c), U_c.shape[1] - 1
     if Nf % Nc != 0:
         raise ValueError("fine step count must be a multiple of the coarse one")
-    # values at the fine quadrature points, one column per (sample, fine step)
-    fine = gd_f.P @ U_f[:, 1:].reshape(-1, gd_f.n_dofs).T
-    coarse = (E @ U_c[:, 1:].reshape(-1, U_c.shape[2]).T).reshape(-1, B, Nc)
-    coarse = np.repeat(coarse, Nf // Nc, axis=2).reshape(fine.shape)
-    per_step = (gd_f.quad_w @ np.abs(fine - coarse) ** p).reshape(B, Nf)
+    # fine less coarse values at the fine quadrature points, in place: the block's largest arrays
+    diff = (gd_f.P @ U_f[:, 1:].reshape(-1, gd_f.n_dofs).T).reshape(-1, B, Nc, Nf // Nc)
+    diff -= (E @ U_c[:, 1:].reshape(-1, U_c.shape[2]).T).reshape(-1, B, Nc, 1)
+    np.abs(diff, out=diff)
+    diff **= p
+    per_step = (gd_f.quad_w @ diff.reshape(len(gd_f.quad_w), -1)).reshape(B, Nf)
     return (sgd_fine.dt * per_step.sum(axis=1)) ** (1.0 / p)
-
-
-def coupled_increments(noise, master_seed, sample_index, n_fine, dt_fine, n_levels):
-    """Wiener increments shared across refinement levels: the finest-level
-    increments are drawn first, in one keyed call over the steps (step n
-    from the stream (master_seed, sample_index, n+1), as a path draws
-    them), then summed pairwise for each coarser level. Returns a list,
-    coarsest first, of (n_steps, k_max) coefficient arrays.
-
-    ``sample_index`` may be a (B, 1) column of indices: the arrays then have
-    a leading sample axis, (B, n_steps, k_max), drawn in the same one call,
-    and row b is bit-identical to the arrays of sample b alone."""
-    fine = sample_increment(noise, master_seed, sample_index, np.arange(1, n_fine + 1), dt_fine)
-    levels = [fine]
-    for _ in range(n_levels - 1):
-        prev = levels[-1]
-        levels.append(prev.reshape(prev.shape[:-2] + (prev.shape[-2] // 2, 2, -1)).sum(axis=-2))
-    return levels[::-1]
-
-
-def coupled_refinement_study(sgds, flux_model, noise, u0, master_seed, n_samples, p, cfg=None, workers=1):
-    """Mean pathwise L^p(space-time) differences between consecutive
-    refinement levels under a common noise path per sample.
-
-    ``sgds`` are space-time discretisations ordered coarse to fine with
-    doubling step counts. Returns a list of MeanSE, one per consecutive pair.
-
-    Samples advance in fixed blocks, sized by the paths of every level, run
-    by ``map_blocks`` on one stepper per level and one coarse-to-fine
-    reconstruction matrix per pair: per block, one keyed
-    ``coupled_increments`` call, one ``run_block`` per level and the
-    differences of all its samples at once. The blocks are merged in sample
-    order into one ``RunningVector``, so the result is bit-identical for any
-    worker count. A ``StepFailure`` names the ``level`` whose step failed.
-    """
-    for a, b in zip(sgds[:-1], sgds[1:]):
-        if b.n_steps != 2 * a.n_steps:
-            raise ValueError("levels must double the step count")
-    steppers = [Stepper(sgd, flux_model, noise, cfg) for sgd in sgds]
-    transfers = [c.gd.reconstruction_matrix(f.gd.quad_x) for c, f in zip(sgds[:-1], sgds[1:])]
-
-    def differences(block):
-        """(B, n_levels - 1) rows, one per sample of the block."""
-        samples = np.array(block, dtype=np.int64)[:, None]
-        incs = coupled_increments(noise, master_seed, samples, sgds[-1].n_steps, sgds[-1].dt, len(sgds))
-        paths = []
-        for level, (sgd, inc, stepper) in enumerate(zip(sgds, incs, steppers)):
-            try:
-                trajs = run_block(sgd, flux_model, noise, u0, master_seed, block, cfg, inc, _stepper=stepper)
-            except StepFailure as exc:
-                exc.level = level
-                raise
-            paths.append(np.stack([t.u for t in trajs]))
-        rows = [_lp_differences(E, sgds[i + 1], paths[i], paths[i + 1], p) for i, E in enumerate(transfers)]
-        return np.reshape(rows, (len(transfers), len(block))).T
-
-    stat = RunningVector(len(transfers))
-    blocks = _sample_blocks(n_samples, ensemble_block(flux_model, noise, *sgds))
-    for rows in map_blocks(differences, blocks, workers):
-        stat.add(rows)
-    return stat.results()
 
 
 def deterministic_errors(sgds, flux_model, noise, u0, exact, master_seed=0, cfg=None):

@@ -332,36 +332,39 @@ def _finish(outdir, cfg, summary):
 # -- subcommands -------------------------------------------------------------------
 
 
-def cmd_run(cfg, workers, outdir):
-    """Trajectory ensembles per level with the full estimator suite."""
+def _run_levels(cfg, workers, acc_kwargs, summary, one_path_if_silent=False):
+    """``analysis.run_levels`` on the config's levels, one noise model and one
+    initial condition (refinement keeps the bounding box), over one sample if
+    ``one_path_if_silent`` and the noise is zero. Returns the levels, reports
+    and differences, none of either after a failed step, which ``summary`` records."""
     levels = build_levels(cfg)
-    flux_model = build_flux(cfg)
-    solver_cfg = build_solver_config(cfg)
+    mesh0, gd0, _ = levels[0]
+    noise_model = build_noise_model(cfg, mesh0)
+    try:
+        return levels, *analysis.run_levels(
+            [sgd for (_, _, sgd) in levels], build_flux(cfg), noise_model, build_u0(cfg, mesh0, gd0),
+            cfg["master_seed"], 1 if one_path_if_silent and noise_model.is_zero else cfg["n_samples"],
+            acc_kwargs, build_solver_config(cfg), workers=workers,
+        )
+    except StepFailure as exc:
+        summary["failures"].append(
+            {"level": exc.level, "sample": exc.sample_index, "step": exc.step_index, "residual": exc.residual_norm}
+        )
+        summary["ok"] = False
+        return levels, [], []
+
+
+def cmd_run(cfg, workers, outdir):
+    """Trajectory ensembles on every level with the full estimator suite."""
     est = cfg["estimators"]
+    acc_kwargs = dict(
+        p=cfg["p"], moment_qs=tuple(est["moments_q"]), translate_ells=tuple(est["translate_ells"]),
+        dual_ells=tuple(est["dual_ells"]), dual_r=est["dual_r"], beta=est["beta"],
+    )
     rows = []
     summary = {"levels": [], "failures": [], "ok": True}
-    for lvl, (mesh, gd, sgd) in enumerate(levels):
-        noise_model = build_noise_model(cfg, mesh)
-        u0 = build_u0(cfg, mesh, gd)
-        acc_kwargs = dict(
-            p=cfg["p"],
-            moment_qs=tuple(est["moments_q"]),
-            translate_ells=tuple(est["translate_ells"]),
-            dual_ells=tuple(est["dual_ells"]),
-            dual_r=est["dual_r"],
-            beta=est["beta"],
-        )
-        try:
-            rep = analysis.run_ensemble(
-                sgd, flux_model, noise_model, u0, cfg["master_seed"], cfg["n_samples"],
-                acc_kwargs, solver_cfg, workers=workers,
-            )
-        except StepFailure as exc:
-            summary["failures"].append(
-                {"level": lvl, "sample": exc.sample_index, "step": exc.step_index, "residual": exc.residual_norm}
-            )
-            summary["ok"] = False
-            continue
+    levels, reports, _ = _run_levels(cfg, workers, acc_kwargs, summary)
+    for lvl, ((mesh, gd, sgd), rep) in enumerate(zip(levels, reports)):
 
         def push(name, key, stat):
             rows.append([lvl, name, key, stat.mean, stat.se, stat.n])
@@ -574,26 +577,16 @@ def cmd_oracle(cfg, workers, outdir):
 
 
 def cmd_convergence(cfg, workers, outdir):
-    """Coupled-seed refinement study of consecutive levels; a noise-free
-    study has one path per level, so it runs one sample."""
-    levels = build_levels(cfg)
-    mesh0, gd0, _ = levels[0]
-    noise_model = build_noise_model(cfg, mesh0)
+    """Coupled-seed refinement study of consecutive levels, with the energy
+    estimators only; a noise-free study has one path per level, so it runs
+    one sample."""
+    if cfg["levels"] < 2:
+        raise ConfigError("key levels must be >= 2 for a convergence study")
     summary = {"failures": [], "ok": True}
-    try:
-        stats = analysis.coupled_refinement_study(
-            [sgd for (_, _, sgd) in levels], build_flux(cfg), noise_model, build_u0(cfg, mesh0, gd0),
-            cfg["master_seed"], 1 if noise_model.is_zero else cfg["n_samples"], cfg["p"],
-            build_solver_config(cfg), workers=workers,
-        )
-    except StepFailure as exc:
-        # the first pair that holds the failing level
-        summary["failures"].append({
-            "pair": max(exc.level - 1, 0), "level": exc.level, "sample": exc.sample_index,
-            "step": exc.step_index, "residual": exc.residual_norm,
-        })
-        summary["ok"] = False
-        stats = []
+    energy_only = dict(p=cfg["p"], translate_ells=(), dual_ells=(), with_martingale=False)
+    levels, _, stats = _run_levels(cfg, workers, energy_only, summary, one_path_if_silent=True)
+    for failure in summary["failures"]:
+        failure["pair"] = max(failure["level"] - 1, 0)  # the first pair that holds the failing level
     means = [st.mean for st in stats]
     summary["differences"] = means
     summary["orders"] = [float(np.log2(a / b)) if a > 0 and b > 0 else None for a, b in zip(means, means[1:])]
@@ -633,12 +626,12 @@ def main(argv=None):
             if args.seed < 0:
                 raise ConfigError("--seed must be >= 0")
             cfg["master_seed"] = args.seed
+        outdir = Path(args.out if args.out is not None else cfg["output_dir"])
+        outdir.mkdir(parents=True, exist_ok=True)
+        code = COMMANDS[args.command](cfg, max(1, args.workers), outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    outdir = Path(args.out if args.out is not None else cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    code = COMMANDS[args.command](cfg, max(1, args.workers), outdir)
     print(f"{args.command}: {'pass' if code == 0 else 'FAIL'} (outputs in {outdir})")
     return code
 

@@ -86,15 +86,16 @@ def custom_flux(p, fn, jac=None, c1=1.0, c2=1.0):
 
 
 def eval_flux(model, x, y):
-    """Evaluate a(x, y) for batched values x (n,) and gradients y (n, d).
+    """Evaluate a(x, y) for batched values x (n,), or None for a flux that
+    does not read them, and gradients y (n, d).
 
     The built-in kinds compute on the components ``y[:, k]`` as rows, so an
     F-ordered y (a view of (d, n) memory, as the stepper passes it) runs
     every operation over n contiguous entries; the result has the layout of
     y, and its values do not depend on it."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = None if x is None else np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    if np.any(~np.isfinite(x)) or np.any(~np.isfinite(y)):
+    if x is not None and np.any(~np.isfinite(x)) or np.any(~np.isfinite(y)):
         raise ValueError("flux arguments must be finite")
     if model.kind == LINEAR_DIFFUSION:
         return y.copy(order="K")
@@ -111,13 +112,13 @@ def eval_flux(model, x, y):
 
 
 def eval_flux_jacobian(model, x, y):
-    """Jacobian in y of the (smoothed) flux, batched: returns (n, d, d).
+    """Jacobian in y of the (smoothed) flux, batched, x and y as in ``eval_flux``: (n, d, d).
 
     For the built-in kinds and the finite-difference Jacobian the result is
     a view of (d, d, n) memory, entry (k, l) one contiguous row over the n
     points, filled row by row from the components of y as in ``eval_flux``.
     A custom ``jac`` is returned as it lays its result out."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = None if x is None else np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     n, d = y.shape
     yt = y.T

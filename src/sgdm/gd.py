@@ -353,7 +353,23 @@ class GradientDiscretisation:
         """Sparse operator E with (E @ v) = reconstruction of v at the points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         cells = self.locate(points)
-        lam = self.barycentric(points, cells)
+        return self._reconstruction_in(cells, self.barycentric(points, cells))
+
+    def transfer_matrix(self, fine):
+        """``reconstruction_matrix`` at the quadrature points of ``fine``, on
+        this mesh or a refinement of it: only the fine cells' centroids are
+        located, and each point is read in its cell's parent, the cell that
+        holds the centroid. Raises ``ValueError`` for a point outside it."""
+        centroids = fine.mesh.vertices[fine.mesh.cells].mean(axis=1)
+        cells = self.locate(centroids)[fine.quad_cell]
+        lam = self.barycentric(fine.quad_x, cells)
+        outside = lam.min(axis=1) < -1e-12 * max(1.0, np.abs(self.mesh.vertices).max())  # as in locate
+        if np.any(outside):
+            raise ValueError(f"point {fine.quad_x[outside][0]} lies outside the cell of its fine cell's centroid")
+        return self._reconstruction_in(cells, lam)
+
+    def _reconstruction_in(self, cells, lam):
+        """The reconstruction at points given by cells and barycentric coordinates."""
         if self.kind == P1_MASS_LUMPED:
             # 1 on the dual region of the vertex with the largest coordinate
             dof = self.cell_dofs[cells, lam.argmax(axis=1)][:, None]

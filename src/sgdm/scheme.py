@@ -92,8 +92,8 @@ class StepFailure(RuntimeError):
 
     ``block_row`` is the failing row of the block ``Stepper.step`` advanced;
     the trajectory runner adds the ``step_index`` and the ``sample_index``,
-    a coupled refinement study the ``level``, and the message names each
-    once it is set."""
+    ``analysis.run_levels`` the ``level``, and the message names each once
+    it is set."""
 
     def __init__(self, message, best_iterate, residual_norm, step_index=None, sample_index=None, block_row=0):
         super().__init__(message)
@@ -171,16 +171,16 @@ class Stepper:
     cell, with weights (n_cells, k), and a cell's integral is the weighted
     sum of its k values. A flux of the gradient alone
     (``FluxModel.depends_on_value`` false) gets k = 1, weighted by the cell
-    measure, and zeros as its value argument; a custom flux gets the
-    quadrature points and weights, and Pi u there. The points are laid out
-    component-major: the flux sees its gradients as an F-ordered (n, dim)
-    view of (dim, n) memory, the n points running over sample, cell and
-    point (the order of the values Pi u), and its results stay in that
-    layout through the cell sums: (dim, B, n_cells) for the flux,
-    (dim, dim, B, n_cells) for the Jacobian. The gradient operator is
-    stored with its rows in that order; the flux vector is taken back to
-    the cell-major columns of G^T in one copy. The noise term stays at the
-    quadrature points, since the noise basis varies inside a cell.
+    measure, and no value argument; a custom flux gets the quadrature points
+    and weights, and Pi u there. The points are laid out component-major:
+    the flux sees its gradients as an F-ordered (n, dim) view of (dim, n)
+    memory, the n points running over sample, cell and point (the order of
+    the values Pi u), and its results stay in that layout through the cell
+    sums: (dim, B, n_cells) for the flux, (dim, dim, B, n_cells) for the
+    Jacobian. The gradient operator is stored with its rows in that order;
+    the flux vector is taken back to the cell-major columns of G^T in one
+    copy. The noise term stays at the quadrature points, since the noise
+    basis varies inside a cell.
 
     The number of unknowns picks only the storage of the constant operators
     (the reconstruction, its weighted transpose, the mass, the gradient
@@ -246,7 +246,7 @@ class Stepper:
         evaluated on one array of component rows (k = 1 passes g itself), and
         a cell's integral is the weighted sum of its k values."""
         w = self._rule_w
-        x = _rows(self._P, U).ravel() if self.flux.depends_on_value else np.zeros(len(U) * w.size)
+        x = _rows(self._P, U).ravel() if self.flux.depends_on_value else None
         g = g.transpose(2, 0, 1)[..., None]
         y = np.broadcast_to(g, g.shape[:-1] + w.shape[1:]).reshape(len(g), -1).T
         X = evaluate(self.flux, x, y)
@@ -323,6 +323,21 @@ class Stepper:
         return U, nr, iters
 
 
+def coupled_increments(noise, master_seed, sample_index, n_fine, dt_fine, n_levels):
+    """Wiener increments shared across refinement levels, coarsest first, as
+    (n_steps, k_max) coefficient arrays: the finest level's are drawn in one
+    keyed call over the steps, step n from the stream (master_seed,
+    sample_index, n+1) as a path draws them (so one level gives a path's own
+    increments), and each coarser level's are summed pairwise from the next.
+    ``sample_index`` may be a (B, 1) column of indices: the arrays then have
+    a leading sample axis, and row b is bit-identical to sample b alone."""
+    levels = [sample_increment(noise, master_seed, sample_index, np.arange(1, n_fine + 1), dt_fine)]
+    for _ in range(n_levels - 1):
+        prev = levels[-1]
+        levels.append(prev.reshape(prev.shape[:-2] + (prev.shape[-2] // 2, 2, -1)).sum(axis=-2))
+    return levels[::-1]
+
+
 def run_block(sgd, flux_model, noise, u0, master_seed, samples, cfg=None, increments=None, _stepper=None):
     """Simulate the paths of a block of samples in lockstep; returns one
     ``Trajectory`` per entry of ``samples``, in order.
@@ -331,10 +346,10 @@ def run_block(sgd, flux_model, noise, u0, master_seed, samples, cfg=None, increm
     discrete space) or a DOF vector, shared by the block. ``increments``
     optionally prescribes the spectral increment coefficients, (B, N,
     k_max); by default step n of sample s draws from the stream
-    (master_seed, s, n+1), and the whole block's increments for all N steps
-    are drawn in one keyed call before the first step. A failed step raises
-    ``StepFailure`` naming the first step at which a sample fails and the
-    first such sample of the block; no path of the block is returned then.
+    (master_seed, s, n+1), the whole block's steps in one keyed call
+    (``coupled_increments`` at one level) before the first step. A failed
+    step raises ``StepFailure`` naming the first step at which a sample
+    fails and the first such sample of the block; no path is returned then.
 
     The block holds the full paths of all its samples until it returns:
     their states, increments, residuals and iteration counts, which
@@ -346,8 +361,7 @@ def run_block(sgd, flux_model, noise, u0, master_seed, samples, cfg=None, increm
     samples = [int(s) for s in samples]
     B = len(samples)
     if increments is None:
-        column = np.array(samples, dtype=np.int64)[:, None]
-        increments = sample_increment(noise, master_seed, column, np.arange(1, N + 1), sgd.dt)
+        (increments,) = coupled_increments(noise, master_seed, np.array(samples, dtype=np.int64)[:, None], N, sgd.dt, 1)
     used = np.array(increments, dtype=float).reshape(B, N, noise.k_max)
     u = np.zeros((B, N + 1, gd.n_dofs))
     u[:, 0] = gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)

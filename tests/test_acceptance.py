@@ -16,11 +16,11 @@ import pytest
 from sgdm import build_gd, build_uniform_interval, build_uniform_triangulation, refine
 from sgdm.analysis import (
     DualNormSolver,
-    coupled_refinement_study,
     deterministic_errors,
     loglog_slope,
     ou_exact_moments,
     run_ensemble,
+    run_levels,
 )
 from sgdm.flux import custom_flux, linear_diffusion, p_laplace, probe_assumptions, regularized_p_laplace
 from sgdm.indicators import consistency_error, indicator_T, indicator_W, poincare_constant
@@ -371,8 +371,9 @@ def test_criterion_9_assumption_probes():
 def test_criterion_10_self_convergence():
     sgds = _levels(8, 8, 4)
     noise = make_noise([[0.0], [1.0]], 8, f0="tanh")
-    stats = coupled_refinement_study(
-        sgds, p_laplace(3.0), noise, sin_u0, 515, 64, p=3.0
+    _, stats = run_levels(
+        sgds, p_laplace(3.0), noise, sin_u0, 515, 64,
+        dict(translate_ells=(), dual_ells=(), with_martingale=False),
     )
     means = [s.mean for s in stats]
     _report(

@@ -22,13 +22,13 @@ from sgdm.analysis import (
     MeanSE,
     RunningVector,
     coupled_increments,
-    coupled_refinement_study,
     ensemble_block,
     fractional_norm,
     loglog_slope,
     map_blocks,
     ou_exact_moments,
     run_ensemble,
+    run_levels,
     translate_at_lags,
 )
 from sgdm.analysis import _lp_differences, _sample_blocks
@@ -196,6 +196,15 @@ class TestRunningVector:
         stat.add([1.5, -2.0])
         assert stat.results() == [MeanSE(1.5, 0.0, 1), MeanSE(-2.0, 0.0, 1)]
         np.testing.assert_array_equal(stat.variance, 0.0)
+
+    def test_blocks_of_zero_columns(self):
+        # a run of one level has no pair of levels: its difference rows are
+        # (m, 0) blocks
+        stat = RunningVector(0)
+        for m in (3, 1):
+            stat.add(np.zeros((m, 0)))
+        assert stat.n == 4 and stat.results() == []
+        assert stat.mean.shape == stat.variance.shape == stat.se.shape == (0,)
 
     def test_column_selection(self):
         x = np.random.default_rng(6).standard_normal((9, 5))
@@ -848,10 +857,10 @@ class TestBlockSummaries:
         sgd = SpaceTimeGD(gd, T=0.25, n_steps=12)
         noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
         trajs = run_block(sgd, p_laplace(3.0), noise, sin_product if gd.dim == 2 else sin_pi, 31, range(5))
-        acc = EnsembleAccumulator(sgd, 3.0, beta=0.3, martingale_r=3, **ENERGY_ONLY | dict(with_martingale=True))
+        acc = EnsembleAccumulator(sgd, 3.0, beta=0.3, **ENERGY_ONLY | dict(with_martingale=True))
         stepper = Stepper(sgd, p_laplace(3.0), noise)
         got = _summary_columns(acc, acc.summarize(trajs, stepper))
-        ref = [reference_martingale(stepper, traj, 0.3, 3) for traj in trajs]
+        ref = [reference_martingale(stepper, traj, 0.3, 2) for traj in trajs]
         for key, want in zip(("mart_h", "m_sq", "mart_sup", "pairs"), zip(*ref)):
             want = np.array(want)
             assert got[key].shape == want.shape
@@ -1042,24 +1051,24 @@ class TestCoupledStudy:
                 built["steppers"] += 1
                 super().__init__(*args, **kwargs)
 
-        reconstruction_matrix = type(sgds[0].gd).reconstruction_matrix
+        transfer_matrix = type(sgds[0].gd).transfer_matrix
 
-        def counting_matrix(gd, points):
+        def counting_matrix(gd, fine):
             built["transfers"] += 1
-            return reconstruction_matrix(gd, points)
+            return transfer_matrix(gd, fine)
 
         reduced = []
         map_blocks = analysis.map_blocks
 
         def recording_map(*args):
-            for rows in map_blocks(*args):
+            for tables, rows in map_blocks(*args):
                 reduced.append(rows)
-                yield rows
+                yield tables, rows
 
         monkeypatch.setattr(analysis, "Stepper", CountingStepper)
-        monkeypatch.setattr(type(sgds[0].gd), "reconstruction_matrix", counting_matrix)
+        monkeypatch.setattr(type(sgds[0].gd), "transfer_matrix", counting_matrix)
         monkeypatch.setattr(analysis, "map_blocks", recording_map)
-        stats = coupled_refinement_study(sgds, p_laplace(3.0), noise, sin_pi, 9, self.N_SAMPLES, 3.0)
+        _, stats = run_levels(sgds, p_laplace(3.0), noise, sin_pi, 9, self.N_SAMPLES, ENERGY_ONLY)
         # three blocks, one stepper per level and one matrix per pair
         assert built == {"steppers": 3, "transfers": 2}
         # the rows it reduced, by the scalar reference, bit for bit
@@ -1075,9 +1084,11 @@ class TestCoupledStudy:
 
     def test_identical_across_workers_over_blocks_of_three(self, levels_in_blocks_of_three):
         sgds, noise = levels_in_blocks_of_three
-        a, b = (
-            coupled_refinement_study(sgds, p_laplace(3.0), noise, sin_pi, 9, self.N_SAMPLES, 3.0, workers=w)
+        (reports_a, a), (reports_b, b) = (
+            run_levels(sgds, p_laplace(3.0), noise, sin_pi, 9, self.N_SAMPLES, ENERGY_ONLY, workers=w)
             for w in (1, 2)
         )
         assert a == b
         assert [st.n for st in a] == [self.N_SAMPLES] * 2
+        assert [_report_fields(rep) for rep in reports_a] == [_report_fields(rep) for rep in reports_b]
+        assert [rep.n_samples for rep in reports_a] == [self.N_SAMPLES] * 3

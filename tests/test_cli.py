@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 import scipy
 
-from sgdm.analysis import _lp_differences
+from sgdm.analysis import EnsembleAccumulator, _lp_differences, _sample_blocks, ensemble_block
 from sgdm.cli import (
-    ConfigError, build_flux, build_levels, build_noise_model, build_u0, config_hash, load_config, main,
+    ConfigError, build_flux, build_levels, build_noise_model, build_solver_config, build_u0, config_hash,
+    load_config, main,
 )
-from sgdm.scheme import run_trajectory
+from sgdm.noise import sample_increment
+from sgdm.scheme import Stepper, run_block, run_trajectory
 
 
 def write_config(tmp_path, **overrides):
@@ -219,6 +221,61 @@ class TestCommands:
             outs.append((out / "estimators.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_levels_of_a_run_share_one_noise_path(self, tmp_path):
+        # level 0's report is the ensemble of level-0 paths driven by the
+        # pairwise sums of level 1's increments, in the run's blocks
+        path, _ = write_config(tmp_path, n_samples=6, flux={"kind": "p_laplace"}, p=3.0)
+        out = tmp_path / "run2"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "estimators.csv").read_text().splitlines()[1:]]
+        cfg = load_config(path)
+        (mesh, gd, coarse), (_, _, fine) = build_levels(cfg)
+        flux, noise, u0 = build_flux(cfg), build_noise_model(cfg, mesh), build_u0(cfg, mesh, gd)
+        est = cfg["estimators"]
+        acc = EnsembleAccumulator(
+            coarse, cfg["p"], moment_qs=tuple(est["moments_q"]), translate_ells=tuple(est["translate_ells"]),
+            dual_ells=tuple(est["dual_ells"]), dual_r=est["dual_r"], beta=est["beta"],
+        )
+        stepper = Stepper(coarse, flux, noise, build_solver_config(cfg))
+        blocks = _sample_blocks(cfg["n_samples"], ensemble_block(flux, noise, coarse, fine))
+        for block in blocks:
+            samples = np.array(block)[:, None]
+            dW = sample_increment(noise, 42, samples, np.arange(1, fine.n_steps + 1), fine.dt)
+            trajs = run_block(coarse, flux, noise, u0, 42, block, stepper.cfg, dW[:, 0::2] + dW[:, 1::2], stepper)
+            acc.add_summary(acc.summarize(trajs, stepper))
+        rep = acc.report()
+        want = {
+            ("energy_max_l2_sq", ""): rep.energy_max_l2_sq,
+            ("grad_lp_p", ""): rep.grad_lp_p,
+            ("increment_sum", ""): rep.increment_sum,
+            **{("moment_max_l2", f"q={q}"): st for q, st in rep.higher_moments.items()},
+            **{("moment_grad", f"q={q}"): st for q, st in rep.grad_moments.items()},
+            **{("translate", f"ell={ell}"): st for ell, st in rep.translate_table.items()},
+            **{("dual_increment", f"ell={ell},r={r}"): st for (ell, r), st in rep.dual_increment_table.items()},
+            ("martingale_h_beta", f"beta={est['beta']}"): rep.martingale_h_beta,
+            ("martingale_sup_r", ""): rep.martingale_sup_r,
+            ("increment_pair_mean", ""): rep.increment_pair_mean,
+        }
+        # a dual_increment key holds a comma
+        level0 = {(r[1], ",".join(r[2:-3])): r[-3:] for r in rows if r[0] == "0"}
+        assert level0 == {key: [format(st.mean, ".17g"), format(st.se, ".17g"), str(st.n)] for key, st in want.items()}
+        assert len(rows) == 2 * len(want)
+
+    def test_run_records_one_failure_for_every_level(self, tmp_path):
+        path, _ = write_config(
+            tmp_path, n_samples=4, flux={"kind": "p_laplace"}, p=3.0, solver={"max_newton": 1},
+        )
+        for workers in (1, 2):
+            out = tmp_path / f"fail{workers}"
+            assert main(["run", "--config", str(path), "--out", str(out), "--workers", str(workers)]) == 1
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["ok"] is False and summary["levels"] == []
+            (failure,) = summary["failures"]
+            assert (failure["level"], failure["sample"], failure["step"]) == (0, 0, 0)
+            assert failure["residual"] > 0.0
+            assert (out / "estimators.csv").read_text().splitlines() == ["level,estimator,key,mean,se,n_samples"]
+            assert (out / "manifest.json").exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         path, _ = write_config(tmp_path, n_samples=6, levels=1)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -349,6 +406,16 @@ class TestCommands:
             assert failure["residual"] > 0.0
             assert (out / "convergence.csv").read_text().splitlines() == ["pair,h_coarse,mean_diff,se,n_samples"]
             assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("levels", [1, None], ids=["one", "default"])
+    def test_convergence_of_one_level_is_a_config_error(self, tmp_path, capsys, levels):
+        path, cfg = write_config(tmp_path, levels=levels, flux={"kind": "p_laplace"}, p=3.0)
+        if levels is None:
+            del cfg["levels"]
+            path.write_text(json.dumps(cfg))
+        assert main(["convergence", "--config", str(path), "--out", str(tmp_path / "conv1")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: key levels") and "Traceback" not in err
 
     def test_convergence_byte_identical_across_workers(self, tmp_path):
         path, _ = write_config(

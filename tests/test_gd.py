@@ -150,6 +150,48 @@ class TestLocalBasis:
         np.testing.assert_allclose(gd.reconstruct_gradient(v), expected, rtol=0, atol=1e-12)
 
 
+def _same_matrix(A, B):
+    """Equal CSR matrices, bit for bit."""
+    return (
+        A.shape == B.shape and np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+        and A.data.tobytes() == B.data.tobytes()
+    )
+
+
+class TestTransfer:
+    @pytest.mark.parametrize("kind", ["p1", "cr", "p1_lumped"])
+    @pytest.mark.parametrize("mesh", ["interval", "rectangle", "refined"])
+    def test_equals_the_located_reconstruction_bitwise(self, mesh, kind):
+        # the mesh itself (a pair of levels that differ in time only), its
+        # refinement and the refinement of that
+        coarse = build_gd(LOCAL_BASIS_MESHES[mesh](), kind)
+        once = refine(coarse.mesh)
+        for fine in (coarse, build_gd(once, kind), build_gd(refine(once), kind)):
+            assert _same_matrix(coarse.transfer_matrix(fine), coarse.reconstruction_matrix(fine.quad_x))
+
+    def test_time_only_pair_shares_one_mesh(self):
+        # the pair of tests/test_analysis.py whose levels differ in time only
+        gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
+        E = gd.transfer_matrix(gd)
+        assert _same_matrix(E, gd.reconstruction_matrix(gd.quad_x))
+        assert np.abs((E - gd.P).toarray()).max() <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["p1", "p1_lumped"])
+    @pytest.mark.parametrize(
+        "coarse, fine",
+        [
+            (lambda: build_uniform_interval(2, 0.0, 1.0), lambda: build_uniform_interval(3, 0.0, 1.0)),
+            (lambda: build_uniform_triangulation(2, 2), lambda: build_uniform_triangulation(3, 3)),
+        ],
+        ids=["interval", "square"],
+    )
+    def test_non_nested_fine_mesh_raises(self, coarse, fine, kind):
+        # a fine cell across a coarse edge has points outside the coarse
+        # cell that holds its centroid
+        with pytest.raises(ValueError, match="outside the cell of its fine cell's centroid"):
+            build_gd(coarse(), kind).transfer_matrix(build_gd(fine(), kind))
+
+
 class TestGradientForm:
     """``gradient_form`` against the sparse triple product it replaced."""
 

@@ -17,7 +17,8 @@ from sgdm.flux import (
     p_laplace,
     regularized_p_laplace,
 )
-from sgdm.analysis import map_blocks
+import sgdm.analysis
+from sgdm.analysis import DualNormSolver, EnsembleAccumulator, map_blocks, run_ensemble
 from sgdm.noise import make_noise, sample_increment
 from sgdm.scheme import (
     SolverConfig,
@@ -77,28 +78,49 @@ def test_time_grid_rejects_bad_values(single_dof_gd, name, value):
         SpaceTimeGD(single_dof_gd, **kwargs)
 
 
+def _count_calls(monkeypatch, names):
+    """Wrap each (owner, name) to count its calls; returns the counts by name."""
+    calls = dict.fromkeys((name for _, name in names), 0)
+    for owner, name in names:
+        original = getattr(owner, name)
+
+        def wrapper(*args, original=original, name=name, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def test_newton_step_reaches_the_traced_names(monkeypatch, setup16):
     # the benchmark's per-layer spans wrap these three names; a step that
     # stops calling one of them would read 0 there
     sgd, noise = setup16
     stepper = Stepper(sgd, p_laplace(3.0), noise)
-    calls = {}
-
-    def counted(owner, name):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    for owner, name in ((sgdm.scheme, "eval_flux"), (sgdm.scheme, "eval_flux_jacobian"), (Stepper, "_solve")):
-        counted(owner, name)
+    names = ((sgdm.scheme, "eval_flux"), (sgdm.scheme, "eval_flux_jacobian"), (Stepper, "_solve"))
+    calls = _count_calls(monkeypatch, names)
     u = sgd.gd.interpolate(sin_pi)
     stepper.step(u[None], 0.1 * np.ones((1, noise.k_max)))
     assert set(calls) == {"eval_flux", "eval_flux_jacobian", "_solve"}
     assert min(calls.values()) > 0
+
+
+def test_ensemble_driver_reaches_the_traced_names(monkeypatch, setup16):
+    # the names the benchmark's ensemble workloads trace, as the library
+    # looks them up; a driver that bypasses one would read 0 there
+    sgd, noise = setup16
+    names = (
+        (sgdm.scheme, "sample_increment"),
+        (Stepper, "step"),
+        (Stepper, "__init__"),
+        (EnsembleAccumulator, "summarize"),
+        (EnsembleAccumulator, "add_summary"),
+        (DualNormSolver, "batch"),
+        (sgdm.analysis, "fractional_norm"),
+    )
+    calls = _count_calls(monkeypatch, names)
+    run_ensemble(sgd, p_laplace(3.0), noise, sin_pi, 5, 3, dict(translate_ells=(1, 2), dual_ells=(1, 2)))
+    assert min(calls.values()) > 0, calls
 
 
 class TestSolveStep:
@@ -477,14 +499,45 @@ class TestFluxRule:
             original = getattr(sgdm.scheme, name)
 
             def record(model, x, y, original=original):
-                rows.append((len(x), len(y)))
+                rows.append((x, len(y)))
                 return original(model, x, y)
 
             monkeypatch.setattr(sgdm.scheme, name, record)
         stepper._flux_vector(u[None])
         stepper._jacobian(u[None])
         n_cells = sgd.gd.mesh.n_cells
-        assert rows == [(n_cells, n_cells)] * 2
+        # one point per cell, and no value argument: a built-in flux reads none
+        assert rows == [(None, n_cells)] * 2
+
+    @pytest.mark.parametrize(
+        "flux",
+        [p_laplace(3.0), regularized_p_laplace(3.0), _value_dependent_flux()],
+        ids=["p3", "regularized_p3", "custom"],
+    )
+    def test_builtin_step_receives_no_value_array(self, monkeypatch, assembly_case, flux):
+        # a whole Newton step, line search included: a built-in flux never
+        # gets a value array, a custom flux gets Pi u at every quadrature point
+        sgd, noise, u, inc = assembly_case
+        gd = sgd.gd
+        stepper = Stepper(sgd, flux, noise)
+        U = np.stack([u, 0.5 * u])
+        values = []
+        for name in ("eval_flux", "eval_flux_jacobian"):
+            original = getattr(sgdm.scheme, name)
+
+            def record(model, x, y, original=original):
+                values.append(x)
+                return original(model, x, y)
+
+            monkeypatch.setattr(sgdm.scheme, name, record)
+        stepper.step(U, np.tile(inc, (2, 1)))
+        assert len(values) >= 3  # residual, Jacobian, line search
+        if flux.depends_on_value:
+            assert all(isinstance(x, np.ndarray) for x in values)
+            want = (gd.P @ U.T).T.ravel()  # the first residual is at U itself
+            np.testing.assert_allclose(values[0], want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        else:
+            assert all(x is None for x in values)
 
     def test_value_dependent_flux_sees_every_quadrature_point(self, assembly_case):
         sgd, noise, u, _ = assembly_case
