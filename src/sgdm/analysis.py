@@ -640,18 +640,22 @@ def _lp_differences(E, sgd_fine, U_c, U_f, p):
     solutions on nested discretisations (the fine time grid refines the
     coarse one): coarse paths U_c (B, Nc+1, n_c), fine paths U_f (B, Nf+1,
     n_f) on ``sgd_fine``, and E the coarse reconstruction at the fine
-    quadrature points; returns (B,)."""
+    quadrature points; returns (B,). One sample at a time, so that what it
+    holds beyond the paths is one sample's values at the fine quadrature
+    points, which ``ensemble_block``'s budget need not count per row."""
     gd_f, Nf = sgd_fine.gd, sgd_fine.n_steps
     B, Nc = len(U_c), U_c.shape[1] - 1
     if Nf % Nc != 0:
         raise ValueError("fine step count must be a multiple of the coarse one")
-    # fine less coarse values at the fine quadrature points, in place: the block's largest arrays
-    diff = (gd_f.P @ U_f[:, 1:].reshape(-1, gd_f.n_dofs).T).reshape(-1, B, Nc, Nf // Nc)
-    diff -= (E @ U_c[:, 1:].reshape(-1, U_c.shape[2]).T).reshape(-1, B, Nc, 1)
-    np.abs(diff, out=diff)
-    diff **= p
-    per_step = (gd_f.quad_w @ diff.reshape(len(gd_f.quad_w), -1)).reshape(B, Nf)
-    return (sgd_fine.dt * per_step.sum(axis=1)) ** (1.0 / p)
+    out = np.empty(B)
+    for b in range(B):
+        # fine less coarse values at the fine quadrature points, in place
+        diff = (gd_f.P @ U_f[b, 1:].T).reshape(-1, Nc, Nf // Nc)
+        diff -= (E @ U_c[b, 1:].T).reshape(-1, Nc, 1)
+        np.abs(diff, out=diff)
+        diff **= p
+        out[b] = sgd_fine.dt * (gd_f.quad_w @ diff.reshape(len(gd_f.quad_w), Nf)).sum()
+    return out ** (1.0 / p)
 
 
 def deterministic_errors(sgds, flux_model, noise, u0, exact, master_seed=0, cfg=None):

@@ -355,7 +355,9 @@ def _run_levels(cfg, workers, acc_kwargs, summary, one_path_if_silent=False):
 
 
 def cmd_run(cfg, workers, outdir):
-    """Trajectory ensembles on every level with the full estimator suite."""
+    """Trajectory ensembles on every level with the full estimator suite;
+    ``summary.json`` also holds the pathwise L^p differences of consecutive
+    levels, as ``convergence`` reports them."""
     est = cfg["estimators"]
     acc_kwargs = dict(
         p=cfg["p"], moment_qs=tuple(est["moments_q"]), translate_ells=tuple(est["translate_ells"]),
@@ -363,7 +365,7 @@ def cmd_run(cfg, workers, outdir):
     )
     rows = []
     summary = {"levels": [], "failures": [], "ok": True}
-    levels, reports, _ = _run_levels(cfg, workers, acc_kwargs, summary)
+    levels, reports, stats = _run_levels(cfg, workers, acc_kwargs, summary)
     for lvl, ((mesh, gd, sgd), rep) in enumerate(zip(levels, reports)):
 
         def push(name, key, stat):
@@ -395,6 +397,10 @@ def cmd_run(cfg, workers, outdir):
         if len(rep.dual_increment_table) >= 2:
             lvl_summary["dual_slope"] = rep.dual_slope(sgd.dt, est["dual_r"])
         summary["levels"].append(lvl_summary)
+    summary["differences"] = [
+        {"pair": i, "h_coarse": levels[i][0].h, "mean": st.mean, "se": st.se, "n_samples": st.n}
+        for i, st in enumerate(stats)
+    ]
     write_csv(
         Path(outdir) / "estimators.csv",
         ["level", "estimator", "key", "mean", "se", "n_samples"],

@@ -12,6 +12,10 @@ certified lower bounds (indicators) or upper bounds (consistency error),
 each attained at an explicit discrete vector: by iteratively reweighted
 least squares (S and W) or by one ratio ascent from fixed starts (T and
 C_p). Every search setting is a module constant, not an argument.
+Every largest generalized eigenpair (the p = 2 values of T and C_p, and
+the starts of their ascents) comes from ARPACK's Lanczos method
+(``eigsh``), at every size, started from the ones vector so that its bits
+do not depend on the process; one unknown takes the 1 x 1 closed form.
 Their matrices, a weighted gradient form plus the mass or a reweighted mass,
 are filled by the discretisation's one slot fill (``gd.form_values``,
 ``gd.mass_values``) and solved by its band LU, ``gd.form_solver``.
@@ -20,7 +24,6 @@ are filled by the discretisation's one slot fill (``gd.form_values``,
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -35,17 +38,20 @@ POINCARE_ASCENT_STEPS = 120  # ascent steps per start
 TRANSLATE_ASCENT_STEPS = 80
 TRANSLATE_RESTARTS = 5
 TRANSLATE_SEED = 0
-_DENSE_EIG_LIMIT = 800
 
 
 def _max_gen_eig(A, B):
-    """Largest eigenpair of A v = lam B v with B positive definite."""
+    """Largest eigenpair of A v = lam B v with B positive definite, on the
+    symmetric part of A: ARPACK's Lanczos method (``eigsh``) at every size,
+    started from the ones vector, so that a pencil gives the same bits in
+    every process. One unknown, which ``eigsh`` does not take, has the
+    closed form lam = a / b, v = b^(-1/2)."""
     n = A.shape[0]
     A = (A + A.T) * 0.5
-    if n <= _DENSE_EIG_LIMIT:
-        vals, vecs = sla.eigh(np.asarray(A.todense()), np.asarray(B.todense()))
-        return vals[-1], vecs[:, -1]
-    vals, vecs = spla.eigsh(A.tocsc(), k=1, M=B.tocsc(), which="LA", maxiter=10000)
+    if n == 1:
+        a, b = A.toarray()[0, 0], B.toarray()[0, 0]
+        return a / b, np.array([b**-0.5])
+    vals, vecs = spla.eigsh(A.tocsc(), k=1, M=B.tocsc(), which="LA", maxiter=10000, v0=np.ones(n))
     return vals[0], vecs[:, 0]
 
 

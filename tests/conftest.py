@@ -40,6 +40,20 @@ def zero_field(x):
     return np.zeros(len(np.atleast_2d(x)))
 
 
+def count_calls(monkeypatch, names):
+    """Wrap each (owner, name) to count its calls; returns the counts by name."""
+    calls = dict.fromkeys((name for _, name in names), 0)
+    for owner, name in names:
+        original = getattr(owner, name)
+
+        def wrapper(*args, original=original, name=name, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def dual_norm_oracle(gd, c):
     """The p = 2 dual norm sup |c . phi| / (||Pi phi||_2 + ||grad phi||_2) as
     1 / min{||Pi phi||_2 + ||grad phi||_2 : c . phi = 1}, by SLSQP. The

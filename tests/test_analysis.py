@@ -974,6 +974,26 @@ class TestRefinementTools:
         t_f = run_trajectory(sgd_f, linear_diffusion(), noise, sin_pi, 0, 0)
         assert _lp_differences(E, sgd_f, t_c.u[None], t_f.u[None], 2.0)[0] > 0.0
 
+    def test_differences_hold_one_sample_at_a_time(self):
+        # ensemble_block's budget counts a row's paths, not its values at the
+        # fine quadrature points: the differences hold those for one sample
+        import tracemalloc
+
+        coarse = build_gd(build_uniform_triangulation(4, 4), "p1")
+        fine = build_gd(refine(coarse.mesh), "p1")
+        sgd_f = SpaceTimeGD(fine, T=0.25, n_steps=8)
+        E = coarse.transfer_matrix(fine)
+        rng = np.random.default_rng(0)
+        peaks = []
+        for B in (1, 8):
+            U_c = rng.standard_normal((B, 5, coarse.n_dofs))
+            U_f = rng.standard_normal((B, 9, fine.n_dofs))
+            tracemalloc.start()
+            _lp_differences(E, sgd_f, U_c, U_f, 3.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
     @pytest.mark.parametrize("mesh", ["interval", "square"])
     def test_deterministic_errors_match_per_step_loop(self, mesh):
         m = build_uniform_interval(16, 0.0, 1.0) if mesh == "interval" else build_uniform_triangulation(8, 8)

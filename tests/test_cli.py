@@ -198,7 +198,7 @@ class TestCommands:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "estimators.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["ok"]
+        assert summary["ok"] and summary["differences"] == []  # one level, no pair
         manifest = json.loads((out / "manifest.json").read_text())
         # echoed config reparses to an equal config
         echo = tmp_path / "echo.json"
@@ -261,6 +261,21 @@ class TestCommands:
         assert level0 == {key: [format(st.mean, ".17g"), format(st.se, ".17g"), str(st.n)] for key, st in want.items()}
         assert len(rows) == 2 * len(want)
 
+    def test_run_reports_the_differences_of_convergence(self, tmp_path):
+        # both commands run the same coupled paths through run_levels
+        path, _ = write_config(tmp_path, n_samples=6, flux={"kind": "p_laplace"}, p=3.0)
+        run, conv = tmp_path / "run", tmp_path / "conv"
+        assert main(["run", "--config", str(path), "--out", str(run)]) == 0
+        assert main(["convergence", "--config", str(path), "--out", str(conv)]) == 0
+        got = json.loads((run / "summary.json").read_text())["differences"]
+        rows = [line.split(",") for line in (conv / "convergence.csv").read_text().splitlines()[1:]]
+        assert len(got) == len(rows) == 1
+        for d, (pair, h, mean, se, n) in zip(got, rows):
+            assert (d["pair"], d["h_coarse"], d["mean"], d["se"], d["n_samples"]) == (
+                int(pair), float(h), float(mean), float(se), int(n)
+            )
+            assert d["mean"] > 0.0
+
     def test_run_records_one_failure_for_every_level(self, tmp_path):
         path, _ = write_config(
             tmp_path, n_samples=4, flux={"kind": "p_laplace"}, p=3.0, solver={"max_newton": 1},
@@ -292,6 +307,19 @@ class TestCommands:
         assert len(s_rows) == 9  # 3 battery functions x 3 levels
         w_vals = [float(r.split(",")[4]) for r in rows if r.split(",")[2] == "W"]
         assert all(v <= 1e-10 for v in w_vals)
+
+    def test_indicators_byte_identical_across_runs(self, tmp_path):
+        # every eigenpair starts from a fixed vector, so a rerun keeps the bits
+        path, _ = write_config(
+            tmp_path, levels=2, n_samples=1, gd="cr", p=3.0, mesh={"kind": "rectangle", "nx": 4, "ny": 4},
+        )
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["indicators", "--config", str(path), "--out", str(out)]) == 0
+            outs.append((out / "indicators.csv").read_bytes())
+        assert outs[0] == outs[1]
+        assert b"nan" not in outs[0]
 
     def test_indicators_record_a_failed_evaluation(self, tmp_path, monkeypatch):
         from sgdm import cli

@@ -31,7 +31,7 @@ from sgdm.scheme import (
     save_trajectory,
 )
 
-from conftest import sin_pi, zero_field
+from conftest import count_calls, sin_pi, zero_field
 
 
 @pytest.fixture(scope="module")
@@ -78,27 +78,13 @@ def test_time_grid_rejects_bad_values(single_dof_gd, name, value):
         SpaceTimeGD(single_dof_gd, **kwargs)
 
 
-def _count_calls(monkeypatch, names):
-    """Wrap each (owner, name) to count its calls; returns the counts by name."""
-    calls = dict.fromkeys((name for _, name in names), 0)
-    for owner, name in names:
-        original = getattr(owner, name)
-
-        def wrapper(*args, original=original, name=name, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-    return calls
-
-
 def test_newton_step_reaches_the_traced_names(monkeypatch, setup16):
     # the benchmark's per-layer spans wrap these three names; a step that
     # stops calling one of them would read 0 there
     sgd, noise = setup16
     stepper = Stepper(sgd, p_laplace(3.0), noise)
     names = ((sgdm.scheme, "eval_flux"), (sgdm.scheme, "eval_flux_jacobian"), (Stepper, "_solve"))
-    calls = _count_calls(monkeypatch, names)
+    calls = count_calls(monkeypatch, names)
     u = sgd.gd.interpolate(sin_pi)
     stepper.step(u[None], 0.1 * np.ones((1, noise.k_max)))
     assert set(calls) == {"eval_flux", "eval_flux_jacobian", "_solve"}
@@ -118,7 +104,7 @@ def test_ensemble_driver_reaches_the_traced_names(monkeypatch, setup16):
         (DualNormSolver, "batch"),
         (sgdm.analysis, "fractional_norm"),
     )
-    calls = _count_calls(monkeypatch, names)
+    calls = count_calls(monkeypatch, names)
     run_ensemble(sgd, p_laplace(3.0), noise, sin_pi, 5, 3, dict(translate_ells=(1, 2), dual_ells=(1, 2)))
     assert min(calls.values()) > 0, calls
 
