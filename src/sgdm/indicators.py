@@ -11,7 +11,10 @@ eigenproblem and is exact up to quadrature. For p != 2 the values are
 certified lower bounds (indicators) or upper bounds (consistency error),
 each attained at an explicit discrete vector: by iteratively reweighted
 least squares (S and W) or by one ratio ascent from fixed starts (T and
-C_p). Every search setting is a module constant, not an argument.
+C_p). Every search setting is a module constant, not an argument. The
+ascent evaluates each trial point once: one pass gives the ratio and a
+thunk of its log-gradient that reuses the pass's products and pointwise
+powers, and the transposed operators are formed once per call.
 Every largest generalized eigenpair (the p = 2 values of T and C_p, and
 the starts of their ascents) comes from ARPACK's Lanczos method
 (``eigsh``), at every size, started from the ones vector so that its bits
@@ -60,32 +63,55 @@ def _damp(w_new, w_old):
     return np.sqrt(w_new * w_old)
 
 
-def _grad_power(gd, v, p):
-    """``(||grad v||_p^p, its gradient / p)``; the latter is
-    ``G^T (meas |g|^(p-2) g)`` with g the per-cell gradients."""
-    g = (gd.G @ v).reshape(gd.mesh.n_cells, gd.dim)
-    mag = np.linalg.norm(g, axis=1)
-    wcell = gd.mesh.cell_measures * mag ** (p - 2.0)
-    return np.sum(gd.mesh.cell_measures * mag**p), gd.G.T @ (np.repeat(wcell, gd.dim) * g.ravel())
+def _grad_power(gd, p):
+    """``v -> (||grad v||_p^p, thunk of its gradient / p)``; the latter is
+    ``G^T (meas |g|^(p-2) g)`` with g the per-cell gradients, and ``G^T`` is
+    formed once."""
+    GT, meas = gd.G.T, gd.mesh.cell_measures
+
+    def power(v):
+        g = (gd.G @ v).reshape(gd.mesh.n_cells, gd.dim)
+        mag = np.linalg.norm(g, axis=1)
+        return np.sum(meas * mag**p), lambda: GT @ (np.repeat(meas * mag ** (p - 2.0), gd.dim) * g.ravel())
+
+    return power
 
 
-def _value_power(gd, v, p):
-    """``(||Pi v||_p^p, its gradient / p)``; the latter is
-    ``P^T (w |Pi v|^(p-2) Pi v)`` with w the quadrature weights."""
-    pv = gd.P @ v
-    return np.sum(gd.quad_w * np.abs(pv) ** p), gd.P.T @ (gd.quad_w * np.abs(pv) ** (p - 2) * pv)
+def _value_power(gd, p):
+    """``v -> (||Pi v||_p^p, thunk of its gradient / p)``; the latter is
+    ``P^T (w |Pi v|^(p-2) Pi v)`` with w the quadrature weights, and ``P^T``
+    is formed once."""
+    PT = gd.P.T
+
+    def power(v):
+        pv = gd.P @ v
+        return np.sum(gd.quad_w * np.abs(pv) ** p), lambda: PT @ (gd.quad_w * np.abs(pv) ** (p - 2) * pv)
+
+    return power
 
 
-def _ascend_ratio(starts, ratio, grad_log_ratio, n_iter):
+def _log_ratio(p, num_p, grad_num, den_p, grad_den):
+    """``(num / den, thunk of grad log(num / den))`` from the p-th powers of
+    a ratio's numerator and denominator and thunks of their gradients / p."""
+    ratio = float(num_p ** (1.0 / p)) / float(den_p ** (1.0 / p)) if den_p > 0 else 0.0
+    return ratio, lambda: grad_num() / max(num_p, 1e-300) - grad_den() / max(den_p, 1e-300)
+
+
+def _ascend_ratio(starts, evaluate, n_iter):
     """Projected gradient ascent of a 0-homogeneous ratio on the unit sphere
-    from each start; returns the best ratio reached (a certified lower bound)."""
+    from each start; returns the best ratio reached (a certified lower bound).
+
+    ``evaluate(v)`` returns ``(ratio, gradient)``: the ratio at v and a
+    thunk of the gradient of its logarithm there. The thunk reuses that
+    pass's products and powers, so every trial point is evaluated once, and
+    only an accepted point's gradient is formed."""
     best = 0.0
     for v0 in starts:
         v = v0 / np.linalg.norm(v0)
-        cur = ratio(v)
+        cur, grad = evaluate(v)
         step = 1.0
         for _ in range(n_iter):
-            d = grad_log_ratio(v)
+            d = grad()
             d = d - v * (d @ v)
             nd = np.linalg.norm(d)
             if nd < 1e-13:
@@ -93,9 +119,9 @@ def _ascend_ratio(starts, ratio, grad_log_ratio, n_iter):
             while step > 1e-12:
                 v_try = v + step * d / nd
                 v_try /= np.linalg.norm(v_try)
-                r_try = ratio(v_try)
+                r_try, g_try = evaluate(v_try)
                 if r_try > cur:
-                    v, cur = v_try, r_try
+                    v, cur, grad = v_try, r_try, g_try
                     step = min(step * 2.0, 1.0)
                     break
                 step *= 0.5
@@ -321,17 +347,25 @@ def _piece_values(x, const, lin, dofs):
     return vals
 
 
-def _translate_numerator_p(gd, w_a, s, u, v, p):
+def _translate_numerator_p(gd, w_a, s, u, pv, p):
     """||Pi v(.+xi) - Pi v||_{L^p(R^d)}^p via the overlap identity, from the
-    overlap values s = S v and u = U v: the parts where only one function is
-    supported contribute 2 ||Pi v||_p^p - int_{overlap} (|s|^p + |u|^p).
-    A negative sum, from over-counted overlap weights, raises ``ValueError``."""
-    both = np.sum(w_a * (np.abs(s - u) ** p - np.abs(s) ** p - np.abs(u) ** p))
-    full = np.sum(gd.quad_w * np.abs(gd.P @ v) ** p)
-    num = float(both + 2.0 * full)
+    overlap values s = S v and u = U v and the values pv = Pi v at the
+    quadrature points: the parts where only one function is supported
+    contribute 2 ||Pi v||_p^p - int_{overlap} (|s|^p + |u|^p).
+
+    Each array x takes one power, f_x = |x|^(p-2) x, and |x|^p = f_x x.
+    Returns the numerator and the weighted powers a = w_a (f_r - f_s),
+    b = w_a (f_r + f_u) and c = w f_pv, with r = s - u and w the quadrature
+    weights: the numerator's gradient / p is ``S^T a - U^T b + 2 P^T c``,
+    and the numerator itself a.s - b.u + 2 c.pv. A negative numerator, from
+    over-counted overlap weights, raises ``ValueError``."""
+    wf_r, wf_s, wf_u = (w_a * (np.abs(x) ** (p - 2.0) * x) for x in (s - u, s, u))
+    a, b = wf_r - wf_s, wf_r + wf_u
+    c = gd.quad_w * np.abs(pv) ** (p - 2.0) * pv
+    num = float(a @ s - b @ u + 2.0 * (c @ pv))
     if num < 0.0:
         raise ValueError(f"translate numerator {num:.3g} < 0: the overlap weights over-count the overlap")
-    return num
+    return num, a, b, c
 
 
 def indicator_T(gd, xi, p=2.0):
@@ -340,10 +374,22 @@ def indicator_T(gd, xi, p=2.0):
 
     For p != 2 the ratio is ascended from the p = 2 eigenvector and from
     ``TRANSLATE_RESTARTS`` random vectors (on some spaces the best start);
-    a negative numerator (over-counted overlap weights) raises ``ValueError``."""
+    a negative numerator (over-counted overlap weights) raises ``ValueError``.
+    That error is raised afresh here, with no context and no traceback into
+    the ascent, so an error kept by the caller holds none of its arrays."""
     xi = np.asarray(xi, dtype=float).reshape(gd.dim)
     if gd.n_dofs == 0 or np.all(xi == 0.0):
         return 0.0
+    try:
+        return _translate_bound(gd, xi, p)
+    except ValueError as exc:
+        message = str(exc)
+    raise ValueError(message)
+
+
+def _translate_bound(gd, xi, p):
+    """``indicator_T`` for a nonzero shift on a nonempty space; every array
+    of the evaluation lives in this frame and the ones below it."""
     S, U, w_a = translate_overlap(gd, xi)
     C = S.T @ sp.diags(w_a) @ U if S.shape[0] else sp.csr_matrix((gd.n_dofs, gd.n_dofs))
     A = 2.0 * gd.mass - C - C.T
@@ -351,23 +397,22 @@ def indicator_T(gd, xi, p=2.0):
     if p == 2.0:
         return float(np.sqrt(max(lam, 0.0)))
 
-    def ratio(v):
-        den = gd.grad_lp_norm(v, p)
-        return _translate_numerator_p(gd, w_a, S @ v, U @ v, v, p) ** (1.0 / p) / den if den > 0 else 0.0
-
-    def grad_log_ratio(v):
-        s, u = S @ v, U @ v
-        r = s - u
-        num_p = _translate_numerator_p(gd, w_a, s, u, v, p)
-        wr = w_a * np.abs(r) ** (p - 2) * r
-        gnum = S.T @ wr - U.T @ wr - S.T @ (w_a * np.abs(s) ** (p - 2) * s)
-        gnum = gnum - U.T @ (w_a * np.abs(u) ** (p - 2) * u) + 2.0 * _value_power(gd, v, p)[1]
-        den_p, gden = _grad_power(gd, v, p)
-        return gnum / max(num_p, 1e-300) - gden / max(den_p, 1e-300)
-
     rng = np.random.default_rng(TRANSLATE_SEED)
     starts = [vec] + [rng.standard_normal(gd.n_dofs) for _ in range(TRANSLATE_RESTARTS)]
-    return float(_ascend_ratio(starts, ratio, grad_log_ratio, TRANSLATE_ASCENT_STEPS))
+    return float(_ascend_ratio(starts, _translate_ratio(gd, S, U, w_a, p), TRANSLATE_ASCENT_STEPS))
+
+
+def _translate_ratio(gd, S, U, w_a, p):
+    """The translate bound's ``evaluate`` for ``_ascend_ratio`` on the
+    overlap quadrature (S, U, w_a), with the transposes formed once."""
+    ST, UT, PT = S.T, U.T, gd.P.T
+    grad_power = _grad_power(gd, p)
+
+    def evaluate(v):
+        num_p, a, b, c = _translate_numerator_p(gd, w_a, S @ v, U @ v, gd.P @ v, p)
+        return _log_ratio(p, num_p, lambda: ST @ a - UT @ b + 2.0 * (PT @ c), *grad_power(v))
+
+    return evaluate
 
 
 # -- coercivity ----------------------------------------------------------------
@@ -384,14 +429,10 @@ def poincare_constant(gd, p=2.0):
     if p == 2.0:
         return float(np.sqrt(max(lam, 0.0)))
 
-    def ratio(v):
-        den = gd.grad_lp_norm(v, p)
-        return gd.lp_norm(v, p) / den if den > 0 else 0.0
+    value_power, grad_power = _value_power(gd, p), _grad_power(gd, p)
 
-    def grad_log_ratio(v):
-        num_p, gnum = _value_power(gd, v, p)
-        den_p, gden = _grad_power(gd, v, p)
-        return gnum / max(num_p, 1e-300) - gden / max(den_p, 1e-300)
+    def evaluate(v):
+        return _log_ratio(p, *value_power(v), *grad_power(v))
 
     v = vec
     for _ in range(EIGEN_FIXED_POINT_ITER):
@@ -408,4 +449,4 @@ def poincare_constant(gd, p=2.0):
         v = v_new
         if move <= IRLS_RTOL * np.linalg.norm(v):
             break
-    return float(_ascend_ratio([vec, v], ratio, grad_log_ratio, POINCARE_ASCENT_STEPS))
+    return float(_ascend_ratio([vec, v], evaluate, POINCARE_ASCENT_STEPS))

@@ -1,5 +1,8 @@
 """Quality indicators against closed forms and independent dense oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -242,12 +245,28 @@ def test_power_helpers_match_finite_differences(helper, dim, kind):
     gd = build_gd(mesh, kind)
     p, h = 3.0, 1e-6
     v = np.random.default_rng(12).standard_normal(gd.n_dofs)
-    value, grad = helper(gd, v, p)
-    # the helper returns the derivative divided by p
+    power = helper(gd, p)
+    value, grad = power(v)
+    # the helper's thunk returns the derivative divided by p
+    fd = np.array([(power(v + h * e)[0] - power(v - h * e)[0]) / (2 * h) for e in np.eye(gd.n_dofs)])
+    np.testing.assert_allclose(p * grad(), fd, rtol=1e-6, atol=1e-8 * max(1.0, value))
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+@pytest.mark.parametrize("dim, kind", [(1, "p1"), (2, "p1"), (2, "cr")])
+def test_translate_log_gradient_matches_finite_differences(dim, kind, p):
+    # the ascent's one pass per point: ratio and log-gradient from shared powers
+    if dim == 1:
+        gd, xi = build_gd(build_uniform_interval(8, 0.0, 1.0), kind), [0.1]
+    else:
+        gd, xi = build_gd(build_uniform_triangulation(4, 4), kind), [0.1, 0.05]
+    evaluate = indicators._translate_ratio(gd, *translate_overlap(gd, xi), p)
+    v, h = np.random.default_rng(12).standard_normal(gd.n_dofs), 1e-6
+    grad = evaluate(v)[1]()
     fd = np.array(
-        [(helper(gd, v + h * e, p)[0] - helper(gd, v - h * e, p)[0]) / (2 * h) for e in np.eye(gd.n_dofs)]
+        [(np.log(evaluate(v + h * e)[0]) - np.log(evaluate(v - h * e)[0])) / (2 * h) for e in np.eye(gd.n_dofs)]
     )
-    np.testing.assert_allclose(p * grad, fd, rtol=1e-6, atol=1e-8 * max(1.0, value))
+    np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7 * np.abs(fd).max())
 
 
 # -- limit-conformity ------------------------------------------------------------
@@ -369,7 +388,7 @@ class TestIndicatorT:
         S, U, w_a = translate_overlap(gd, [xi])
         oracle = ratio_oracle(
             gd,
-            lambda v: _translate_numerator_p(gd, w_a, S @ v, U @ v, v, 3.0) ** (1 / 3.0),
+            lambda v: _translate_numerator_p(gd, w_a, S @ v, U @ v, gd.P @ v, 3.0)[0] ** (1 / 3.0),
             lambda v: gd.grad_lp_norm(v, 3.0),
             n_starts=25,
         )
@@ -390,9 +409,29 @@ class TestIndicatorT:
         with pytest.raises(ValueError, match="over-count"):
             indicator_T(gd, [0.1], 3.0)
 
+    def test_kept_error_holds_none_of_its_arrays(self, monkeypatch):
+        # a caller that keeps the error, as the benchmark keeps every
+        # outcome, must not keep the evaluation's matrices alive through it
+        gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
+        overlap = indicators.translate_overlap
+        refs = []
+
+        def inflated(gd, xi):
+            S, U, w_a = overlap(gd, xi)
+            refs.append(weakref.ref(S))
+            return S, U, 4.0 * w_a
+
+        monkeypatch.setattr(indicators, "translate_overlap", inflated)
+        with pytest.raises(ValueError, match="over-count") as info:
+            indicator_T(gd, [0.1], 3.0)
+        error = info.value
+        gc.collect()
+        assert refs[0]() is None
+        assert error.__context__ is None
+
     @pytest.mark.parametrize(
         "kind, expected",
-        [("p1", 0.0834133284090846), ("cr", 0.1635322472421068)],
+        [("p1", 0.08341332840908465), ("cr", 0.1635322472421068)],
     )
     def test_p3_value_unchanged(self, kind, expected):
         gd = build_gd(build_uniform_triangulation(4, 4), kind)
