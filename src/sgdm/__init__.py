@@ -7,7 +7,7 @@ from .indicators import BestFit, indicator_T, indicator_W, interpolate_best, poi
 from .flux import FluxModel, eval_flux, eval_flux_jacobian, linear_diffusion, p_laplace, probe_assumptions, regularized_p_laplace
 from .noise import NoiseModel, growth_check, make_noise, sample_increment
 from .scheme import (
-    SolverConfig, SpaceTimeGD, StepFailure, Trajectory, energy_identity_residual, run_block, run_trajectory,
+    SolverConfig, SpaceTimeGD, StepFailure, Stepper, Trajectory, energy_identity_residual, run_trajectory,
 )
 from . import analysis
 

@@ -7,8 +7,8 @@ single-unknown linear-scheme oracle.
 Every Monte Carlo ensemble runs through one driver, ``run_levels``, over a
 list of refinement levels (one level for a plain ensemble,
 ``run_ensemble``). Its one task runs a block of sample indices
-(``_sample_blocks``) on every level under the block's coupled noise, one
-keyed draw, summarises each level's paths in one
+(``_sample_blocks``) on every level's stepper (``Stepper.run``) under the
+block's coupled noise, one keyed draw, summarises each level's paths in one
 ``EnsembleAccumulator.summarize`` call, a table with a row per sample, and
 gives the block's rows of coarse-to-fine differences. ``map_blocks`` maps
 the task, built once with the steppers and whatever else it reuses, over
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import ziggurat_tables
-from .scheme import Stepper, StepFailure, coupled_increments, run_block, run_trajectory
+from .scheme import Stepper, StepFailure, coupled_increments, run_trajectory
 
 
 # -- streaming statistics ------------------------------------------------------
@@ -343,7 +343,7 @@ class EnsembleAccumulator:
         self.columns["extra"] = slice(width, None)
         self.stat = None  # RunningVector over the table, sized by the first block
 
-    def summarize(self, trajs, stepper):
+    def summarize(self, trajs):
         """Pathwise quantities of a block of trajectories on this space-time
         grid: a (B, K) table, row b for ``trajs[b]`` in the layout of
         ``columns``. ``add_summary`` merges the blocks in sample order, so
@@ -351,9 +351,7 @@ class EnsembleAccumulator:
 
         The energy-type columns come from the whole block at once
         (``_energy_columns``). The dual-norm search, the martingale
-        statistics (``_martingale_rows``) and ``extra_fn`` run per sample.
-        ``stepper`` is the ``Stepper`` that ran the paths, whose noise basis
-        values the martingale statistics reuse."""
+        statistics (``_martingale_rows``) and ``extra_fn`` run per sample."""
         N = self.sgd.n_steps
         U = np.stack([traj.u for traj in trajs])  # (B, N+1, n)
         cols = self._energy_columns(U)
@@ -367,25 +365,25 @@ class EnsembleAccumulator:
             per_lag = np.split(powers, np.cumsum([N - ell for ell in self.dual_ells])[:-1], axis=1)
             cols += [np.mean(x, axis=1) for x in per_lag]
         if self.with_martingale:
-            rows = [self._martingale_rows(stepper, traj) for traj in trajs]
+            rows = [self._martingale_rows(traj) for traj in trajs]
             mart_h, m_sq, pairs = (np.array(col) for col in zip(*rows))
             cols += [mart_h, m_sq.max(axis=1) ** (MARTINGALE_R / 2.0), m_sq, pairs]
         if self.extra_fn is not None:
             cols.append(np.array([np.asarray(self.extra_fn(traj), dtype=float) for traj in trajs]))
         return np.column_stack(cols)
 
-    def _martingale_rows(self, stepper, traj):
+    def _martingale_rows(self, traj):
         """The fractional norm of one path's discrete martingale
         M_n = z_0 + ... + z_n, its squared L^2 norms (N,), and the pairs
         <z_n, Pi e_0> (N,) (none without unknowns), from the path's noise
         terms z_n = f0(Pi u^(n)) dW_n at the quadrature points.
 
-        The z_n are recomputed from the path's states and increments, one
+        The path's stepper recomputes the z_n from its states and increments, one
         sample at a time, since a block of them is the largest temporary of
         the summary. Only their weighted Gram F = (z_k, z_l) enters: the Gram
         of the M_n is the cumulative sum of F along both axes, and the
         squared distances ||M_i - M_j||^2 follow from it."""
-        Z = stepper.noise_values(traj.u[:-1], traj.increments)  # (N, n_q)
+        Z = traj.stepper.noise_values(traj.u[:-1], traj.increments)  # (N, n_q)
         w = self.sgd.gd.quad_w
         gram = np.cumsum(np.cumsum((Z * w) @ Z.T, axis=0), axis=1)
         m_sq = np.diag(gram)
@@ -494,7 +492,7 @@ def ensemble_block(flux_model, noise, *sgds):
     ``ENSEMBLE_BLOCK``, or ``LINEAR_ENSEMBLE_BLOCK`` for a linear flux, or
     fewer when what the block's rows hold at its peak would pass
     ``BLOCK_BYTES``; at least one. A row holds, on every grid,
-    its path (``scheme.run_block`` stores N+1 states, N increments,
+    its path (``scheme.Stepper.run`` stores N+1 states, N increments,
     residuals and iteration counts), one step's noise values at the n_q
     quadrature points (``scheme.Stepper.noise_values``), and the (N+1)^2
     energy Gram and the per-cell gradients of its N+1 states
@@ -564,8 +562,8 @@ def run_levels(sgds, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=N
     *sgds)`` consecutive indices (``_sample_blocks``), run by ``map_blocks``
     on one stepper per level and one ``transfer_matrix`` per pair. Per
     block: one keyed ``coupled_increments`` draw (at one level, the paths'
-    own streams (master_seed, sample, step)), one ``scheme.run_block`` and
-    one ``EnsembleAccumulator.summarize`` per level, then the differences of
+    own streams (master_seed, sample, step)), one ``Stepper.run`` and one
+    ``EnsembleAccumulator.summarize`` per level, then the differences of
     all the block's samples at once. A sample's states agree with
     ``run_trajectory`` on its increments up to the rounding of the block's
     row arithmetic. The blocks are merged in sample order, so the results
@@ -586,13 +584,13 @@ def run_levels(sgds, flux_model, noise, u0, master_seed, n_samples, acc_kwargs=N
         samples = np.array(block, dtype=np.int64)[:, None]
         incs = coupled_increments(noise, master_seed, samples, sgds[-1].n_steps, sgds[-1].dt, len(sgds))
         tables, paths = [], []
-        for level, (sgd, inc, stepper, acc) in enumerate(zip(sgds, incs, steppers, accs)):
+        for level, (inc, stepper, acc) in enumerate(zip(incs, steppers, accs)):
             try:
-                trajs = run_block(sgd, flux_model, noise, u0, master_seed, block, cfg, inc, _stepper=stepper)
+                trajs = stepper.run(u0, master_seed, block, inc)
             except StepFailure as exc:
                 exc.level = level
                 raise
-            tables.append(acc.summarize(trajs, stepper))
+            tables.append(acc.summarize(trajs))
             paths.append(trajs)
         U = [np.stack([t.u for t in trajs]) for trajs in paths] if transfers else []
         rows = [_lp_differences(E, sgds[i + 1], U[i], U[i + 1], accs[0].p) for i, E in enumerate(transfers)]

@@ -56,7 +56,8 @@ class FluxModel:
 
     @property
     def is_linear(self):
-        return self.kind == LINEAR_DIFFUSION or (self.kind == P_LAPLACE and self.p == 2.0)
+        # at p = 2 both p-Laplace kinds are a(y) = y
+        return self.kind == LINEAR_DIFFUSION or (self.kind in (P_LAPLACE, REGULARIZED_P_LAPLACE) and self.p == 2.0)
 
     @property
     def depends_on_value(self):

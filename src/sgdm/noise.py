@@ -39,8 +39,9 @@ class SineBasis:
         if self.dim == 1:
             self.modes = np.arange(1, k_max + 1)[:, None]
         else:
-            # deterministic enumeration of (i, j) pairs by increasing frequency
-            n = int(np.ceil(np.sqrt(k_max))) + 2
+            # the k_max pairs (i, j) of least i^2 + j^2, ties by (i, j): the m x m
+            # square, m = ceil(sqrt(k_max)), has k_max with i^2 + j^2 <= 2 m^2
+            n = int(np.ceil(np.sqrt(2.0) * np.ceil(np.sqrt(k_max))))
             pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
             pairs.sort(key=lambda ij: (ij[0] ** 2 + ij[1] ** 2, ij[0], ij[1]))
             self.modes = np.array(pairs[:k_max])

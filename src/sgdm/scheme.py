@@ -10,12 +10,14 @@ is damped Newton with the smoothed flux Jacobian; time steps are uniform
 and a step on which Newton does not converge aborts the trajectory with
 diagnostics.
 
-Samples advance in lockstep blocks (``run_block``): the states of B samples
-are one (B, n) array, one keyed noise call draws the increments of every
-sample and every step before the first step, and ``Stepper.step`` moves the
-whole block one step at a time, carrying a per-sample active mask through
-Newton and its line search, so each sample stops once it has converged. A
-single path (``run_trajectory``) is a block of one.
+A ``Stepper`` is the one handle on a run: ``Stepper.run`` advances a block
+of samples in lockstep, and each ``Trajectory`` it returns holds it. The
+states of B samples are one (B, n) array, one keyed noise call draws the
+increments of every sample and every step before the first step, and
+``Stepper.step`` moves the whole block one step at a time, carrying a
+per-sample active mask through Newton and its line search, so each sample
+stops once it has converged. A single path (``run_trajectory``) is a block
+of one.
 
 Both system matrices (the Newton Jacobian and the linear operator) are the
 mass plus ``dt`` times a weighted gradient form: the discretisation fills
@@ -91,7 +93,7 @@ class StepFailure(RuntimeError):
     """Nonlinear solve failed; carries the best iterate and its residual.
 
     ``block_row`` is the failing row of the block ``Stepper.step`` advanced;
-    the trajectory runner adds the ``step_index`` and the ``sample_index``,
+    ``Stepper.run`` adds the ``step_index`` and the ``sample_index``,
     ``analysis.run_levels`` the ``level``, and the message names each once
     it is set."""
 
@@ -123,15 +125,14 @@ class StepFailure(RuntimeError):
 class Trajectory:
     """One sample path of the scheme.
 
-    ``u`` holds the N+1 DOF vectors u^(0..N) and ``increments`` the (N,
-    k_max) spectral increment coefficients that drove them. Step n's noise
-    term f0(Pi u^(n)) dW_n is a function of the two
-    (``Stepper.noise_values``), so the path stores no noise values.
+    ``stepper`` is the ``Stepper`` that ran it. ``u`` holds the N+1 DOF
+    vectors u^(0..N) and ``increments`` the (N, k_max) spectral increment
+    coefficients that drove them. Step n's noise term f0(Pi u^(n)) dW_n is
+    a function of the two (``stepper.noise_values``), so the path stores no
+    noise values.
     """
 
-    sgd: SpaceTimeGD
-    flux: object
-    noise: object
+    stepper: "Stepper"
     u: np.ndarray
     increments: np.ndarray
     master_seed: int
@@ -149,13 +150,17 @@ class Stepper:
     """Assembles and solves one implicit step for a block of samples; reused
     along their trajectories.
 
+    It holds a run's grid ``sgd``, ``flux``, ``noise`` and ``cfg``, and
+    every path that ``run`` returns holds it, so what reads a path reads
+    them here.
+
     ``step`` advances B samples at once, states held as a (B, n) array; a
     single sample is a block of one. Rows never mix: each is the step of its
     own sample, and damped Newton, the one nonlinear solver, carries a
     per-row active mask, so a row stops as soon as it has converged or
-    failed and its iterates depend only on its own data. Every evaluation covers the active rows at once: one flux
-    and one flux-Jacobian call on all their points, and one
-    ``gd.form_values`` fill of all their systems.
+    failed and its iterates depend only on its own data. Every evaluation
+    covers the active rows at once: one flux and one flux-Jacobian call on
+    all their points, and one ``gd.form_values`` fill of all their systems.
 
     Every system the step solves has the form ``M + dt sum_c C_c^T B_c C_c``
     with the per-cell gradient stencils C_c of the discretisation
@@ -322,6 +327,46 @@ class Stepper:
             )
         return U, nr, iters
 
+    def run(self, u0, master_seed, samples, increments=None):
+        """Simulate the paths of a block of samples in lockstep; returns one
+        ``Trajectory`` per entry of ``samples``, in order.
+
+        ``u0`` is a callable initial condition (interpolated) or a DOF
+        vector, shared by the block. ``increments`` optionally prescribes
+        the spectral increment coefficients, exactly (B, N, k_max); by
+        default step n of sample s draws from the stream (master_seed, s,
+        n+1), the block's steps in one keyed call before the first step. A
+        failed step raises ``StepFailure`` naming the first step at which a
+        sample fails and the first such sample; no path is returned then.
+        The block holds the full paths (states, increments, residuals and
+        iteration counts) until it returns; ``analysis.ensemble_block``
+        counts them to bound its size."""
+        gd, N = self.gd, self.sgd.n_steps
+        samples = [int(s) for s in samples]
+        B = len(samples)
+        if increments is None:
+            keys = np.array(samples, dtype=np.int64)[:, None]
+            (increments,) = coupled_increments(self.noise, master_seed, keys, N, self.dt, 1)
+        used = np.array(increments, dtype=float)
+        shape = (B, N, self.noise.k_max)
+        if used.shape != shape:
+            raise ValueError(f"increments have shape {used.shape}, expected {shape}")
+        u = np.zeros((B, N + 1, gd.n_dofs))
+        u[:, 0] = gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)
+        residuals = np.zeros((B, N))
+        newton_iters = np.zeros((B, N), dtype=int)
+        for n in range(N):
+            try:
+                u[:, n + 1], residuals[:, n], newton_iters[:, n] = self.step(u[:, n], used[:, n])
+            except StepFailure as exc:
+                exc.step_index = n
+                exc.sample_index = samples[exc.block_row]
+                raise
+        return [
+            Trajectory(self, u[b], used[b], master_seed, s, residuals[b], newton_iters[b])
+            for b, s in enumerate(samples)
+        ]
+
 
 def coupled_increments(noise, master_seed, sample_index, n_fine, dt_fine, n_levels):
     """Wiener increments shared across refinement levels, coarsest first, as
@@ -338,73 +383,26 @@ def coupled_increments(noise, master_seed, sample_index, n_fine, dt_fine, n_leve
     return levels[::-1]
 
 
-def run_block(sgd, flux_model, noise, u0, master_seed, samples, cfg=None, increments=None, _stepper=None):
-    """Simulate the paths of a block of samples in lockstep; returns one
-    ``Trajectory`` per entry of ``samples``, in order.
-
-    ``u0`` is either a callable initial condition (interpolated onto the
-    discrete space) or a DOF vector, shared by the block. ``increments``
-    optionally prescribes the spectral increment coefficients, (B, N,
-    k_max); by default step n of sample s draws from the stream
-    (master_seed, s, n+1), the whole block's steps in one keyed call
-    (``coupled_increments`` at one level) before the first step. A failed
-    step raises ``StepFailure`` naming the first step at which a sample
-    fails and the first such sample of the block; no path is returned then.
-
-    The block holds the full paths of all its samples until it returns:
-    their states, increments, residuals and iteration counts, which
-    ``analysis.ensemble_block`` counts to bound its size.
-    """
-    gd = sgd.gd
-    N = sgd.n_steps
-    stepper = _stepper if _stepper is not None else Stepper(sgd, flux_model, noise, cfg)
-    samples = [int(s) for s in samples]
-    B = len(samples)
-    if increments is None:
-        (increments,) = coupled_increments(noise, master_seed, np.array(samples, dtype=np.int64)[:, None], N, sgd.dt, 1)
-    used = np.array(increments, dtype=float).reshape(B, N, noise.k_max)
-    u = np.zeros((B, N + 1, gd.n_dofs))
-    u[:, 0] = gd.interpolate(u0) if callable(u0) else np.asarray(u0, dtype=float)
-    residuals = np.zeros((B, N))
-    newton_iters = np.zeros((B, N), dtype=int)
-    for n in range(N):
-        try:
-            u[:, n + 1], residuals[:, n], newton_iters[:, n] = stepper.step(u[:, n], used[:, n])
-        except StepFailure as exc:
-            exc.step_index = n
-            exc.sample_index = samples[exc.block_row]
-            raise
-    return [
-        Trajectory(sgd, flux_model, noise, u[b], used[b], master_seed, s, residuals[b], newton_iters[b])
-        for b, s in enumerate(samples)
-    ]
-
-
 def run_trajectory(sgd, flux_model, noise, u0, master_seed, sample_index, cfg=None, increments=None):
-    """Simulate one full path of the scheme: ``run_block`` for a block of one.
-
-    ``u0`` is either a callable initial condition (interpolated onto the
-    discrete space) or a DOF vector. ``increments`` optionally prescribes the
-    per-step spectral increment coefficients, (N, k_max), e.g. for
-    coupled-refinement studies; by default step n draws from the stream
-    (master_seed, sample_index, n+1), so a path is a deterministic function
-    of (master_seed, sample_index).
-    """
+    """One full path of the scheme: ``Stepper.run`` on a new stepper, for a
+    block of one, with ``increments`` (N, k_max) if prescribed. By default
+    step n draws from the stream (master_seed, sample_index, n+1), so a path
+    is a deterministic function of (master_seed, sample_index)."""
     if increments is not None:
         increments = np.asarray(increments, dtype=float)[None]
-    return run_block(sgd, flux_model, noise, u0, master_seed, [sample_index], cfg, increments)[0]
+    return Stepper(sgd, flux_model, noise, cfg).run(u0, master_seed, [sample_index], increments)[0]
 
 
 def energy_identity_residual(traj):
-    """Max violation over steps of the per-step energy identity obtained by
-    testing the scheme with u^(n+1):
+    """Max violation over the steps of ``traj.stepper``'s scheme of the
+    energy identity obtained by testing it with u^(n+1):
     1/2||Pi u^(n+1)||^2 + 1/2||Pi(u^(n+1)-u^(n))||^2 + dt<a, grad u^(n+1)>
         = 1/2||Pi u^(n)||^2 + <f dW, Pi u^(n+1)>.
 
     Every step is read at once; each step's inner products sum as
     ``gd.l2_inner`` and a vector dot product do for it alone."""
-    gd, U = traj.sgd.gd, traj.u
-    stepper = Stepper(traj.sgd, traj.flux, traj.noise)
+    stepper, U = traj.stepper, traj.u
+    gd = stepper.gd
 
     def squared_norms(V):
         PV = np.ascontiguousarray(_rows(gd.P, V))
@@ -416,7 +414,7 @@ def energy_identity_residual(traj):
     norms = squared_norms(U)
     noise_loads = np.ascontiguousarray(_rows(gd.P.T, gd.quad_w * stepper.noise_values(U[:-1], traj.increments)))
     lhs = 0.5 * norms[1:] + 0.5 * squared_norms(U[1:] - U[:-1])
-    lhs += traj.sgd.dt * dots(stepper._flux_vector(U[1:]), U[1:])
+    lhs += stepper.dt * dots(stepper._flux_vector(U[1:]), U[1:])
     rhs = 0.5 * norms[:-1] + dots(noise_loads, U[1:])
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
@@ -430,11 +428,12 @@ def save_trajectory(traj, csv_path, sidecar_path=None, config_hash=None):
             for i, val in enumerate(row):
                 f.write(f"{n},{i},{val:.17g}\n")
     if sidecar_path is not None:
+        sgd = traj.stepper.sgd
         meta = {
             "master_seed": int(traj.master_seed),
             "sample_index": int(traj.sample_index),
-            "n_steps": int(traj.sgd.n_steps),
-            "T": float(traj.sgd.T),
+            "n_steps": int(sgd.n_steps),
+            "T": float(sgd.T),
             "per_step_residuals": [float(x) for x in traj.per_step_residuals],
             "per_step_newton_iters": [int(x) for x in traj.per_step_newton_iters],
             "config_hash": config_hash,

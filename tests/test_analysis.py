@@ -32,9 +32,9 @@ from sgdm.analysis import (
     translate_at_lags,
 )
 from sgdm.analysis import _lp_differences, _sample_blocks
-from sgdm.flux import linear_diffusion, p_laplace
+from sgdm.flux import linear_diffusion, p_laplace, regularized_p_laplace
 from sgdm.noise import make_noise, sample_increment, ziggurat_tables
-from sgdm.scheme import SpaceTimeGD, Stepper, run_block, run_trajectory
+from sgdm.scheme import SpaceTimeGD, Stepper, run_trajectory
 
 from conftest import dual_norm_oracle, sin_pi, sin_product, zero_field
 
@@ -410,7 +410,7 @@ def p3_trajectory(gd, n_steps=16):
     sgd = SpaceTimeGD(gd, T=0.25, n_steps=n_steps)
     noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
     u0 = sin_product if gd.dim == 2 else sin_pi
-    return run_block(sgd, p_laplace(3.0), noise, u0, 17, [0])[0]
+    return Stepper(sgd, p_laplace(3.0), noise).run(u0, 17, [0])[0]
 
 
 class TestDualNormSearch:
@@ -425,10 +425,9 @@ class TestDualNormSearch:
     def test_matches_per_lag_reference(self, mesh):
         gd = build_gd(mesh, "p1")
         traj = p3_trajectory(gd)
-        N = traj.sgd.n_steps
-        acc = EnsembleAccumulator(traj.sgd, 3.0, dual_ells=(1, 2, 4, 8), dual_r=4)
-        stepper = Stepper(traj.sgd, traj.flux, traj.noise)
-        table = acc.summarize([traj], stepper)
+        N = traj.stepper.sgd.n_steps
+        acc = EnsembleAccumulator(traj.stepper.sgd, 3.0, dual_ells=(1, 2, 4, 8), dual_r=4)
+        table = acc.summarize([traj])
         got = {int(name[5:]): table[0, k] for name, k in acc.columns.items() if name.startswith("dual.")}
         assert set(got) == {1, 2, 4, 8}
         rows_all, ref_all = [], []
@@ -503,10 +502,8 @@ class TestDualNormSearch:
         across the bracket that the Illinois steps refine."""
         cfg = cli.load_config(BENCHMARK_CONFIGS / f"{config}.json")
         (mesh, gd, sgd), = cli.build_levels(cfg)
-        trajs = run_block(
-            sgd, cli.build_flux(cfg), cli.build_noise_model(cfg, mesh), cli.build_u0(cfg, mesh, gd),
-            cfg["master_seed"], range(cfg["n_samples"]), cli.build_solver_config(cfg),
-        )
+        stepper = Stepper(sgd, cli.build_flux(cfg), cli.build_noise_model(cfg, mesh), cli.build_solver_config(cfg))
+        trajs = stepper.run(cli.build_u0(cfg, mesh, gd), cfg["master_seed"], range(cfg["n_samples"]))
         N = sgd.n_steps
         ells = [ell for ell in cfg["estimators"]["dual_ells"] if 1 <= ell <= N - 1]
         W = np.concatenate([t.u[1 + ell :] - t.u[1 : N + 1 - ell] for t in trajs for ell in ells])
@@ -527,14 +524,14 @@ def small_ensemble():
     sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
     noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
     flux = linear_diffusion()
-    trajs = run_block(sgd, flux, noise, sin_pi, 41, range(16))
+    trajs = Stepper(sgd, flux, noise).run(sin_pi, 41, range(16))
     return sgd, flux, noise, trajs
 
 
 def reduce_block(trajs, p, **acc_kwargs):
     """The report of one accumulator over the trajectories as one block."""
-    acc = EnsembleAccumulator(trajs[0].sgd, p, **acc_kwargs)
-    acc.add_summary(acc.summarize(trajs, Stepper(trajs[0].sgd, trajs[0].flux, trajs[0].noise)))
+    acc = EnsembleAccumulator(trajs[0].stepper.sgd, p, **acc_kwargs)
+    acc.add_summary(acc.summarize(trajs))
     return acc.report()
 
 
@@ -546,7 +543,7 @@ class TestEstimators:
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
-        trajs = run_block(sgd, linear_diffusion(), noise, sin_pi, 0, range(3))
+        trajs = Stepper(sgd, linear_diffusion(), noise).run(sin_pi, 0, range(3))
         rep = reduce_block(trajs, 2.0, **ENERGY_ONLY)
         assert rep.energy_max_l2_sq.se == 0.0
         single = np.sum(gd.quad_w * (gd.P @ trajs[0].u[1]) ** 2)
@@ -556,7 +553,7 @@ class TestEstimators:
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
-        trajs = run_block(sgd, linear_diffusion(), noise, zero_field, 0, range(2))
+        trajs = Stepper(sgd, linear_diffusion(), noise).run(zero_field, 0, range(2))
         rep = reduce_block(trajs, 2.0, **ENERGY_ONLY)
         assert rep.energy_max_l2_sq.mean == 0.0
         assert rep.grad_lp_p.mean == 0.0
@@ -567,7 +564,7 @@ class TestEstimators:
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
         # zero initial data and no noise: path constant in time
-        trajs = run_block(sgd, linear_diffusion(), noise, zero_field, 0, range(2))
+        trajs = Stepper(sgd, linear_diffusion(), noise).run(zero_field, 0, range(2))
         table = reduce_block(trajs, 2.0, **dict(ENERGY_ONLY, translate_ells=(1, 2, 4))).translate_table
         assert set(table) == {1, 2, 4}
         assert all(v.mean == 0.0 for v in table.values())
@@ -576,7 +573,7 @@ class TestEstimators:
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
-        trajs = run_block(sgd, linear_diffusion(), noise, sin_pi, 0, range(1))
+        trajs = Stepper(sgd, linear_diffusion(), noise).run(sin_pi, 0, range(1))
         table = reduce_block(trajs, 2.0, **dict(ENERGY_ONLY, translate_ells=(2,))).translate_table
         traj = trajs[0]
         direct = sgd.dt * sum(
@@ -606,7 +603,7 @@ class TestEstimators:
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
-        trajs = run_block(sgd, linear_diffusion(), noise, zero_field, 0, range(2))
+        trajs = Stepper(sgd, linear_diffusion(), noise).run(zero_field, 0, range(2))
         table = reduce_block(trajs, 2.0, translate_ells=(), dual_ells=(1, 2), with_martingale=False).dual_increment_table
         assert all(v.mean == 0.0 for v in table.values())
 
@@ -614,7 +611,7 @@ class TestEstimators:
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
-        trajs = run_block(sgd, p_laplace(3.0), noise, sin_pi, 23, range(4))
+        trajs = Stepper(sgd, p_laplace(3.0), noise).run(sin_pi, 23, range(4))
         table = reduce_block(trajs, 3.0, translate_ells=(), dual_ells=(1, 2), with_martingale=False).dual_increment_table
         solver = DualNormSolver(gd)
         for ell in (1, 2):
@@ -629,7 +626,7 @@ class TestEstimators:
         gd = build_gd(build_uniform_interval(8, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.5, n_steps=8)
         noise = make_noise(gd.mesh.bounding_box, 2, f0="zero")
-        trajs = run_block(sgd, linear_diffusion(), noise, sin_pi, 0, range(2))
+        trajs = Stepper(sgd, linear_diffusion(), noise).run(sin_pi, 0, range(2))
         rep = reduce_block(trajs, 2.0, translate_ells=(), dual_ells=(), with_dual=False)
         assert rep.martingale_h_beta.mean == 0.0
         assert rep.martingale_sup_r.mean == 0.0
@@ -667,13 +664,13 @@ class TestBlocks:
 
     def test_block_size_bounded_by_the_paths_it_holds(self, small_ensemble, monkeypatch):
         sgd, flux, noise, _ = small_ensemble
-        (traj,) = run_block(sgd, flux, noise, sin_pi, 41, [0])
+        (traj,) = Stepper(sgd, flux, noise).run(sin_pi, 41, [0])
         fields = (traj.u, traj.increments, traj.per_step_residuals, traj.per_step_newton_iters)
         path = sum(a.nbytes for a in fields)
         # at the block's peak a row also holds one step's noise values at
         # the quadrature points, its (N+1)^2 energy Gram and the per-cell
         # gradients of its states
-        noise_values = Stepper(sgd, flux, noise).noise_values(traj.u[:1], traj.increments[:1])
+        noise_values = traj.stepper.noise_values(traj.u[:1], traj.increments[:1])
         gradients = sgd.gd.G @ traj.u.T
         row = path + noise_values.nbytes + 8 * (sgd.n_steps + 1) ** 2 + gradients.nbytes
         for budget, B in ((3 * row, 3), (4 * row - 1, 3), (row - 1, 1)):
@@ -686,7 +683,10 @@ class TestBlocks:
         assert flux.is_linear and LINEAR_ENSEMBLE_BLOCK == 256
         assert ensemble_block(flux, noise, sgd) == LINEAR_ENSEMBLE_BLOCK
         assert ensemble_block(p_laplace(3.0), noise, sgd) == ENSEMBLE_BLOCK == 16
-        assert ensemble_block(p_laplace(2.0), noise, sgd) == LINEAR_ENSEMBLE_BLOCK  # no Newton at p = 2
+        # no Newton at p = 2, where (1 + |y|)^0 y = y too
+        for model in (p_laplace(2.0), regularized_p_laplace(2.0)):
+            assert ensemble_block(model, noise, sgd) == LINEAR_ENSEMBLE_BLOCK
+        assert ensemble_block(regularized_p_laplace(3.0), noise, sgd) == ENSEMBLE_BLOCK
 
     def test_p1_lumped_paths_shrink_the_block(self, monkeypatch):
         # a path of 64 steps on 20 x 20 holds its 361-unknown states and its
@@ -709,8 +709,10 @@ class TestBlocks:
     def test_map_blocks_runs_the_fixed_blocks(self, small_ensemble, monkeypatch):
         sgd, flux, noise, _ = small_ensemble
 
+        stepper = Stepper(sgd, flux, noise)
+
         def paths(block):
-            return np.stack([t.u for t in run_block(sgd, flux, noise, sin_pi, 41, block)])
+            return np.stack([t.u for t in stepper.run(sin_pi, 41, block)])
 
         for budget in (analysis.BLOCK_BYTES, 1):  # blocks of LINEAR_ENSEMBLE_BLOCK, then of 1
             monkeypatch.setattr(analysis, "BLOCK_BYTES", budget)
@@ -766,12 +768,13 @@ def _report_fields(rep):
     return fields
 
 
-def reference_martingale(stepper, traj, beta, r):
+def reference_martingale(traj, beta, r):
     """The martingale statistics of one path from its noise sums at the
     quadrature points, as paths once stored them: M_n = z_0 + ... + z_n with
     z_n the noise term of step n alone (``Stepper.noise_values``), then the
     fractional norm of M on the squared distances of its values, the sup of
     ||M_n||^r and the pairs <z_n, Pi e_0>."""
+    stepper = traj.stepper
     gd, dt = stepper.gd, stepper.dt
     Z = np.array([stepper.noise_values(u[None], c[None])[0] for u, c in zip(traj.u[:-1], traj.increments)])
     M = np.cumsum(Z, axis=0)
@@ -819,11 +822,10 @@ class TestBlockSummaries:
         gd = build_gd(build_uniform_interval(16, 0.0, 1.0), "p1")
         sgd = SpaceTimeGD(gd, T=0.25, n_steps=12)
         noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
-        trajs = run_block(sgd, p_laplace(3.0), noise, sin_pi, 29, range(5))
+        trajs = Stepper(sgd, p_laplace(3.0), noise).run(sin_pi, 29, range(5))
         acc = EnsembleAccumulator(sgd, 3.0, **self.ESTIMATORS)
-        stepper = Stepper(sgd, p_laplace(3.0), noise)
-        block = _summary_columns(acc, acc.summarize(trajs, stepper))
-        singles = [_summary_columns(acc, acc.summarize([traj], stepper)) for traj in trajs]
+        block = _summary_columns(acc, acc.summarize(trajs))
+        singles = [_summary_columns(acc, acc.summarize([traj])) for traj in trajs]
         assert set(block) == {
             "max_sq", "grad_total", "incr_sum", "translate.1", "translate.2", "translate.4", "dual.1", "dual.2",
             "dual.4", "mart_h", "m_sq", "mart_sup", "pairs", "extra",
@@ -856,11 +858,10 @@ class TestBlockSummaries:
         gd = build_gd(mesh(), kind)
         sgd = SpaceTimeGD(gd, T=0.25, n_steps=12)
         noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
-        trajs = run_block(sgd, p_laplace(3.0), noise, sin_product if gd.dim == 2 else sin_pi, 31, range(5))
+        trajs = Stepper(sgd, p_laplace(3.0), noise).run(sin_product if gd.dim == 2 else sin_pi, 31, range(5))
         acc = EnsembleAccumulator(sgd, 3.0, beta=0.3, **ENERGY_ONLY | dict(with_martingale=True))
-        stepper = Stepper(sgd, p_laplace(3.0), noise)
-        got = _summary_columns(acc, acc.summarize(trajs, stepper))
-        ref = [reference_martingale(stepper, traj, 0.3, 2) for traj in trajs]
+        got = _summary_columns(acc, acc.summarize(trajs))
+        ref = [reference_martingale(traj, 0.3, 2) for traj in trajs]
         for key, want in zip(("mart_h", "m_sq", "mart_sup", "pairs"), zip(*ref)):
             want = np.array(want)
             assert got[key].shape == want.shape
@@ -1033,13 +1034,14 @@ def reference_coupled_rows(sgds, flux, noise, u0, master_seed, n_samples, p):
         trajs = [run_trajectory(sgd, flux, noise, u0, master_seed, s, increments=inc) for sgd, inc in zip(sgds, incs)]
         row = []
         for coarse, fine in zip(trajs[:-1], trajs[1:]):
-            gd_f = fine.sgd.gd
-            E = coarse.sgd.gd.reconstruction_matrix(gd_f.quad_x)
-            ratio = fine.sgd.n_steps // coarse.sgd.n_steps
+            sgd_c, sgd_f = coarse.stepper.sgd, fine.stepper.sgd
+            gd_f = sgd_f.gd
+            E = sgd_c.gd.reconstruction_matrix(gd_f.quad_x)
+            ratio = sgd_f.n_steps // sgd_c.n_steps
             total = 0.0
-            for j in range(fine.sgd.n_steps):
+            for j in range(sgd_f.n_steps):
                 diff = gd_f.P @ fine.u[j + 1] - E @ coarse.u[j // ratio + 1]
-                total += fine.sgd.dt * float(np.sum(gd_f.quad_w * np.abs(diff) ** p))
+                total += sgd_f.dt * float(np.sum(gd_f.quad_w * np.abs(diff) ** p))
             row.append(total ** (1.0 / p))
         rows.append(row)
     return np.array(rows)
@@ -1101,6 +1103,31 @@ class TestCoupledStudy:
             assert stat.n == ref.n == self.N_SAMPLES
             assert abs(stat.mean - ref.mean) <= 1e-13 * ref.mean
             assert abs(stat.se - ref.se) <= 1e-13 * ref.se
+
+    def test_paths_hold_their_level_stepper(self, levels_in_blocks_of_three, monkeypatch):
+        # every path a level summarises points to that level's one stepper
+        sgds, noise = levels_in_blocks_of_three
+        built, summarised = [], []
+
+        class RecordingStepper(analysis.Stepper):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        summarize = EnsembleAccumulator.summarize
+
+        def recording_summarize(acc, trajs):
+            summarised.append((acc.sgd, [traj.stepper for traj in trajs]))
+            return summarize(acc, trajs)
+
+        monkeypatch.setattr(analysis, "Stepper", RecordingStepper)
+        monkeypatch.setattr(EnsembleAccumulator, "summarize", recording_summarize)
+        run_levels(sgds, p_laplace(3.0), noise, sin_pi, 9, self.N_SAMPLES, ENERGY_ONLY)
+        assert len(built) == len(sgds) and all(s.sgd is sgd for s, sgd in zip(built, sgds))
+        assert len(summarised) == 3 * len(sgds)  # three blocks on every level
+        for sgd, steppers in summarised:
+            (stepper,) = [s for s in built if s.sgd is sgd]
+            assert all(s is stepper for s in steppers)
 
     def test_identical_across_workers_over_blocks_of_three(self, levels_in_blocks_of_three):
         sgds, noise = levels_in_blocks_of_three

@@ -15,7 +15,7 @@ from sgdm.cli import (
     load_config, main,
 )
 from sgdm.noise import sample_increment
-from sgdm.scheme import Stepper, run_block, run_trajectory
+from sgdm.scheme import Stepper, run_trajectory
 
 
 def write_config(tmp_path, **overrides):
@@ -241,8 +241,8 @@ class TestCommands:
         for block in blocks:
             samples = np.array(block)[:, None]
             dW = sample_increment(noise, 42, samples, np.arange(1, fine.n_steps + 1), fine.dt)
-            trajs = run_block(coarse, flux, noise, u0, 42, block, stepper.cfg, dW[:, 0::2] + dW[:, 1::2], stepper)
-            acc.add_summary(acc.summarize(trajs, stepper))
+            trajs = stepper.run(u0, 42, block, dW[:, 0::2] + dW[:, 1::2])
+            acc.add_summary(acc.summarize(trajs))
         rep = acc.report()
         want = {
             ("energy_max_l2_sq", ""): rep.energy_max_l2_sq,
@@ -413,8 +413,9 @@ class TestCommands:
         assert len(rows) == 2
         for i, row in enumerate(rows):
             coarse, fine = trajs[i], trajs[i + 1]
-            E = coarse.sgd.gd.reconstruction_matrix(fine.sgd.gd.quad_x)
-            want = _lp_differences(E, fine.sgd, coarse.u[None], fine.u[None], 3.0)[0]
+            sgd_c, sgd_f = coarse.stepper.sgd, fine.stepper.sgd
+            E = sgd_c.gd.reconstruction_matrix(sgd_f.gd.quad_x)
+            want = _lp_differences(E, sgd_f, coarse.u[None], fine.u[None], 3.0)[0]
             assert row[0] == str(i) and float(row[1]) == levels[i][0].h and row[3:] == ["0", "1"]
             assert abs(float(row[2]) - want) <= 1e-13 * want
             assert summary["differences"][i] == float(row[2])

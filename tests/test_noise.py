@@ -249,6 +249,15 @@ class TestBasis:
         gram = E.T @ (gd.quad_w[:, None] * E)
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-8)
 
+    @pytest.mark.parametrize("k_max", [322, 323, 360, 1000])
+    def test_2d_modes_are_the_lowest_frequencies(self, k_max):
+        # the k_max pairs (i, j) of least i^2 + j^2, ties by (i, j), against
+        # every pair of a square wide enough to hold them all
+        n = 2 * int(np.ceil(np.sqrt(k_max)))
+        pairs = sorted(itertools.product(range(1, n + 1), repeat=2), key=lambda ij: (ij[0] ** 2 + ij[1] ** 2, ij))
+        modes = make_noise([[0.0, 0.0], [1.0, 1.0]], k_max, f0="zero").basis.modes
+        np.testing.assert_array_equal(modes, pairs[:k_max])
+
     def test_rectangle_scaling(self):
         noise = make_noise([[0.0, 0.0], [2.0, 0.5]], 4, f0="zero")
         pts = np.random.default_rng(0).uniform([0, 0], [2, 0.5], (64, 2))

@@ -26,7 +26,6 @@ from sgdm.scheme import (
     StepFailure,
     Stepper,
     energy_identity_residual,
-    run_block,
     run_trajectory,
     save_trajectory,
 )
@@ -190,6 +189,33 @@ class TestTrajectory:
         (u1,), _, _ = Stepper(sgd_1, flux, noise).step(traj.u[:1], inc[None])
         np.testing.assert_array_equal(traj.u[1], u1)
 
+    def test_paths_hold_the_stepper_that_ran_them(self, setup16):
+        sgd, noise = setup16
+        stepper = Stepper(sgd, p_laplace(3.0), noise)
+        trajs = stepper.run(sin_pi, 21, [4, 5, 6])
+        assert [traj.sample_index for traj in trajs] == [4, 5, 6]
+        assert all(traj.stepper is stepper for traj in trajs)
+        assert run_trajectory(sgd, p_laplace(3.0), noise, sin_pi, 21, 4).stepper.sgd is sgd
+
+    def test_misshaped_increments_are_rejected(self, setup16):
+        # a transposed (k_max, N) array must not drive a path
+        sgd, noise = setup16
+        incs = np.array([sample_increment(noise, 13, 0, n + 1, sgd.dt) for n in range(sgd.n_steps)])
+        assert incs.shape == (16, 8)
+        with pytest.raises(ValueError, match=r"shape \(1, 8, 16\), expected \(1, 16, 8\)"):
+            run_trajectory(sgd, p_laplace(3.0), noise, sin_pi, 13, 0, increments=incs.T)
+        with pytest.raises(ValueError, match=r"shape \(2, 16, 8\), expected \(3, 16, 8\)"):
+            Stepper(sgd, p_laplace(3.0), noise).run(sin_pi, 13, [0, 1, 2], np.stack([incs, incs]))
+
+    def test_regularized_p2_is_the_linear_scheme(self, setup16):
+        # (1 + |y|)^0 y = y: the same linear solve as linear_diffusion, bit for bit
+        sgd, noise = setup16
+        assert regularized_p_laplace(2.0).is_linear and not regularized_p_laplace(3.0).is_linear
+        a = run_trajectory(sgd, regularized_p_laplace(2.0), noise, sin_pi, 9, 3)
+        b = run_trajectory(sgd, linear_diffusion(), noise, sin_pi, 9, 3)
+        np.testing.assert_array_equal(a.u, b.u)
+        np.testing.assert_array_equal(a.per_step_newton_iters, b.per_step_newton_iters)
+
     def test_deterministic_in_seed(self, setup16):
         sgd, noise = setup16
         a = run_trajectory(sgd, p_laplace(3.0), noise, sin_pi, 21, 4)
@@ -243,6 +269,14 @@ class TestTrajectory:
         bound = 10.0 * 1e-10 * (1.0 + max(np.linalg.norm(traj.u[n]) for n in range(sgd.n_steps + 1)))
         assert energy_identity_residual(traj) <= bound
 
+    def test_energy_identity_builds_no_stepper(self, monkeypatch, setup16):
+        # the identity reads the flux and noise of the stepper that ran the path
+        sgd, noise = setup16
+        traj = run_trajectory(sgd, p_laplace(3.0), noise, sin_pi, 23, 1)
+        calls = count_calls(monkeypatch, ((Stepper, "__init__"),))
+        assert energy_identity_residual(traj) <= 1e-8
+        assert calls == {"__init__": 0}
+
     @pytest.mark.parametrize("mesh", ["interval", "square"])
     def test_energy_identity_residual_matches_per_step_loop(self, mesh):
         # the array form reads every step at once; each step still sums as
@@ -252,7 +286,7 @@ class TestTrajectory:
         sgd = SpaceTimeGD(gd, T=0.25, n_steps=9)
         noise = make_noise(m.bounding_box, 4, f0="tanh")
         traj = run_trajectory(sgd, p_laplace(3.0), noise, lambda x: np.prod(np.sin(np.pi * x), axis=1), 23, 1)
-        stepper = Stepper(sgd, traj.flux, noise)
+        stepper = traj.stepper
         flux_terms = stepper._flux_vector(traj.u[1:])
         worst = 0.0
         for n, z in enumerate(stepper.noise_values(traj.u[:-1], traj.increments)):
@@ -622,7 +656,7 @@ class TestBlocks:
         noise = make_noise(gd.mesh.bounding_box, 4, f0="tanh")
         model = BLOCK_FLUXES[flux]()
         samples = [3, 4, 5, 6, 7]
-        block = run_block(sgd, model, noise, _sine_product, 19, samples)
+        block = Stepper(sgd, model, noise).run(_sine_product, 19, samples)
         for traj, s in zip(block, samples):
             alone = run_trajectory(sgd, model, noise, _sine_product, 19, s)
             assert traj.sample_index == s
@@ -672,7 +706,7 @@ class TestBlocks:
         increments = np.zeros((3, sgd.n_steps, 4))
         increments[2, 1] = 5.0
         with pytest.raises(StepFailure) as exc:
-            run_block(sgd, p_laplace(3.0), noise, zero_field, 1, [7, 8, 9], cfg, increments)
+            Stepper(sgd, p_laplace(3.0), noise, cfg).run(zero_field, 1, [7, 8, 9], increments)
         assert (exc.value.sample_index, exc.value.step_index) == (9, 1)
         assert "sample 9" in str(exc.value) and "step 1" in str(exc.value)
         assert exc.value.best_iterate.shape == (sgd.gd.n_dofs,)
@@ -684,7 +718,7 @@ class TestBlocks:
         increments = np.zeros((2, sgd.n_steps, 4))
         increments[1, 2] = 5.0
         with pytest.raises(StepFailure) as exc:
-            run_block(sgd, p_laplace(3.0), noise, zero_field, 1, [4, 5], SolverConfig(max_newton=1), increments)
+            Stepper(sgd, p_laplace(3.0), noise, SolverConfig(max_newton=1)).run(zero_field, 1, [4, 5], increments)
         exc.value.level = 2
         again = pickle.loads(pickle.dumps(exc.value))
         assert type(again) is StepFailure and str(again) == str(exc.value)
@@ -698,8 +732,10 @@ class TestBlocks:
         cfg = SolverConfig(max_newton=1)
         blocks = [range(18, 21)]  # a block that does not start at sample 0
 
+        stepper = Stepper(sgd, p_laplace(3.0), noise, cfg)
+
         def paths(block):
-            return run_block(sgd, p_laplace(3.0), noise, sin_pi, 1, block, cfg)
+            return stepper.run(sin_pi, 1, block)
 
         with pytest.raises(StepFailure) as exc:
             list(map_blocks(paths, blocks, 1))
